@@ -71,17 +71,11 @@ def main() -> None:
             run_dirs.append(str(run_dir))
 
     print("== report ==")
-    paths = analysis.emit_report(run_dirs, out / "report", headline="max_last5")
-    metrics = {}
-    for rd in run_dirs:
-        manifest = json.loads((Path(rd) / "manifest.json").read_text())
-        history = analysis.load_history(Path(rd) / "history.jsonl")
-        peak = analysis.peak_metric(history, manifest["cycle_ends"], "max_last5")
-        metrics.setdefault(manifest["arch"], []).append(peak.value)
-    if len(metrics) >= 2:
-        report = analysis.compare_decoders(metrics)
-        (out / "report" / "comparison.txt").write_text(report.format() + "\n")
-        print(report.format())
+    runs = analysis.collect_runs(run_dirs)
+    paths = analysis.emit_report(runs, out / "report")
+    text = analysis.write_comparison(runs, out / "report", "max_last5")
+    if text is not None:
+        print(text)
     for name, p in sorted(paths.items()):
         print(f"  {name}: {p}")
 

@@ -225,25 +225,81 @@ def compare_decoders(metrics: dict[str, list[float]]) -> ComparisonReport:
 
 # ------------------------------------------------------------------ reporting
 
+# file name, parser, fields every record must carry
+_RUN_FILES = (
+    ("manifest.json", lambda fh: [json.load(fh)], ("arch", "size", "seed", "best_epoch", "cycle_ends")),
+    (
+        "history.jsonl",
+        lambda fh: [json.loads(line) for line in fh if line.strip()],
+        ("epoch", "lr", "train_loss", "test_loss", "test_acc"),
+    ),
+    (
+        "predictions.csv",
+        lambda fh: list(csv.DictReader(fh)),
+        ("concept_id", "concept_name", "category", "label", "pred"),
+    ),
+)
 
-def load_history(path: str | Path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    if not rows:
-        raise DataError(f"{path} holds no history rows")
-    return rows
+
+@dataclass
+class Run:
+    """One finished training run directory, as written by ``training.train``."""
+
+    name: str
+    manifest: dict
+    history: list[dict]
+    predictions: list[dict]
+
+    def peak(self, kind: str) -> float:
+        return peak_metric(self.history, self.manifest["cycle_ends"], kind).value
 
 
-def load_predictions(path: str | Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        records = list(csv.DictReader(fh))
-    if not records:
-        raise DataError(f"{path} holds no prediction rows")
-    return records
+def _read_run(rd: Path) -> Run:
+    records = []
+    for fname, parse, keys in _RUN_FILES:
+        path = rd / fname
+        try:
+            with open(path, encoding="utf-8", newline="") as fh:
+                rows = parse(fh)
+        except (OSError, ValueError, csv.Error) as exc:  # ValueError: bad JSON or UTF-8
+            raise DataError(f"{path}: {exc}") from exc
+        if not rows:
+            raise DataError(f"{path} holds no records")
+        if not all(isinstance(row, dict) and set(keys) <= row.keys() for row in rows):
+            raise DataError(f"{path}: every record needs the fields {list(keys)}")
+        records.append(rows)
+    (manifest,), history, predictions = records
+    return Run(rd.name, manifest, history, predictions)
+
+
+def collect_runs(run_dirs: list[str | Path]) -> list[Run]:
+    """Read each run directory once; a missing or malformed file is a DataError."""
+    if not run_dirs:
+        raise DataError("no run directories given")
+    return [_read_run(Path(rd)) for rd in run_dirs]
+
+
+def pair_by_seed(runs: list[Run], kind: str) -> dict[str, list[float]] | None:
+    """Peak metrics per architecture in seed order, or None when the runs
+    do not pair: that needs at least two architectures that share one set
+    of at least two seeds."""
+    by_arch: dict[str, dict[int, float]] = {}
+    for run in runs:
+        by_arch.setdefault(run.manifest["arch"], {})[run.manifest["seed"]] = run.peak(kind)
+    seed_sets = {tuple(sorted(vals)) for vals in by_arch.values()}
+    if len(by_arch) < 2 or len(seed_sets) != 1 or len(seed_sets.pop()) < 2:
+        return None
+    return {arch: [vals[s] for s in sorted(vals)] for arch, vals in by_arch.items()}
+
+
+def write_comparison(runs: list[Run], out_dir: str | Path, kind: str) -> str | None:
+    """Write comparison.txt when the runs pair by seed; return its text, else None."""
+    metrics = pair_by_seed(runs, kind)
+    if metrics is None:
+        return None
+    text = compare_decoders(metrics).format()
+    (Path(out_dir) / "comparison.txt").write_text(text + "\n")
+    return text
 
 
 _PALETTE = ["#1b6ca8", "#c23b22", "#2e8540", "#8e44ad", "#d98e04", "#16777e", "#7f8c8d"]
@@ -361,8 +417,8 @@ def svg_bar_chart(
     return "\n".join(parts)
 
 
-def emit_report(run_dirs: list[str | Path], out_dir: str | Path, headline: str = "max_last5") -> dict:
-    """Collect run directories into one report folder.
+def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
+    """Write the report folder for runs read by ``collect_runs``.
 
     Writes metrics.csv (one row per run), training_curves.csv/.svg,
     object_comparison.svg (per-object accuracy, best first),
@@ -371,18 +427,6 @@ def emit_report(run_dirs: list[str | Path], out_dir: str | Path, headline: str =
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = []
-    pooled_records: list[dict] = []
-    for rd in run_dirs:
-        rd = Path(rd)
-        manifest = json.loads((rd / "manifest.json").read_text())
-        history = load_history(rd / "history.jsonl")
-        records = load_predictions(rd / "predictions.csv")
-        pooled_records.extend(records)
-        runs.append((rd.name, manifest, history))
-    if not runs:
-        raise DataError("no run directories given")
-
     paths = {}
     metrics_path = out_dir / "metrics.csv"
     with open(metrics_path, "w", newline="") as fh:
@@ -390,18 +434,18 @@ def emit_report(run_dirs: list[str | Path], out_dir: str | Path, headline: str =
         writer.writerow(
             ["run", "arch", "size", "seed", "best_epoch", "max_last5", "mean_last5", "final_test_acc"]
         )
-        for name, manifest, history in runs:
-            ends = manifest["cycle_ends"]
+        for run in runs:
+            m = run.manifest
             writer.writerow(
                 [
-                    name,
-                    manifest["arch"],
-                    manifest["size"],
-                    manifest["seed"],
-                    manifest["best_epoch"],
-                    f"{peak_metric(history, ends, 'max_last5').value:.6f}",
-                    f"{peak_metric(history, ends, 'mean_last5').value:.6f}",
-                    f"{history[-1]['test_acc']:.6f}",
+                    run.name,
+                    m["arch"],
+                    m["size"],
+                    m["seed"],
+                    m["best_epoch"],
+                    f"{run.peak('max_last5'):.6f}",
+                    f"{run.peak('mean_last5'):.6f}",
+                    f"{run.history[-1]['test_acc']:.6f}",
                 ]
             )
     paths["metrics"] = metrics_path
@@ -410,11 +454,11 @@ def emit_report(run_dirs: list[str | Path], out_dir: str | Path, headline: str =
     with open(curves_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "epoch", "lr", "train_loss", "test_loss", "test_acc"])
-        for name, _, history in runs:
-            for row in history:
+        for run in runs:
+            for row in run.history:
                 writer.writerow(
                     [
-                        name,
+                        run.name,
                         row["epoch"],
                         f"{row['lr']:.8f}",
                         f"{row['train_loss']:.6f}",
@@ -425,8 +469,8 @@ def emit_report(run_dirs: list[str | Path], out_dir: str | Path, headline: str =
     paths["curves"] = curves_path
 
     series = {
-        name: ([r["epoch"] for r in history], [r["test_acc"] for r in history])
-        for name, _, history in runs
+        run.name: ([r["epoch"] for r in run.history], [r["test_acc"] for r in run.history])
+        for run in runs
     }
     svg_path = out_dir / "training_curves.svg"
     svg_path.write_text(
@@ -434,7 +478,7 @@ def emit_report(run_dirs: list[str | Path], out_dir: str | Path, headline: str =
     )
     paths["curves_svg"] = svg_path
 
-    objects = per_object_accuracy(pooled_records)
+    objects = per_object_accuracy([r for run in runs for r in run.predictions])
     obj_csv = out_dir / "object_accuracy.csv"
     with open(obj_csv, "w", newline="") as fh:
         writer = csv.writer(fh)

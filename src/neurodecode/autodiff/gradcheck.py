@@ -21,6 +21,10 @@ from ..errors import NumericError
 from .core import Parameter, no_grad
 
 FD_STEP = 1e-5
+# a report passes when its relative errors stay within all three
+MEDIAN_TOL = 1e-6
+P99_TOL = 1e-4
+MAX_TOL = 1e-3
 
 
 def relative_error(a: float, n: float) -> float:
@@ -55,12 +59,13 @@ class GradCheckReport:
     def p99_rel(self) -> float:
         return float(np.quantile(self.rel_errors, 0.99)) if self.rel_errors.size else 0.0
 
-    def passed(self, median_tol=1e-6, p99_tol=1e-4, max_tol=1e-3) -> bool:
+    @property
+    def passed(self) -> bool:
         return (
             self.deterministic
-            and self.median_rel <= median_tol
-            and self.p99_rel <= p99_tol
-            and self.max_rel <= max_tol
+            and self.median_rel <= MEDIAN_TOL
+            and self.p99_rel <= P99_TOL
+            and self.max_rel <= MAX_TOL
         )
 
     def summary(self) -> str:

@@ -273,23 +273,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    paths = analysis.emit_report(args.runs, args.out, headline=args.headline)
-    by_arch: dict[str, dict[int, float]] = {}
-    for rd in args.runs:
-        manifest = json.loads((Path(rd) / "manifest.json").read_text())
-        history = analysis.load_history(Path(rd) / "history.jsonl")
-        peak = analysis.peak_metric(history, manifest["cycle_ends"], args.headline)
-        by_arch.setdefault(manifest["arch"], {})[manifest["seed"]] = peak.value
-    if len(by_arch) >= 2:
-        seed_sets = [tuple(sorted(v)) for v in by_arch.values()]
-        if len(set(seed_sets)) == 1 and len(seed_sets[0]) >= 2:
-            ordered = {
-                arch: [vals[s] for s in sorted(vals)] for arch, vals in by_arch.items()
-            }
-            report = analysis.compare_decoders(ordered)
-            text = report.format()
-            (Path(args.out) / "comparison.txt").write_text(text + "\n")
-            print(text)
+    runs = analysis.collect_runs(args.runs)
+    paths = analysis.emit_report(runs, args.out)
+    text = analysis.write_comparison(runs, args.out, args.headline)
+    if text is not None:
+        print(text)
     for name, p in sorted(paths.items()):
         print(f"{name}: {p}")
     return 0
@@ -299,9 +287,9 @@ def cmd_gradcheck(args) -> int:
     failures = []
     if args.scope in ("all", "ops"):
         for name, report in checks.check_op_gradients():
-            status = "PASS" if report.passed() else "FAIL"
+            status = "PASS" if report.passed else "FAIL"
             print(f"op {name:<24} {report.summary()}  {status}")
-            if not report.passed():
+            if not report.passed:
                 failures.append(f"op {name}")
     if args.scope in ("all", "models"):
         archs = [args.arch] if args.arch else list(models.ARCHITECTURES)
@@ -309,9 +297,9 @@ def cmd_gradcheck(args) -> int:
         for arch in archs:
             for size in sizes:
                 report = checks.check_model_gradients(arch, size, sample=args.sample)
-                status = "PASS" if report.passed() else "FAIL"
+                status = "PASS" if report.passed else "FAIL"
                 print(f"model {arch}-{size:<8} {report.summary()}  {status}")
-                if not report.passed():
+                if not report.passed:
                     failures.append(f"model {arch}-{size}")
     if failures:
         raise NumericError(f"gradient checks failed: {', '.join(failures)}")

@@ -27,8 +27,8 @@ noise, labels) are reproducible bit for bit across runs and platforms.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -102,28 +102,14 @@ class TrialMeta:
             raise DataError(f"split must be train/test/None, got {self.split!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "subject": self.subject,
-            "concept_id": self.concept_id,
-            "concept_name": self.concept_name,
-            "category": self.category,
-            "label": self.label,
-            "split": self.split,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialMeta":
+        """Inverse of ``to_dict``; only fields with a default may be absent."""
         try:
-            return cls(
-                trial_id=d["trial_id"],
-                subject=d["subject"],
-                concept_id=d["concept_id"],
-                concept_name=d["concept_name"],
-                category=d["category"],
-                label=d["label"],
-                split=d.get("split"),
-            )
+            present = [f.name for f in fields(cls) if f.name in d or f.default is MISSING]
+            return cls(**{name: d[name] for name in present})
         except KeyError as exc:
             raise DataError(f"metadata record missing field {exc}") from exc
 
@@ -327,6 +313,51 @@ def _synthetic_concepts(per_class: int = 16) -> dict[int, list[tuple[int, str, s
     return pools
 
 
+def _streams(seed: int) -> list[np.random.Generator]:
+    """Pattern, label and noise generators on independent child streams of one root seed."""
+    return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(3)]
+
+
+def _spatial(rng: np.random.Generator, n_fingerprints: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal patterns p, q, q0, q1 (then any subject fingerprints), and
+    the unit-row 63 x 16 mixing matrix of the correlated background."""
+    pats = _patterns(rng, 4 + n_fingerprints)
+    mixing = rng.standard_normal((N_CHANNELS, 16))
+    mixing /= np.linalg.norm(mixing, axis=1, keepdims=True)
+    return pats, mixing
+
+
+def _linear_labels(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced labels in random order, and a random 10 Hz carrier phase per trial."""
+    labels = np.repeat([0, 1], n // 2)[rng.permutation(n)]
+    return labels, rng.uniform(0.0, 2 * np.pi, size=n)
+
+
+def _linear_signal(
+    labels: np.ndarray, phases: np.ndarray, pats: np.ndarray, w1: np.ndarray, rate: int
+) -> np.ndarray:
+    """Linear-mode trials (n x channels x samples): pattern p signed by the
+    class on the 5 Hz envelope, plus a 10 Hz carrier on q1 (alive) or q0."""
+    t = np.arange(w1.size, dtype=np.float64) / rate
+    sign = 2.0 * labels - 1.0
+    osc = np.sqrt(2.0) * np.cos(2 * np.pi * 10.0 * t[None, :] + phases[:, None])
+    carrier_pat = np.where(labels[:, None] == 1, pats[3][None, :], pats[2][None, :])
+    return (
+        sign[:, None, None] * pats[0][None, :, None] * w1[None, None, :]
+        + carrier_pat[:, :, None] * osc[:, None, :]
+    )
+
+
+def _concept_meta(labels: np.ndarray, n_subjects: int) -> list[TrialMeta]:
+    """Round-robin subjects; each class cycles through its concept pool in trial order."""
+    pools = {y: itertools.cycle(pool) for y, pool in _synthetic_concepts().items()}
+    meta = []
+    for i, y in enumerate(labels.tolist()):
+        cid, name, cat = next(pools[y])
+        meta.append(TrialMeta(i, i % n_subjects + 1, cid, name, cat, y))
+    return meta
+
+
 _CHUNK = 1024
 
 
@@ -337,83 +368,38 @@ def generate_synthetic(cfg: SynthConfig) -> EpochSet:
     labels, noise) spawned from one root seed, so regenerating with the
     same config is bitwise reproducible.
     """
-    root = np.random.SeedSequence(cfg.seed)
-    ss_pat, ss_lab, ss_noise = root.spawn(3)
-    rng_pat = np.random.default_rng(ss_pat)
-    rng_lab = np.random.default_rng(ss_lab)
-    rng_noise = np.random.default_rng(ss_noise)
-
+    rng_pat, rng_lab, rng_noise = _streams(cfg.seed)
     n = cfg.n_trials
-    snr = cfg.effective_snr
     w1, w2 = _envelopes()
-    n_fingerprints = cfg.n_subjects if cfg.mode == "subject_signature" else 0
-    pats = _patterns(rng_pat, 4 + n_fingerprints)
-    p, q, q0, q1 = pats[0], pats[1], pats[2], pats[3]
-    fingerprints = pats[4:]
-    mixing = rng_pat.standard_normal((N_CHANNELS, 16))
-    mixing /= np.linalg.norm(mixing, axis=1, keepdims=True)
+    pats, mixing = _spatial(rng_pat, cfg.n_subjects if cfg.mode == "subject_signature" else 0)
 
-    subjects = np.arange(n) % cfg.n_subjects + 1
-
-    t = np.arange(N_SAMPLES, dtype=np.float64) / 100.0
     if cfg.mode == "linear":
-        labels = np.repeat([0, 1], n // 2)
-        labels = labels[rng_lab.permutation(n)]
-        phases = rng_lab.uniform(0.0, 2 * np.pi, size=n)
-        sign = 2.0 * labels - 1.0
-        osc = np.sqrt(2.0) * np.cos(2 * np.pi * 10.0 * t[None, :] + phases[:, None])
-        carrier_pat = np.where(labels[:, None] == 1, q1[None, :], q0[None, :])
-        signal = (
-            sign[:, None, None] * p[None, :, None] * w1[None, None, :]
-            + carrier_pat[:, :, None] * osc[:, None, :]
-        )
+        labels, phases = _linear_labels(rng_lab, n)
+        signal = _linear_signal(labels, phases, pats, w1, 100)
     elif cfg.mode == "xor":
         signs = rng_lab.choice([-1.0, 1.0], size=(n, 2))
         labels = (signs[:, 0] * signs[:, 1] > 0).astype(np.int64)
         signal = (
-            signs[:, 0][:, None, None] * p[None, :, None] * w1[None, None, :]
-            + signs[:, 1][:, None, None] * q[None, :, None] * w2[None, None, :]
+            signs[:, 0][:, None, None] * pats[0][None, :, None] * w1[None, None, :]
+            + signs[:, 1][:, None, None] * pats[1][None, :, None] * w2[None, None, :]
         )
-    else:  # subject_signature
-        labels = subjects.astype(np.int64) - 1
-        signal = fingerprints[labels][:, :, None] * w1[None, None, :]
+    else:  # subject_signature: the label is the 0-based round-robin subject
+        labels = np.arange(n) % cfg.n_subjects
+        signal = pats[4:][labels][:, :, None] * w1[None, None, :]
 
     tensor = np.empty((n, N_CHANNELS, N_SAMPLES), dtype=np.float32)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         noise = _background(rng_noise, stop - start, mixing, N_CHANNELS, N_SAMPLES)
-        tensor[start:stop] = _zscore(noise + snr * signal[start:stop])
+        tensor[start:stop] = _zscore(noise + cfg.effective_snr * signal[start:stop])
 
     if cfg.mode == "subject_signature":
         meta = [
-            TrialMeta(
-                trial_id=i,
-                subject=int(subjects[i]),
-                concept_id=int(labels[i]),
-                concept_name=f"subject {int(subjects[i]):02d}",
-                category="subject",
-                label=int(labels[i]),
-            )
-            for i in range(n)
+            TrialMeta(i, y + 1, y, f"subject {y + 1:02d}", "subject", y)
+            for i, y in enumerate(labels.tolist())
         ]
     else:
-        pools = _synthetic_concepts()
-        counters = {0: 0, 1: 0}
-        meta = []
-        for i in range(n):
-            y = int(labels[i])
-            cid, name, cat = pools[y][counters[y] % len(pools[y])]
-            counters[y] += 1
-            meta.append(
-                TrialMeta(
-                    trial_id=i,
-                    subject=int(subjects[i]),
-                    concept_id=cid,
-                    concept_name=name,
-                    category=cat,
-                    label=y,
-                )
-            )
+        meta = _concept_meta(labels, cfg.n_subjects)
     return EpochSet(tensor, meta)
 
 
@@ -425,7 +411,9 @@ def generate_raw(
 ) -> tuple[RawRecording, list[TrialMeta]]:
     """Continuous 64-channel recording for exercising the preprocessing chain.
 
-    The reference channel carries only the shared common-mode component,
+    The trials are the linear mode's: the same seed draws the same
+    patterns, labels and metadata as ``generate_synthetic``.  The
+    reference channel carries only the shared common-mode component,
     so re-referencing recovers the clean per-channel signal.  Stimuli
     arrive every ``stimulus_interval_ms`` after a ``lead_in_ms`` quiet
     period; a short lead-in leaves early trials too close to the edge
@@ -433,22 +421,10 @@ def generate_raw(
     """
     if cfg.mode != "linear":
         raise DataError(f"raw generation supports the linear mode, got {cfg.mode!r}")
-    root = np.random.SeedSequence(cfg.seed)
-    ss_pat, ss_lab, ss_noise = root.spawn(3)
-    rng_pat = np.random.default_rng(ss_pat)
-    rng_lab = np.random.default_rng(ss_lab)
-    rng_noise = np.random.default_rng(ss_noise)
-
+    rng_pat, rng_lab, rng_noise = _streams(cfg.seed)
     n = cfg.n_trials
-    snr = cfg.effective_snr
-    pats = _patterns(rng_pat, 4)
-    p, q0, q1 = pats[0], pats[2], pats[3]
-    mixing = rng_pat.standard_normal((N_CHANNELS, 16))
-    mixing /= np.linalg.norm(mixing, axis=1, keepdims=True)
-
-    labels = np.repeat([0, 1], n // 2)
-    labels = labels[rng_lab.permutation(n)]
-    phases = rng_lab.uniform(0.0, 2 * np.pi, size=n)
+    pats, mixing = _spatial(rng_pat)
+    labels, phases = _linear_labels(rng_lab, n)
 
     lead_in = int(round(lead_in_ms / 1000.0 * sample_rate))
     interval = int(round(stimulus_interval_ms / 1000.0 * sample_rate))
@@ -460,48 +436,23 @@ def generate_raw(
     common = _pink_noise(rng_noise, (1, total))[0]
     noise = (own + mixing @ sources) / np.sqrt(2.0)
 
-    tt = np.arange(trial_len, dtype=np.float64) / sample_rate
-    window = np.exp(-0.5 * ((tt - 0.17) / 0.035) ** 2)
-    w1 = window * np.cos(2 * np.pi * 5.0 * (tt - 0.17))
-    w1 /= np.sqrt(np.mean(w1**2))
-
     data = np.zeros((N_CHANNELS + 1, total), dtype=np.float64)
     data[1:] = noise
     line = 0.3 * np.sin(2 * np.pi * 50.0 * np.arange(total) / sample_rate)
     data += common + line  # common mode on every channel, reference included
 
-    onsets = []
-    meta = []
-    for i in range(n):
-        onset = lead_in + i * interval
-        sign = 2.0 * labels[i] - 1.0
-        carrier_pat = q1 if labels[i] == 1 else q0
-        osc = np.sqrt(2.0) * np.cos(2 * np.pi * 10.0 * tt + phases[i])
-        seg = sign * np.outer(p, w1) + np.outer(carrier_pat, osc)
-        data[1:, onset : onset + trial_len] += snr * seg
-        onsets.append((onset, i))
+    # trials overlap in time, so they are placed one at a time
+    w1, _ = _envelopes(trial_len, sample_rate)
+    onsets = tuple((lead_in + i * interval, i) for i in range(n))
+    for onset, i in onsets:
+        seg = _linear_signal(labels[i : i + 1], phases[i : i + 1], pats, w1, sample_rate)[0]
+        data[1:, onset : onset + trial_len] += cfg.effective_snr * seg
 
-    pools = _synthetic_concepts()
-    counters = {0: 0, 1: 0}
-    for i in range(n):
-        y = int(labels[i])
-        cid, name, cat = pools[y][counters[y] % len(pools[y])]
-        counters[y] += 1
-        meta.append(
-            TrialMeta(
-                trial_id=i,
-                subject=int(i % cfg.n_subjects + 1),
-                concept_id=cid,
-                concept_name=name,
-                category=cat,
-                label=y,
-            )
-        )
     names = ("Cz",) + tuple(f"E{i:02d}" for i in range(1, N_CHANNELS + 1))
     rec = RawRecording(
-        data=data, channel_names=names, sample_rate=sample_rate, event_onsets=tuple(onsets)
+        data=data, channel_names=names, sample_rate=sample_rate, event_onsets=onsets
     )
-    return rec, meta
+    return rec, _concept_meta(labels, cfg.n_subjects)
 
 
 def save_epochs(path, epochs: EpochSet) -> None:

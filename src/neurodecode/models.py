@@ -79,6 +79,19 @@ CONFORMER_SIZES = {
 }
 
 
+def eval_logits(model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """Evaluation-mode logits of every trial, a batch at a time, without building a tape.
+
+    Needs only ``model.forward`` and ``model.n_classes``.
+    """
+    with no_grad():
+        out = [
+            model.forward(x[start : start + batch_size], training=False).data
+            for start in range(0, len(x), batch_size)
+        ]
+    return np.concatenate(out) if out else np.zeros((0, model.n_classes))
+
+
 class Model:
     """Base: parameter/buffer registry, init rng, dropout rng."""
 
@@ -178,12 +191,7 @@ class Model:
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Class predictions in evaluation mode, without building a tape."""
-        out = []
-        with no_grad():
-            for start in range(0, len(x), batch_size):
-                logits = self.forward(x[start : start + batch_size], training=False)
-                out.append(np.argmax(logits.data, axis=1))
-        return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+        return np.argmax(eval_logits(self, x, batch_size), axis=1)
 
     def descriptor(self) -> dict:
         return {

@@ -24,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import no_grad, ops
+from .autodiff import constant, ops
 from .autodiff.core import Parameter, check_finite
 from .data import EpochSet, TrialMeta
 from .errors import NumericError, UsageError
-from .models import Model, save_model
+from .models import Model, eval_logits, save_model
 
 
 @dataclass(frozen=True)
@@ -150,15 +150,14 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int = 256) 
     """Evaluation-mode metrics.  A class never predicted scores
     precision 0.0; a class absent from ``y`` scores recall 0.0."""
     y = np.asarray(y)
-    preds = np.zeros(len(y), dtype=np.int64)
+    logits = eval_logits(model, x, batch_size)
+    preds = np.argmax(logits, axis=1)
+    # batch by batch, not in one call: the summation order fixes the bytes of test_loss
     loss_sum = 0.0
-    with no_grad():
-        for start in range(0, len(y), batch_size):
-            stop = min(start + batch_size, len(y))
-            logits = model.forward(x[start:stop], training=False)
-            loss = ops.cross_entropy(logits, y[start:stop])
-            loss_sum += float(loss.data) * (stop - start)
-            preds[start:stop] = np.argmax(logits.data, axis=1)
+    for start in range(0, len(y), batch_size):
+        batch = logits[start : start + batch_size]
+        loss = ops.cross_entropy(constant(batch), y[start : start + batch_size])
+        loss_sum += float(loss.data) * len(batch)
     accuracy = float(np.mean(preds == y))
     per_class = []
     for k in range(model.n_classes):

@@ -188,7 +188,7 @@ def test_08_comparison_pipeline(tmp_path):
         metrics[arch] = vals
     rep = analysis.compare_decoders(metrics)
     out = tmp_path / "report"
-    paths = analysis.emit_report([str(r) for r in run_dirs], out)
+    paths = analysis.emit_report(analysis.collect_runs([str(r) for r in run_dirs]), out)
     finite = all(np.isfinite(r.mean) for r in rep.ranking) and all(
         np.isfinite(t.p) for _, _, t in rep.pairwise
     )

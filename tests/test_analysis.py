@@ -1,6 +1,8 @@
 """Analysis layer: peak metrics, paired tests, reports."""
 
+import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -222,7 +224,7 @@ class TestEmitReport:
             )
             runs.append(rd)
         out = tmp_path / "report"
-        paths = analysis.emit_report([str(r) for r in runs], out)
+        paths = analysis.emit_report(analysis.collect_runs([str(r) for r in runs]), out)
         produced = {f.name for f in out.iterdir()}
         assert {
             "metrics.csv",
@@ -237,6 +239,82 @@ class TestEmitReport:
             ET.fromstring((out / name).read_text())
         header = (out / "metrics.csv").read_text().splitlines()[0]
         assert "max_last5" in header or "metric" in header
+
+
+def write_run(root, arch, seed, accs):
+    """A minimal run directory in the layout ``training.train`` writes."""
+    rd = root / f"{arch}-s{seed}"
+    rd.mkdir()
+    manifest = {
+        "arch": arch, "size": "small", "seed": seed, "best_epoch": 1, "cycle_ends": [len(accs)]
+    }
+    (rd / "manifest.json").write_text(json.dumps(manifest))
+    rows = [
+        {"epoch": i + 1, "lr": 0.01, "train_loss": 0.5, "test_loss": 0.5, "test_acc": a}
+        for i, a in enumerate(accs)
+    ]
+    (rd / "history.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    (rd / "predictions.csv").write_text(
+        "trial_id,subject,concept_id,concept_name,category,label,pred\n"
+        "0,1,0,animal 000,animal,1,1\n"
+    )
+    return rd
+
+
+class TestCollectRuns:
+    PEAKS = {
+        ("eegnet", 0): 0.6,
+        ("eegnet", 1): 0.7,
+        ("eegnet", 2): 0.8,
+        ("lstm", 0): 0.5,
+        ("lstm", 1): 0.9,
+        ("lstm", 2): 0.4,
+    }
+
+    def test_pairs_in_seed_order_whatever_the_run_order(self, tmp_path):
+        dirs = [write_run(tmp_path, arch, seed, [acc]) for (arch, seed), acc in self.PEAKS.items()]
+        shuffled = [dirs[i] for i in (4, 2, 0, 5, 1, 3)]
+        runs = analysis.collect_runs(shuffled)
+        assert [r.name for r in runs] == [d.name for d in shuffled]
+        assert analysis.pair_by_seed(runs, "max_last5") == {
+            "eegnet": [0.6, 0.7, 0.8],
+            "lstm": [0.5, 0.9, 0.4],
+        }
+        text = analysis.write_comparison(runs, tmp_path, "max_last5")
+        assert text == compare_decoders(analysis.pair_by_seed(runs, "max_last5")).format()
+        assert (tmp_path / "comparison.txt").read_text() == text + "\n"
+
+    @pytest.mark.parametrize("runs", [
+        [("eegnet", 0), ("lstm", 0)],  # one seed
+        [("eegnet", 0), ("eegnet", 1), ("lstm", 0), ("lstm", 2)],  # seed sets differ
+        [("eegnet", 0), ("eegnet", 1)],  # one architecture
+    ])
+    def test_unpaired_runs_are_not_compared(self, tmp_path, runs):
+        dirs = [write_run(tmp_path, arch, seed, [self.PEAKS[arch, seed]]) for arch, seed in runs]
+        collected = analysis.collect_runs(dirs)
+        assert analysis.pair_by_seed(collected, "max_last5") is None
+        assert analysis.write_comparison(collected, tmp_path, "max_last5") is None
+        assert not (tmp_path / "comparison.txt").exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda rd: (rd / "manifest.json").unlink(),
+        lambda rd: (rd / "manifest.json").write_text('{"arch": "eeg'),
+        lambda rd: (rd / "manifest.json").write_text('{"arch": "eegnet"}'),
+        lambda rd: (rd / "history.jsonl").write_text('{"epoch": 1, "test_acc"\n'),
+        lambda rd: (rd / "history.jsonl").write_text('{"epoch": 1}\n'),
+        lambda rd: (rd / "history.jsonl").write_text("\n"),
+        lambda rd: (rd / "predictions.csv").unlink(),
+        lambda rd: (rd / "predictions.csv").write_text("trial_id,pred\n0,1\n"),
+    ])
+    def test_bad_run_files_are_data_errors(self, tmp_path, damage):
+        rd = write_run(tmp_path, "eegnet", 0, [0.6])
+        damage(rd)
+        with pytest.raises(DataError, match=re.escape(str(rd))):
+            analysis.collect_runs([rd])
+
+    def test_no_runs(self):
+        with pytest.raises(DataError, match="no run directories"):
+            analysis.collect_runs([])
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from neurodecode import checks
 from neurodecode.autodiff import ops
-from neurodecode.autodiff.core import NumericError, Parameter, no_grad
+from neurodecode.autodiff.core import NumericError, Parameter, make, no_grad
 from neurodecode.autodiff.ops import constant
 
 
@@ -155,6 +155,20 @@ class TestGuards:
 
 
 class TestOpGradients:
+    def test_wrong_backward_fails_the_gate(self):
+        p = param([0.3, -0.7, 1.1])
+
+        def square(factor):
+            # d(x^2)/dx = 2x; any other factor is a wrong backward
+            return lambda: ops.mean_axis(
+                make(p.data**2, (p,), lambda g: p.accumulate(factor * p.data * g), "square"), 0
+            )
+
+        assert checks.grad_check(square(2.0), [("p", p)]).passed is True
+        wrong = checks.grad_check(square(2.5), [("p", p)])
+        assert wrong.deterministic
+        assert wrong.passed is False
+
     def test_all_op_checks_pass(self):
         reports = checks.check_op_gradients()
         assert len(reports) >= 20

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -209,6 +210,35 @@ class TestTrainEvalAnalyze:
             ]
         )
         assert json.loads((rd / "config.json").read_text())["train"]["seed"] == 3
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    data = root / "linear.eegb"
+    assert run(["synth", "--n-trials", "64", "--out", str(data)]) == 0
+    rd = root / "run"
+    argv = ["train", "--data", str(data), "--arch", "eegnet", "--epochs", "1", "--run-dir", str(rd)]
+    assert run(argv) == 0
+    return rd
+
+
+class TestAnalyzeBadRuns:
+    @pytest.mark.parametrize("fname, content", [
+        ("manifest.json", None),  # missing
+        ("manifest.json", '{"arch": "eegnet", "si'),  # truncated
+        ("history.jsonl", '{"epoch": 1, "lr": 0.05}\nnot json\n'),
+    ])
+    def test_exit_2_with_data_error(self, tmp_path, capsys, trained_run, fname, content):
+        rd = tmp_path / "run"
+        shutil.copytree(trained_run, rd)
+        if content is None:
+            (rd / fname).unlink()
+        else:
+            (rd / fname).write_text(content)
+        assert run(["analyze", "--runs", str(rd), "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and fname in err
 
 
 class TestBaseline:
