@@ -225,18 +225,35 @@ def compare_decoders(metrics: dict[str, list[float]]) -> ComparisonReport:
 
 # ------------------------------------------------------------------ reporting
 
-# file name, parser, fields every record must carry
+def _typed(v, kind) -> bool:
+    """Whether a run-file value is of its field's kind: any JSON number for
+    float, a list of ints for list, decimal text for "digits" (csv columns)."""
+    if kind == "digits":
+        return isinstance(v, str) and v.isdecimal()
+    if kind is list:
+        return isinstance(v, list) and all(_typed(e, int) for e in v)
+    return isinstance(v, (int, float) if kind is float else kind) and not isinstance(v, bool)
+
+
+# file name, parser, and the kind of each field every record must carry
 _RUN_FILES = (
-    ("manifest.json", lambda fh: [json.load(fh)], ("arch", "size", "seed", "best_epoch", "cycle_ends")),
+    (
+        "manifest.json",
+        lambda fh: [json.load(fh)],
+        {"arch": str, "size": str, "seed": int, "best_epoch": int, "cycle_ends": list},
+    ),
     (
         "history.jsonl",
         lambda fh: [json.loads(line) for line in fh if line.strip()],
-        ("epoch", "lr", "train_loss", "test_loss", "test_acc"),
+        {"epoch": int, "lr": float, "train_loss": float, "test_loss": float, "test_acc": float},
     ),
     (
         "predictions.csv",
         lambda fh: list(csv.DictReader(fh)),
-        ("concept_id", "concept_name", "category", "label", "pred"),
+        {
+            "concept_id": "digits", "concept_name": str, "category": str,
+            "label": "digits", "pred": "digits",
+        },
     ),
 )
 
@@ -246,6 +263,7 @@ class Run:
     """One finished training run directory, as written by ``training.train``."""
 
     name: str
+    path: Path
     manifest: dict
     history: list[dict]
     predictions: list[dict]
@@ -256,7 +274,7 @@ class Run:
 
 def _read_run(rd: Path) -> Run:
     records = []
-    for fname, parse, keys in _RUN_FILES:
+    for fname, parse, kinds in _RUN_FILES:
         path = rd / fname
         try:
             with open(path, encoding="utf-8", newline="") as fh:
@@ -265,11 +283,15 @@ def _read_run(rd: Path) -> Run:
             raise DataError(f"{path}: {exc}") from exc
         if not rows:
             raise DataError(f"{path} holds no records")
-        if not all(isinstance(row, dict) and set(keys) <= row.keys() for row in rows):
-            raise DataError(f"{path}: every record needs the fields {list(keys)}")
+        for row in rows:
+            if not (isinstance(row, dict) and kinds.keys() <= row.keys()):
+                raise DataError(f"{path}: every record needs the fields {list(kinds)}")
+            bad = [key for key, kind in kinds.items() if not _typed(row[key], kind)]
+            if bad:
+                raise DataError(f"{path}: field {bad[0]!r} has the bad value {row[bad[0]]!r}")
         records.append(rows)
     (manifest,), history, predictions = records
-    return Run(rd.name, manifest, history, predictions)
+    return Run(rd.name, rd, manifest, history, predictions)
 
 
 def collect_runs(run_dirs: list[str | Path]) -> list[Run]:
@@ -280,16 +302,20 @@ def collect_runs(run_dirs: list[str | Path]) -> list[Run]:
 
 
 def pair_by_seed(runs: list[Run], kind: str) -> dict[str, list[float]] | None:
-    """Peak metrics per architecture in seed order, or None when the runs
-    do not pair: that needs at least two architectures that share one set
-    of at least two seeds."""
-    by_arch: dict[str, dict[int, float]] = {}
+    """Peak metrics per ``arch-size`` cell in seed order, or None when the
+    runs do not pair: that needs at least two cells that share one set of
+    at least two seeds.  Two runs of one cell and seed are a DataError."""
+    by_cell: dict[str, dict[int, Run]] = {}
     for run in runs:
-        by_arch.setdefault(run.manifest["arch"], {})[run.manifest["seed"]] = run.peak(kind)
-    seed_sets = {tuple(sorted(vals)) for vals in by_arch.values()}
-    if len(by_arch) < 2 or len(seed_sets) != 1 or len(seed_sets.pop()) < 2:
+        cell, seed = "{arch}-{size}".format(**run.manifest), run.manifest["seed"]
+        seeds = by_cell.setdefault(cell, {})
+        if seed in seeds:
+            raise DataError(f"{seeds[seed].path} and {run.path} are both {cell} seed {seed}")
+        seeds[seed] = run
+    seed_sets = {tuple(sorted(seeds)) for seeds in by_cell.values()}
+    if len(by_cell) < 2 or len(seed_sets) != 1 or len(seed_sets.pop()) < 2:
         return None
-    return {arch: [vals[s] for s in sorted(vals)] for arch, vals in by_arch.items()}
+    return {cell: [seeds[s].peak(kind) for s in sorted(seeds)] for cell, seeds in by_cell.items()}
 
 
 def write_comparison(runs: list[Run], out_dir: str | Path, kind: str) -> str | None:

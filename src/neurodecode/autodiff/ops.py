@@ -3,8 +3,9 @@
 Primitive ops construct one graph node with an explicit backward
 closure.  Higher-level blocks (LSTM layer, attention, Chebyshev graph
 convolution) are composed from primitives, so their gradients need no
-dedicated derivation.  Convolutions run as small per-tap GEMMs, which
-keeps the arithmetic in BLAS without an im2col buffer.
+dedicated derivation.  The convolutions are composed the same way: a
+two-operand ``einsum`` over ``time_windows``, a zero-copy strided view
+of the same-padded input, so no convolution has a backward of its own.
 
 Layout conventions: convolutional feature maps are (batch, features,
 channels, time); sequence models take (batch, time, channels); graph
@@ -246,49 +247,46 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------- convolutions
 
 
-def _pad_time(x: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
+    """Two-operand ``np.einsum`` with explicit output labels.  Each operand's
+    gradient, computed only if it requires one, is the einsum of the output
+    gradient with the other operand, so no label may belong to one operand alone."""
+    labels_a, labels_b, labels_out = spec.replace("->", ",").split(",")
+    out = np.einsum(spec, a.data, b.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(np.einsum(f"{labels_out},{labels_b}->{labels_a}", g, b.data))
+        if b.requires_grad:
+            b.accumulate(np.einsum(f"{labels_a},{labels_out}->{labels_b}", a.data, g))
+
+    return make(out, (a, b), backward, "einsum")
+
+
+def time_windows(x: Tensor, k: int) -> Tensor:
+    """Same-padded length-k windows along the last axis, (..., T) -> (..., T, k):
+    a zero-copy view of the padded input, whose backward scatter-adds the k taps."""
+    T = x.data.shape[-1]
     left = (k - 1) // 2
-    right = k - 1 - left
-    pad = [(0, 0)] * (x.ndim - 1) + [(left, right)]
-    return np.pad(x, pad), left
-
-
-def conv_temporal(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """1-d convolution along time, shared over channels.
-
-    Parameters
-    ----------
-    x : Tensor, shape (batch, in_features, channels, time)
-    w : Tensor, shape (out_features, in_features, kernel)
-    b : Tensor or None, shape (out_features,)
-
-    Same-padding, stride 1.  Returns (batch, out_features, channels, time).
-    """
-    B, Cin, H, T = x.data.shape
-    Cout, Cin_w, k = w.data.shape
-    if Cin_w != Cin:
-        raise NumericError(f"conv_temporal: {Cin} input features vs kernel {Cin_w}")
-    xp, left = _pad_time(x.data, k)
-    out = np.zeros((B, Cout, H, T), dtype=x.data.dtype)
-    for j in range(k):
-        out += np.einsum("oc,bcht->boht", w.data[:, :, j], xp[:, :, :, j : j + T])
-    if b is not None:
-        out += b.data[None, :, None, None]
+    xp = np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(left, k - 1 - left)])
+    out = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-1)
 
     def backward(g):
         gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
         for j in range(k):
-            seg = xp[:, :, :, j : j + T]
-            gw[:, :, j] = np.einsum("boht,bcht->oc", g, seg)
-            gxp[:, :, :, j : j + T] += np.einsum("oc,boht->bcht", w.data[:, :, j], g)
-        x.accumulate(gxp[:, :, :, left : left + T])
-        w.accumulate(gw)
-        if b is not None:
-            b.accumulate(g.sum(axis=(0, 2, 3)))
+            gxp[..., j : j + T] += g[..., j]
+        x.accumulate(gxp[..., left : left + T])
 
-    parents = (x, w) if b is None else (x, w, b)
-    return make(out, parents, backward, "conv_temporal")
+    return make(out, (x,), backward, "time_windows")
+
+
+def conv_temporal(x: Tensor, w: Tensor) -> Tensor:
+    """1-d convolution along time, shared over channels: (B, Cin, H, T) x
+    (Cout, Cin, k) -> (B, Cout, H, T), same padding, stride 1."""
+    _, Cin_w, k = w.data.shape
+    if Cin_w != x.data.shape[1]:
+        raise NumericError(f"conv_temporal: {x.data.shape[1]} input features vs kernel {Cin_w}")
+    return einsum("ocj,bchtj->boht", w, time_windows(x, k))
 
 
 def conv_spatial_depthwise(x: Tensor, w: Tensor) -> Tensor:
@@ -303,49 +301,20 @@ def conv_spatial_depthwise(x: Tensor, w: Tensor) -> Tensor:
     Fw, D, Hw = w.data.shape
     if (Fw, Hw) != (F, H):
         raise NumericError(f"depthwise kernel {w.data.shape} does not match input {x.data.shape}")
-    out = np.einsum("fdh,bfht->bfdt", w.data, x.data).reshape(B, F * D, 1, T)
-
-    def backward(g):
-        gr = g.reshape(B, F, D, T)
-        w.accumulate(np.einsum("bfdt,bfht->fdh", gr, x.data))
-        x.accumulate(np.einsum("fdh,bfdt->bfht", w.data, gr))
-
-    return make(out, (x, w), backward, "conv_spatial_depthwise")
+    return reshape(einsum("fdh,bfht->bfdt", w, x), (B, F * D, 1, T))
 
 
 def depthwise_conv_time(x: Tensor, w: Tensor) -> Tensor:
     """Per-feature temporal convolution: (B, C, H, T) x (C, k), same padding."""
-    B, C, H, T = x.data.shape
     Cw, k = w.data.shape
-    if Cw != C:
-        raise NumericError(f"depthwise kernel for {Cw} features applied to {C}")
-    xp, left = _pad_time(x.data, k)
-    out = np.zeros_like(x.data)
-    for j in range(k):
-        out += w.data[:, j][None, :, None, None] * xp[:, :, :, j : j + T]
-
-    def backward(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for j in range(k):
-            seg = xp[:, :, :, j : j + T]
-            gw[:, j] = np.einsum("bcht,bcht->c", g, seg)
-            gxp[:, :, :, j : j + T] += w.data[:, j][None, :, None, None] * g
-        x.accumulate(gxp[:, :, :, left : left + T])
-        w.accumulate(gw)
-
-    return make(out, (x, w), backward, "depthwise_conv_time")
+    if Cw != x.data.shape[1]:
+        raise NumericError(f"depthwise kernel for {Cw} features applied to {x.data.shape[1]}")
+    return einsum("cj,bchtj->bcht", w, time_windows(x, k))
 
 
 def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
     """1x1 convolution mixing features: (B, C, H, T) x (O, C) -> (B, O, H, T)."""
-    out = np.einsum("oc,bcht->boht", w.data, x.data)
-
-    def backward(g):
-        w.accumulate(np.einsum("boht,bcht->oc", g, x.data))
-        x.accumulate(np.einsum("oc,boht->bcht", w.data, g))
-
-    return make(out, (x, w), backward, "pointwise_conv")
+    return einsum("oc,bcht->boht", w, x)
 
 
 def separable_conv(x: Tensor, w_depth: Tensor, w_point: Tensor) -> Tensor:

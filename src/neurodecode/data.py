@@ -373,25 +373,34 @@ def generate_synthetic(cfg: SynthConfig) -> EpochSet:
     w1, w2 = _envelopes()
     pats, mixing = _spatial(rng_pat, cfg.n_subjects if cfg.mode == "subject_signature" else 0)
 
+    # signal(s) builds the clean trials of slice s only: no whole-run float64 signal is held
     if cfg.mode == "linear":
         labels, phases = _linear_labels(rng_lab, n)
-        signal = _linear_signal(labels, phases, pats, w1, 100)
+
+        def signal(s):
+            return _linear_signal(labels[s], phases[s], pats, w1, 100)
+
     elif cfg.mode == "xor":
         signs = rng_lab.choice([-1.0, 1.0], size=(n, 2))
         labels = (signs[:, 0] * signs[:, 1] > 0).astype(np.int64)
-        signal = (
-            signs[:, 0][:, None, None] * pats[0][None, :, None] * w1[None, None, :]
-            + signs[:, 1][:, None, None] * pats[1][None, :, None] * w2[None, None, :]
-        )
+
+        def signal(s):
+            return (
+                signs[s, 0][:, None, None] * pats[0][None, :, None] * w1[None, None, :]
+                + signs[s, 1][:, None, None] * pats[1][None, :, None] * w2[None, None, :]
+            )
+
     else:  # subject_signature: the label is the 0-based round-robin subject
         labels = np.arange(n) % cfg.n_subjects
-        signal = pats[4:][labels][:, :, None] * w1[None, None, :]
+
+        def signal(s):
+            return pats[4:][labels[s]][:, :, None] * w1[None, None, :]
 
     tensor = np.empty((n, N_CHANNELS, N_SAMPLES), dtype=np.float32)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         noise = _background(rng_noise, stop - start, mixing, N_CHANNELS, N_SAMPLES)
-        tensor[start:stop] = _zscore(noise + cfg.effective_snr * signal[start:stop])
+        tensor[start:stop] = _zscore(noise + cfg.effective_snr * signal(slice(start, stop)))
 
     if cfg.mode == "subject_signature":
         meta = [
@@ -486,20 +495,20 @@ def load_raw(path) -> tuple[RawRecording, list[TrialMeta]]:
     tensor, lines = eegb.read_tensor_file(path)
     if tensor.shape[0] != 1 or not lines:
         raise DataError(f"{path} is not a raw-variant file")
-    header = lines[0]
+    header, *events = lines
     if header.get("kind") != "raw":
         raise DataError(f"{path} sidecar does not declare kind=raw")
-    onsets = []
-    meta = []
-    for d in lines[1:]:
-        d = dict(d)
-        onset = d.pop("onset")
-        meta.append(TrialMeta.from_dict(d))
-        onsets.append((onset, meta[-1].trial_id))
+    try:
+        channel_names = tuple(header["channel_names"])
+        sample_rate = int(header["sample_rate"])
+        onsets = [d.pop("onset") for d in events]
+    except KeyError as exc:
+        raise DataError(f"{path}: raw sidecar record missing field {exc}") from exc
+    meta = [TrialMeta.from_dict(d) for d in events]
     rec = RawRecording(
         data=np.ascontiguousarray(tensor[0], dtype=np.float64),
-        channel_names=tuple(header["channel_names"]),
-        sample_rate=int(header["sample_rate"]),
-        event_onsets=tuple(onsets),
+        channel_names=channel_names,
+        sample_rate=sample_rate,
+        event_onsets=tuple(zip(onsets, (m.trial_id for m in meta))),
     )
     return rec, meta

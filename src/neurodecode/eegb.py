@@ -65,6 +65,13 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _json_object(text: str | bytes, what: str) -> dict:
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object: {obj!r}")
+    return obj
+
+
 def write_tensor_file(path: str | Path, tensor: np.ndarray, meta_lines: list[dict]) -> None:
     """Write an EEGB tensor plus its JSON-lines sidecar.
 
@@ -75,13 +82,10 @@ def write_tensor_file(path: str | Path, tensor: np.ndarray, meta_lines: list[dic
     tensor = np.ascontiguousarray(tensor)
     if tensor.ndim != 3:
         raise DataError(f"epoch tensor must be 3-d, got shape {tensor.shape}")
-    codes = {v: k for k, v in _DTYPE_CODES.items()}
-    if tensor.dtype.type not in codes:
+    code = _DTYPE_OF.get(np.dtype(tensor.dtype.type))
+    if code is None:
         raise DataError(f"tensor dtype must be float32 or float64, got {tensor.dtype}")
-    n_trials, n_channels, n_samples = tensor.shape
-    header = EPOCH_MAGIC + struct.pack(
-        "<5I", FORMAT_VERSION, n_trials, n_channels, n_samples, codes[tensor.dtype.type]
-    )
+    header = EPOCH_MAGIC + struct.pack("<5I", FORMAT_VERSION, *tensor.shape, code)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
@@ -113,26 +117,22 @@ def read_tensor_file(path: str | Path) -> tuple[np.ndarray, list[dict]]:
         if dtype_code not in _DTYPE_CODES:
             raise DataError(f"{path}: unknown dtype code {dtype_code}")
         dtype = _DTYPE_CODES[dtype_code]
-        count = n_trials * n_channels * n_samples
-        raw = fh.read(count * np.dtype(dtype).itemsize + 1)
-    if len(raw) < count * np.dtype(dtype).itemsize:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(raw)} bytes, header promises "
-            f"{count * np.dtype(dtype).itemsize}"
-        )
-    if len(raw) > count * np.dtype(dtype).itemsize:
+        nbytes = n_trials * n_channels * n_samples * np.dtype(dtype).itemsize
+        raw = fh.read(nbytes + 1)
+    if len(raw) < nbytes:
+        raise TruncatedPayloadError(f"{path}: payload holds {len(raw)} bytes, header promises {nbytes}")
+    if len(raw) > nbytes:
         raise DataError(f"{path}: trailing bytes after payload")
     tensor = np.frombuffer(raw, dtype=dtype).reshape(n_trials, n_channels, n_samples)
 
     side = sidecar_path(path)
     if not side.exists():
         raise DataError(f"missing sidecar metadata file: {side}")
-    lines = []
-    with open(side, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if ln:
-                lines.append(json.loads(ln))
+    try:
+        with open(side, "r", encoding="utf-8") as fh:
+            lines = [_json_object(ln, "sidecar line") for ln in fh if ln.strip()]
+    except ValueError as exc:  # also a line that is not UTF-8
+        raise DataError(f"{side}: {exc}") from exc
     return tensor, lines
 
 
@@ -177,7 +177,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         version, json_len = struct.unpack("<2I", _read_exact(fh, 8, "header"))
         if version != FORMAT_VERSION:
             raise VersionMismatchError(f"{path}: format version {version}, supported {FORMAT_VERSION}")
-        descriptor = json.loads(_read_exact(fh, json_len, "descriptor"))
+        try:
+            descriptor = _json_object(_read_exact(fh, json_len, "descriptor"), "descriptor")
+        except ValueError as exc:  # also a descriptor that is not UTF-8
+            raise DataError(f"{path}: {exc}") from exc
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         for _ in range(n_tensors):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "tensor name length"))

@@ -241,12 +241,12 @@ class TestEmitReport:
         assert "max_last5" in header or "metric" in header
 
 
-def write_run(root, arch, seed, accs):
+def write_run(root, arch, seed, accs, size="small"):
     """A minimal run directory in the layout ``training.train`` writes."""
-    rd = root / f"{arch}-s{seed}"
-    rd.mkdir()
+    rd = root / f"{arch}-{size}-s{seed}"
+    rd.mkdir(parents=True)
     manifest = {
-        "arch": arch, "size": "small", "seed": seed, "best_epoch": 1, "cycle_ends": [len(accs)]
+        "arch": arch, "size": size, "seed": seed, "best_epoch": 1, "cycle_ends": [len(accs)]
     }
     (rd / "manifest.json").write_text(json.dumps(manifest))
     rows = [
@@ -277,12 +277,31 @@ class TestCollectRuns:
         runs = analysis.collect_runs(shuffled)
         assert [r.name for r in runs] == [d.name for d in shuffled]
         assert analysis.pair_by_seed(runs, "max_last5") == {
-            "eegnet": [0.6, 0.7, 0.8],
-            "lstm": [0.5, 0.9, 0.4],
+            "eegnet-small": [0.6, 0.7, 0.8],
+            "lstm-small": [0.5, 0.9, 0.4],
         }
         text = analysis.write_comparison(runs, tmp_path, "max_last5")
         assert text == compare_decoders(analysis.pair_by_seed(runs, "max_last5")).format()
         assert (tmp_path / "comparison.txt").read_text() == text + "\n"
+
+    def test_sizes_of_one_architecture_stay_apart(self, tmp_path):
+        dirs = [write_run(tmp_path, "eegnet", seed, [acc]) for seed, acc in ((0, 0.6), (1, 0.7))]
+        dirs += [
+            write_run(tmp_path, "eegnet", seed, [acc], size="medium")
+            for seed, acc in ((0, 0.99), (1, 0.98))
+        ]
+        assert analysis.pair_by_seed(analysis.collect_runs(dirs), "max_last5") == {
+            "eegnet-small": [0.6, 0.7],
+            "eegnet-medium": [0.99, 0.98],
+        }
+
+    def test_repeated_cell_and_seed_is_a_data_error(self, tmp_path):
+        first = write_run(tmp_path / "a", "eegnet", 0, [0.6])
+        second = write_run(tmp_path / "b", "eegnet", 0, [0.7])
+        runs = analysis.collect_runs([first, write_run(tmp_path, "lstm", 0, [0.5]), second])
+        pattern = f"{re.escape(str(first))} and {re.escape(str(second))} are both eegnet-small seed 0"
+        with pytest.raises(DataError, match=pattern):
+            analysis.pair_by_seed(runs, "max_last5")
 
     @pytest.mark.parametrize("runs", [
         [("eegnet", 0), ("lstm", 0)],  # one seed
@@ -305,6 +324,13 @@ class TestCollectRuns:
         lambda rd: (rd / "history.jsonl").write_text("\n"),
         lambda rd: (rd / "predictions.csv").unlink(),
         lambda rd: (rd / "predictions.csv").write_text("trial_id,pred\n0,1\n"),
+        lambda rd: (rd / "history.jsonl").write_text(
+            '{"epoch": 1, "lr": 0.01, "train_loss": 0.5, "test_loss": 0.5, "test_acc": "high"}\n'
+        ),
+        lambda rd: (rd / "predictions.csv").write_text(
+            "trial_id,subject,concept_id,concept_name,category,label,pred\n"
+            "0,1,0,animal 000,animal,x,1\n"
+        ),
     ])
     def test_bad_run_files_are_data_errors(self, tmp_path, damage):
         rd = write_run(tmp_path, "eegnet", 0, [0.6])

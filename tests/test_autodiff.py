@@ -177,6 +177,115 @@ class TestOpGradients:
             assert rep.deterministic
 
 
+def _pad_time(x, k):
+    left = (k - 1) // 2
+    return np.pad(x, [(0, 0)] * (x.ndim - 1) + [(left, k - 1 - left)]), left
+
+
+def conv_temporal_per_tap(x, w, g):
+    """Per-tap loop reference for conv_temporal: (out, grad x, grad w)."""
+    T, k = x.shape[-1], w.shape[-1]
+    xp, left = _pad_time(x, k)
+    out = np.zeros((x.shape[0], w.shape[0]) + x.shape[2:], dtype=x.dtype)
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for j in range(k):
+        seg = xp[:, :, :, j : j + T]
+        out += np.einsum("oc,bcht->boht", w[:, :, j], seg)
+        gw[:, :, j] = np.einsum("boht,bcht->oc", g, seg)
+        gxp[:, :, :, j : j + T] += np.einsum("oc,boht->bcht", w[:, :, j], g)
+    return out, gxp[:, :, :, left : left + T], gw
+
+
+def depthwise_conv_time_per_tap(x, w, g):
+    """Per-tap loop reference for depthwise_conv_time: (out, grad x, grad w)."""
+    T, k = x.shape[-1], w.shape[-1]
+    xp, left = _pad_time(x, k)
+    out = np.zeros_like(x)
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for j in range(k):
+        seg = xp[:, :, :, j : j + T]
+        out += w[:, j][None, :, None, None] * seg
+        gw[:, j] = np.einsum("bcht,bcht->c", g, seg)
+        gxp[:, :, :, j : j + T] += w[:, j][None, :, None, None] * g
+    return out, gxp[:, :, :, left : left + T], gw
+
+
+def conv_spatial_depthwise_einsum(x, w, g):
+    B, F, H, T = x.shape
+    gr = g.reshape(B, F, w.shape[1], T)
+    return (
+        np.einsum("fdh,bfht->bfdt", w, x).reshape(g.shape),
+        np.einsum("fdh,bfdt->bfht", w, gr),
+        np.einsum("bfdt,bfht->fdh", gr, x),
+    )
+
+
+def pointwise_conv_einsum(x, w, g):
+    return (
+        np.einsum("oc,bcht->boht", w, x),
+        np.einsum("oc,boht->bcht", w, g),
+        np.einsum("boht,bcht->oc", g, x),
+    )
+
+
+def _conv_with_grads(op, x, w, out_shape, rng):
+    """The op's output and both gradients under a random upstream gradient."""
+    xp, wp = Parameter(x), Parameter(w)
+    out = op(xp, wp)
+    g = rng.standard_normal(out_shape).astype(x.dtype)
+    out.backward(g)
+    return g, (out.data, xp.grad, wp.grad)
+
+
+class TestConvReferences:
+    """The einsum convolutions against the per-tap loops and einsum specs they replaced."""
+
+    TAPPED = [
+        (ops.conv_temporal, conv_temporal_per_tap, (3, 2, 5, 19), (4, 2, 7), (3, 4, 5, 19)),
+        (ops.conv_temporal, conv_temporal_per_tap, (2, 1, 3, 12), (3, 1, 4), (2, 3, 3, 12)),
+        (ops.depthwise_conv_time, depthwise_conv_time_per_tap, (3, 4, 1, 13), (4, 6), (3, 4, 1, 13)),
+        (ops.depthwise_conv_time, depthwise_conv_time_per_tap, (2, 3, 2, 9), (3, 5), (2, 3, 2, 9)),
+    ]
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("op, reference, x_shape, w_shape, out_shape", TAPPED)
+    def test_windowed_convs_match_per_tap_loops(
+        self, op, reference, x_shape, w_shape, out_shape, dtype, tol
+    ):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(x_shape).astype(dtype)
+        w = rng.standard_normal(w_shape).astype(dtype)
+        g, got = _conv_with_grads(op, x, w, out_shape, rng)
+        for name, a, b in zip(("out", "grad x", "grad w"), got, reference(x, w, g)):
+            assert a.dtype == dtype and a.shape == b.shape
+            rel = np.abs(a - b).max() / np.abs(b).max()
+            assert rel <= tol, f"{name}: relative error {rel:.3g}"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("op, reference, x_shape, w_shape, out_shape", [
+        (ops.conv_spatial_depthwise, conv_spatial_depthwise_einsum, (3, 4, 6, 11), (4, 2, 6), (3, 8, 1, 11)),
+        (ops.pointwise_conv, pointwise_conv_einsum, (3, 4, 2, 11), (5, 4), (3, 5, 2, 11)),
+    ])
+    def test_unwindowed_convs_keep_their_einsums(
+        self, op, reference, x_shape, w_shape, out_shape, dtype
+    ):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(x_shape).astype(dtype)
+        w = rng.standard_normal(w_shape).astype(dtype)
+        g, got = _conv_with_grads(op, x, w, out_shape, rng)
+        for a, b in zip(got, reference(x, w, g)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_einsum_skips_operands_without_grad(self):
+        windows = ops.time_windows(constant(np.ones((2, 1, 3, 8))), 3)
+        w = Parameter(np.ones((2, 1, 3)))
+        out = ops.einsum("ocj,bchtj->boht", w, windows)
+        ops.mean_axis(ops.reshape(out, (96,)), 0).backward()
+        assert windows.grad is None
+        # same padding: the edge taps see one zero per row of 8 samples
+        np.testing.assert_allclose(w.grad, np.tile([7.0, 8.0, 7.0], (2, 1, 1)) * 6 / 96, rtol=1e-12)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     x=arrays(

@@ -71,6 +71,18 @@ class TestPreprocess:
         code = run(["preprocess", "--raw", str(epochs_file), "--out", str(tmp_path / "o.eegb")])
         assert code == 2
 
+    def test_raw_sidecar_without_onsets_is_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.eegb"
+        assert run(["synth", "--mode", "linear", "--n-trials", "8", "--raw", "--out", str(raw)]) == 0
+        side = tmp_path / "raw.eegb.jsonl"
+        lines = [json.loads(ln) for ln in side.read_text().splitlines()]
+        side.write_text(
+            "".join(json.dumps({k: v for k, v in d.items() if k != "onset"}) + "\n" for d in lines)
+        )
+        assert run(["preprocess", "--raw", str(raw), "--out", str(tmp_path / "o.eegb")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "'onset'" in err
+
 
 class TestTrainEvalAnalyze:
     def test_full_cycle(self, tmp_path, epochs_file):
@@ -228,6 +240,9 @@ class TestAnalyzeBadRuns:
         ("manifest.json", None),  # missing
         ("manifest.json", '{"arch": "eegnet", "si'),  # truncated
         ("history.jsonl", '{"epoch": 1, "lr": 0.05}\nnot json\n'),
+        ("history.jsonl", json.dumps(
+            {"epoch": 1, "lr": 0.05, "train_loss": 0.7, "test_loss": 0.7, "test_acc": "high"}
+        )),
     ])
     def test_exit_2_with_data_error(self, tmp_path, capsys, trained_run, fname, content):
         rd = tmp_path / "run"

@@ -1,5 +1,8 @@
 """Synthetic generator, design tables, splits."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +130,17 @@ class TestSynthetic:
         assert np.array_equal(a.tensor.view(np.uint8), b.tensor.view(np.uint8))
         assert [m.to_dict() for m in a.meta] == [m.to_dict() for m in b.meta]
 
+    def test_signal_is_built_one_noise_chunk_at_a_time(self):
+        # the result is 4000 x 63 x 50 float32 (50 MB); building the whole
+        # float64 signal before the noise chunks adds another 100 MB
+        tracemalloc.start()
+        try:
+            generate_synthetic(SynthConfig(mode="xor", n_trials=4000, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"
+
     def test_seeds_differ(self):
         a = generate_synthetic(SynthConfig(mode="linear", n_trials=32, seed=0))
         b = generate_synthetic(SynthConfig(mode="linear", n_trials=32, seed=1))
@@ -203,6 +217,19 @@ class TestRawRoundTrip:
         assert rec2.channel_names == rec.channel_names
         assert rec2.event_onsets == rec.event_onsets
         assert [m.to_dict() for m in meta2] == [m.to_dict() for m in meta]
+
+    @pytest.mark.parametrize("field", ["onset", "channel_names", "sample_rate"])
+    def test_raw_sidecar_missing_field_is_data_error(self, tmp_path, field):
+        rec, meta = data.generate_raw(SynthConfig(mode="linear", n_trials=4, seed=0))
+        p = tmp_path / "raw.eegb"
+        data.save_raw(p, rec, meta)
+        side = tmp_path / "raw.eegb.jsonl"
+        lines = [json.loads(ln) for ln in side.read_text().splitlines()]
+        side.write_text(
+            "".join(json.dumps({k: v for k, v in d.items() if k != field}) + "\n" for d in lines)
+        )
+        with pytest.raises(DataError, match=f"missing field '{field}'"):
+            data.load_raw(p)
 
     def test_raw_only_linear(self):
         with pytest.raises(DataError):

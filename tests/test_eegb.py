@@ -1,5 +1,7 @@
 """Binary container round-trips and corruption diagnostics."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,15 @@ class TestEpochFile:
         with pytest.raises(DataError):
             eegb.read_tensor_file(path)
 
+    @pytest.mark.parametrize("line", [b'{"trial_id": 3, "lab', b'{"trial_id": "\xff"}', b"[3, 1]"])
+    def test_bad_sidecar_line_is_data_error(self, tmp_path, line):
+        path = tmp_path / "epochs.eegb"
+        eegb.write_tensor_file(path, _tensor(), _meta(5))
+        side = eegb.sidecar_path(path)
+        side.write_bytes(side.read_bytes() + line + b"\n")
+        with pytest.raises(DataError, match=str(side)):
+            eegb.read_tensor_file(path)
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
@@ -131,6 +142,16 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:-11])
         with pytest.raises(TruncatedPayloadError):
+            eegb.load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob", [b'{"arch": "eeg', b'{"arch": "\xff"}', b'["eegnet"]'])
+    def test_descriptor_not_a_json_object_is_data_error(self, tmp_path, blob):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(
+            eegb.CKPT_MAGIC + struct.pack("<2I", eegb.FORMAT_VERSION, len(blob)) + blob
+            + struct.pack("<I", 0)
+        )
+        with pytest.raises(DataError, match=str(path)):
             eegb.load_checkpoint(path)
 
     def test_preserves_insertion_order(self, tmp_path):
