@@ -197,19 +197,12 @@ def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for operands of two or more dimensions, batch axes broadcast."""
     out = a.data @ b.data
 
     def backward(g):
-        if b.data.ndim >= 2:
-            ga = g @ b.data.swapaxes(-1, -2)
-        else:
-            ga = np.outer(g, b.data) if g.ndim else g * b.data
-        if a.data.ndim >= 2:
-            gb = a.data.swapaxes(-1, -2) @ g
-        else:
-            gb = np.outer(a.data, g)
-        a.accumulate(_unbroadcast(ga, a.data.shape))
-        b.accumulate(_unbroadcast(gb, b.data.shape))
+        a.accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        b.accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return make(out, (a, b), backward, "matmul")
 
@@ -350,15 +343,14 @@ def batch_norm(
     training: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
-    update_running: bool = False,
 ) -> Tensor:
     """Batch normalization over all axes except axis 1.
 
-    Training mode normalizes with batch statistics; ``update_running``
-    additionally folds them into the running buffers (in place).
-    Gradient checking uses training mode with the update switched off,
-    so repeated forwards see identical statistics.  Evaluation mode uses
-    the running buffers as constants.
+    Training mode normalizes with batch statistics and folds them into
+    the running buffers (in place); it never reads the buffers, so
+    repeated training-mode forwards of one batch give one output.
+    Evaluation mode uses the running buffers as constants and writes
+    nothing.
 
     Pass ``gamma=None, beta=None`` for a norm with no affine stage.  A
     norm whose output reaches another norm through purely linear ops
@@ -373,11 +365,10 @@ def batch_norm(
     if training:
         mean = x.data.mean(axis=axes, keepdims=True)
         var = x.data.var(axis=axes, keepdims=True)
-        if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean.reshape(-1)
-            running_var *= 1.0 - momentum
-            running_var += momentum * var.reshape(-1)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean.reshape(-1)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.reshape(-1)
     else:
         mean = running_mean.reshape(bshape).astype(x.data.dtype)
         var = running_var.reshape(bshape).astype(x.data.dtype)
@@ -429,10 +420,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return make(out, (x, gamma, beta), backward, "layer_norm")
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when evaluating or p == 0."""
-    if not training or p == 0.0:
-        return x
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout at rate p; the caller skips it when evaluating."""
     if not 0.0 <= p < 1.0:
         raise NumericError(f"dropout rate must be in [0, 1), got {p}")
     mask = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)

@@ -500,10 +500,12 @@ def load_raw(path) -> tuple[RawRecording, list[TrialMeta]]:
         raise DataError(f"{path} sidecar does not declare kind=raw")
     try:
         channel_names = tuple(header["channel_names"])
-        sample_rate = int(header["sample_rate"])
+        sample_rate = header["sample_rate"]
         onsets = [d.pop("onset") for d in events]
     except KeyError as exc:
         raise DataError(f"{path}: raw sidecar record missing field {exc}") from exc
+    if type(sample_rate) is not int:  # bool is an int subclass, and a JSON true is no rate
+        raise DataError(f"{path}: raw header sample_rate must be an integer, got {sample_rate!r}")
     meta = [TrialMeta.from_dict(d) for d in events]
     rec = RawRecording(
         data=np.ascontiguousarray(tensor[0], dtype=np.float64),

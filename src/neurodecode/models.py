@@ -96,6 +96,8 @@ class Model:
     """Base: parameter/buffer registry, init rng, dropout rng."""
 
     arch = ""
+    # what a checkpoint records to rebuild the model: its class and constructor fields
+    DESCRIPTOR_FIELDS = ("arch", "size", "seed", "dropout", "n_classes", "n_channels", "n_samples")
 
     def __init__(
         self,
@@ -167,10 +169,10 @@ class Model:
 
     # -- shared pieces ---------------------------------------------------
 
-    def _drop(self, t: Tensor, training: bool, gradcheck: bool) -> Tensor:
-        if gradcheck or not training or self.dropout == 0.0:
+    def _drop(self, t: Tensor, training: bool) -> Tensor:
+        if not training or self.dropout == 0.0:
             return t
-        return ops.dropout(t, self.dropout, self.dropout_rng, True)
+        return ops.dropout(t, self.dropout, self.dropout_rng)
 
     def _input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -181,28 +183,19 @@ class Model:
             )
         return x.astype(self.dtype, copy=False)
 
-    def forward(self, x: np.ndarray, training: bool, gradcheck: bool = False) -> Tensor:
+    def forward(self, x: np.ndarray, training: bool) -> Tensor:
         raise NotImplementedError
 
-    def loss(self, x: np.ndarray, y: np.ndarray, training: bool, gradcheck: bool = False):
-        """Returns (mean cross-entropy Tensor, logits Tensor)."""
-        logits = self.forward(x, training, gradcheck)
-        return ops.cross_entropy(logits, y), logits
+    def loss(self, x: np.ndarray, y: np.ndarray, training: bool) -> Tensor:
+        """Mean cross-entropy of the batch."""
+        return ops.cross_entropy(self.forward(x, training), y)
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Class predictions in evaluation mode, without building a tape."""
         return np.argmax(eval_logits(self, x, batch_size), axis=1)
 
     def descriptor(self) -> dict:
-        return {
-            "arch": self.arch,
-            "size": self.size,
-            "seed": self.seed,
-            "dropout": self.dropout,
-            "n_classes": self.n_classes,
-            "n_channels": self.n_channels,
-            "n_samples": self.n_samples,
-        }
+        return {name: getattr(self, name) for name in self.DESCRIPTOR_FIELDS}
 
 
 class _BatchNorm:
@@ -223,15 +216,9 @@ class _BatchNorm:
         self.running_mean = model._buffer(f"{name}.running_mean", np.zeros(n, dtype=np.float64))
         self.running_var = model._buffer(f"{name}.running_var", np.ones(n, dtype=np.float64))
 
-    def __call__(self, x: Tensor, training: bool, gradcheck: bool) -> Tensor:
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         return ops.batch_norm(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            training=training,
-            update_running=training and not gradcheck,
+            x, self.gamma, self.beta, self.running_mean, self.running_var, training=training
         )
 
 
@@ -271,7 +258,7 @@ class _EncoderBlock:
         self.b_f2 = model._uniform(f"{name}.ffn.b2", (d_model,), ffn)
         self.ln2 = _LayerNorm(model, d_model, f"{name}.ln2")
 
-    def __call__(self, model: Model, h: Tensor, training: bool, gradcheck: bool) -> Tensor:
+    def __call__(self, model: Model, h: Tensor, training: bool) -> Tensor:
         attn = ops.multi_head_attention(
             h,
             self.w_q, self.b_q,
@@ -280,11 +267,11 @@ class _EncoderBlock:
             self.w_o, self.b_o,
             self.n_heads,
         )
-        h = self.ln1(ops.add(h, model._drop(attn, training, gradcheck)))
+        h = self.ln1(ops.add(h, model._drop(attn, training)))
         ff = ops.dense(h, self.w_f1, self.b_f1)
-        ff = model._drop(self.ffn_act(ff), training, gradcheck)
+        ff = model._drop(self.ffn_act(ff), training)
         ff = ops.dense(ff, self.w_f2, self.b_f2)
-        return self.ln2(ops.add(h, model._drop(ff, training, gradcheck)))
+        return self.ln2(ops.add(h, model._drop(ff, training)))
 
 
 class EEGNet(Model):
@@ -314,21 +301,21 @@ class EEGNet(Model):
         self.w_head = self._uniform("head.w", (f2, self.n_classes), f2)
         self.b_head = self._uniform("head.b", (self.n_classes,), f2)
 
-    def forward(self, x, training, gradcheck=False):
+    def forward(self, x, training):
         x = self._input(x)
         h = constant(x[:, None, :, :])
         h = ops.conv_temporal(h, self.w_temporal)
-        h = self.bn1(h, training, gradcheck)
+        h = self.bn1(h, training)
         h = ops.conv_spatial_depthwise(h, self.w_spatial)
-        h = self.bn2(h, training, gradcheck)
+        h = self.bn2(h, training)
         h = ops.elu(h)
         h = ops.avg_pool_time(h, 4)
-        h = self._drop(h, training, gradcheck)
+        h = self._drop(h, training)
         h = ops.separable_conv(h, self.w_sep_depth, self.w_sep_point)
-        h = self.bn3(h, training, gradcheck)
+        h = self.bn3(h, training)
         h = ops.elu(h)
         h = ops.avg_pool_time(h, 8)
-        h = self._drop(h, training, gradcheck)
+        h = self._drop(h, training)
         h = ops.reshape(h, (x.shape[0], self.f2))
         return ops.dense(h, self.w_head, self.b_head)
 
@@ -356,17 +343,17 @@ class LstmNet(Model):
         self.w_head = self._uniform("head.w", (self.hidden, self.n_classes), self.hidden)
         self.b_head = self._uniform("head.b", (self.n_classes,), self.hidden)
 
-    def forward(self, x, training, gradcheck=False):
+    def forward(self, x, training):
         x = self._input(x)
         h = constant(np.ascontiguousarray(x.transpose(0, 2, 1)))
         for layer, (w_ih, w_hh, b) in enumerate(self.cells):
             h = ops.lstm_layer(h, w_ih, w_hh, b)
             if layer + 1 < self.layers:
-                h = self._drop(h, training, gradcheck)
+                h = self._drop(h, training)
         last = ops.reshape(
             ops.narrow(h, 1, self.n_samples - 1, 1), (x.shape[0], self.hidden)
         )
-        last = self._drop(last, training, gradcheck)
+        last = self._drop(last, training)
         return ops.dense(last, self.w_head, self.b_head)
 
 
@@ -374,8 +361,8 @@ class Dgcnn(Model):
     """Chebyshev graph convolutions over a learned channel graph.
 
     One adjacency is shared by every layer.  The spectral radius of its
-    Laplacian is re-estimated each forward pass; gradient checks pin the
-    estimate once so the differenced function is smooth.
+    Laplacian is re-estimated each forward pass unless ``lam_max`` pins
+    it; a gradient check pins it, so the differenced function is smooth.
     """
 
     arch = "dgcnn"
@@ -401,21 +388,18 @@ class Dgcnn(Model):
         self.b_node = self._uniform("node.b", (self.node_dense,), self.hidden)
         self.w_head = self._uniform("head.w", (self.node_dense, self.n_classes), self.node_dense)
         self.b_head = self._uniform("head.b", (self.n_classes,), self.node_dense)
-        self._pinned_lam: float | None = None
+        self.lam_max: float | None = None
 
-    def forward(self, x, training, gradcheck=False):
+    def forward(self, x, training):
         x = self._input(x)
-        lam = None
-        if gradcheck:
-            if self._pinned_lam is None:
-                self._pinned_lam = ops.laplacian_spectral_radius(self.adj.data)
-            lam = self._pinned_lam
         h = constant(x)
         for thetas, bias in self.cheb:
-            h = ops.relu(ops.chebyshev_graph_conv(h, thetas, self.adj, bias, lam_max=lam))
+            h = ops.relu(
+                ops.chebyshev_graph_conv(h, thetas, self.adj, bias, lam_max=self.lam_max)
+            )
         h = ops.relu(ops.dense(h, self.w_node, self.b_node))
         h = ops.mean_axis(h, axis=1)
-        h = self._drop(h, training, gradcheck)
+        h = self._drop(h, training)
         return ops.dense(h, self.w_head, self.b_head)
 
 
@@ -438,15 +422,15 @@ class TransformerNet(Model):
         self.w_head = self._uniform("head.w", (self.d_model, self.n_classes), self.d_model)
         self.b_head = self._uniform("head.b", (self.n_classes,), self.d_model)
 
-    def forward(self, x, training, gradcheck=False):
+    def forward(self, x, training):
         x = self._input(x)
         seq = constant(np.ascontiguousarray(x.transpose(0, 2, 1)))
         h = ops.dense(seq, self.w_in, self.b_in)
         pe = ops.sinusoidal_positions(self.n_samples, self.d_model, dtype=self.dtype)
         h = ops.add(h, pe)
-        h = self._drop(h, training, gradcheck)
+        h = self._drop(h, training)
         for block in self.blocks:
-            h = block(self, h, training, gradcheck)
+            h = block(self, h, training)
         pooled = ops.mean_axis(h, axis=1)
         return ops.dense(pooled, self.w_head, self.b_head)
 
@@ -488,7 +472,7 @@ class Conformer(Model):
         self.w_h2 = self._uniform("head.w2", (self.head_hidden, self.n_classes), self.head_hidden)
         self.b_h2 = self._uniform("head.b2", (self.n_classes,), self.head_hidden)
 
-    def forward(self, x, training, gradcheck=False):
+    def forward(self, x, training):
         x = self._input(x)
         B = x.shape[0]
         h = constant(x[:, None, :, :])
@@ -496,18 +480,18 @@ class Conformer(Model):
         # full spatial convolution: flatten (feature, channel) and mix as 1x1
         h = ops.reshape(h, (B, self.f * self.n_channels, 1, self.n_samples))
         h = ops.pointwise_conv(h, self.w_spatial)
-        h = self.bn(h, training, gradcheck)
+        h = self.bn(h, training)
         h = ops.elu(h)
         h = ops.avg_pool_time(h, self.POOL)
-        h = self._drop(h, training, gradcheck)
+        h = self._drop(h, training)
         tokens = ops.transpose(ops.reshape(h, (B, self.f, self.n_tokens)), (0, 2, 1))
         pe = ops.sinusoidal_positions(self.n_tokens, self.f, dtype=self.dtype)
         tokens = ops.add(tokens, pe)
         for block in self.blocks:
-            tokens = block(self, tokens, training, gradcheck)
+            tokens = block(self, tokens, training)
         flat = ops.reshape(tokens, (B, self.n_tokens * self.f))
         head = ops.elu(ops.dense(flat, self.w_h1, self.b_h1))
-        head = self._drop(head, training, gradcheck)
+        head = self._drop(head, training)
         return ops.dense(head, self.w_h2, self.b_h2)
 
 
@@ -520,25 +504,11 @@ _ARCH_CLASSES = {
 }
 
 
-def build_model(
-    arch: str,
-    size: str,
-    seed: int = 0,
-    dropout: float | None = None,
-    n_classes: int = N_CLASSES,
-    n_channels: int = 63,
-    n_samples: int = 50,
-) -> Model:
+def build_model(arch: str, size: str, **kw) -> Model:
+    """One decoder; ``kw`` are the other ``Model`` constructor fields."""
     if arch not in _ARCH_CLASSES:
         raise UsageError(f"unknown architecture {arch!r}; choose from {ARCHITECTURES}")
-    return _ARCH_CLASSES[arch](
-        size=size,
-        seed=seed,
-        dropout=dropout,
-        n_classes=n_classes,
-        n_channels=n_channels,
-        n_samples=n_samples,
-    )
+    return _ARCH_CLASSES[arch](size=size, **kw)
 
 
 @dataclass
@@ -597,17 +567,10 @@ def load_model(path) -> Model:
     """Rebuild a model from a checkpoint; shapes and names must round-trip."""
     descriptor, tensors = eegb.load_checkpoint(path)
     try:
-        model = build_model(
-            arch=descriptor["arch"],
-            size=descriptor["size"],
-            seed=descriptor["seed"],
-            dropout=descriptor["dropout"],
-            n_classes=descriptor["n_classes"],
-            n_channels=descriptor["n_channels"],
-            n_samples=descriptor["n_samples"],
-        )
+        fields = {name: descriptor[name] for name in Model.DESCRIPTOR_FIELDS}
     except KeyError as exc:
         raise MetaMismatchError(f"{path}: checkpoint descriptor missing field {exc}") from exc
+    model = build_model(**fields)
     expected = {f"param:{name}" for name, _ in model.named_params()}
     expected |= {f"buffer:{name}" for name, _ in model.named_buffers()}
     if expected != set(tensors):

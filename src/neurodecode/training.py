@@ -233,7 +233,7 @@ def train(
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             model.zero_grad()
-            loss, _ = model.loss(x_train[idx], y_train[idx], training=True)
+            loss = model.loss(x_train[idx], y_train[idx], training=True)
             loss.backward()
             sgd_step(model.params(), lr, cfg.momentum, cfg.weight_decay)
             loss_sum += float(loss.data) * len(idx)

@@ -35,6 +35,7 @@ def report(num, label, ok, detail=""):
     assert ok, f"criterion {num}: {label}{suffix}"
 
 
+@pytest.mark.slow
 def test_01_gradients_verified_everywhere():
     t0 = time.monotonic()
     op_reports = checks.check_op_gradients()
@@ -87,6 +88,7 @@ def test_03_parameter_budgets():
     )
 
 
+@pytest.mark.slow
 def test_04_parity_task_separates_decoder_families():
     t0 = time.monotonic()
     es = split(
@@ -122,6 +124,7 @@ def test_05_linear_task_solved_by_baseline():
     )
 
 
+@pytest.mark.slow
 def test_06_subject_signatures_decodable():
     es = split(
         generate_synthetic(SynthConfig(mode="subject_signature", n_trials=2000, seed=0)), 0.2, 0

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from neurodecode import checks
 from neurodecode.autodiff import ops
 from neurodecode.autodiff.core import NumericError, Parameter, make, no_grad
+from neurodecode.autodiff.gradcheck import MAX_TOL
 from neurodecode.autodiff.ops import constant
 
 
@@ -175,6 +176,46 @@ class TestOpGradients:
         for name, rep in reports:
             assert rep.passed, f"{name}: {rep.summary()}"
             assert rep.deterministic
+
+
+class TestModelGradients:
+    def test_pinned_dgcnn_check_passes(self):
+        assert checks.check_model_gradients("dgcnn", "small").passed is True
+
+    @pytest.mark.parametrize("size", ["small", "medium"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unpinned_dgcnn_check_fails_on_adjacency(self, monkeypatch, size, seed):
+        # re-estimated at every differenced forward, the spectral radius moves
+        # with the adjacency, but the tape treats it as a constant
+        monkeypatch.setattr(ops, "laplacian_spectral_radius", lambda adj: None)
+        rep = checks.check_model_gradients("dgcnn", size, seed=seed)
+        assert rep.deterministic
+        assert rep.passed is False
+        worst = max(rep.checks, key=lambda c: c.max_rel)
+        assert worst.name == "adjacency"
+        assert worst.max_rel > MAX_TOL
+
+
+class TestBatchNormBuffers:
+    def test_training_folds_batch_statistics_into_the_buffers(self):
+        x = constant(np.random.default_rng(0).standard_normal((4, 3, 2, 5)))
+        rm, rv = np.full(3, 0.5), np.full(3, 2.0)
+        out = ops.batch_norm(x, None, None, rm, rv, training=True)
+        np.testing.assert_allclose(rm, 0.9 * 0.5 + 0.1 * x.data.mean(axis=(0, 2, 3)))
+        np.testing.assert_allclose(rv, 0.9 * 2.0 + 0.1 * x.data.var(axis=(0, 2, 3)))
+        # written, never read: other buffer values give the same output
+        again = ops.batch_norm(x, None, None, np.zeros(3), np.ones(3), training=True)
+        assert np.array_equal(out.data, again.data)
+
+    def test_eval_reads_the_buffers_and_writes_nothing(self):
+        rng = np.random.default_rng(1)
+        x = constant(rng.standard_normal((4, 3, 2, 5)))
+        rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+        rm0, rv0 = rm.copy(), rv.copy()
+        out = ops.batch_norm(x, None, None, rm, rv, training=False)
+        assert np.array_equal(rm, rm0) and np.array_equal(rv, rv0)
+        expected = (x.data - rm0[:, None, None]) / np.sqrt(rv0[:, None, None] + 1e-5)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
 
 def _pad_time(x, k):

@@ -83,6 +83,17 @@ class TestPreprocess:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "'onset'" in err
 
+    def test_raw_sample_rate_not_an_integer_is_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.eegb"
+        assert run(["synth", "--mode", "linear", "--n-trials", "8", "--raw", "--out", str(raw)]) == 0
+        side = tmp_path / "raw.eegb.jsonl"
+        header, *events = side.read_text().splitlines(keepends=True)
+        header = {**json.loads(header), "sample_rate": "fast"}
+        side.write_text(json.dumps(header) + "\n" + "".join(events))
+        assert run(["preprocess", "--raw", str(raw), "--out", str(tmp_path / "o.eegb")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "sample_rate" in err
+
 
 class TestTrainEvalAnalyze:
     def test_full_cycle(self, tmp_path, epochs_file):

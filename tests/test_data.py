@@ -231,6 +231,18 @@ class TestRawRoundTrip:
         with pytest.raises(DataError, match=f"missing field '{field}'"):
             data.load_raw(p)
 
+    @pytest.mark.parametrize("rate", ["fast", None, [1000], 999.7, True])
+    def test_raw_sample_rate_not_an_integer_is_data_error(self, tmp_path, rate):
+        rec, meta = data.generate_raw(SynthConfig(mode="linear", n_trials=4, seed=0))
+        p = tmp_path / "raw.eegb"
+        data.save_raw(p, rec, meta)
+        side = tmp_path / "raw.eegb.jsonl"
+        header, *events = side.read_text().splitlines(keepends=True)
+        header = {**json.loads(header), "sample_rate": rate}
+        side.write_text(json.dumps(header) + "\n" + "".join(events))
+        with pytest.raises(DataError, match="sample_rate"):
+            data.load_raw(p)
+
     def test_raw_only_linear(self):
         with pytest.raises(DataError):
             data.generate_raw(SynthConfig(mode="xor", n_trials=6, seed=0))

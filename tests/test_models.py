@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from neurodecode import models
+from neurodecode.autodiff import Tensor, ops
 from neurodecode.errors import MetaMismatchError, UsageError
 from neurodecode.models import ARCHITECTURES, PARAM_TOLERANCE, SIZES, build_model
 
@@ -137,6 +138,18 @@ class TestCheckpoints:
         with pytest.raises(MetaMismatchError, match="not_a_real_parameter"):
             models.load_model(p)
 
+    @pytest.mark.parametrize("field", models.Model.DESCRIPTOR_FIELDS)
+    def test_descriptor_missing_field_rejected(self, tmp_path, field):
+        from neurodecode import eegb
+
+        p = tmp_path / "m.ckpt"
+        models.save_model(p, build_model("eegnet", "small", seed=0))
+        desc, tensors = eegb.load_checkpoint(p)
+        del desc[field]
+        eegb.save_checkpoint(p, desc, tensors)
+        with pytest.raises(MetaMismatchError, match=f"missing field '{field}'"):
+            models.load_model(p)
+
     def test_param_order_preserved(self, tmp_path):
         m = build_model("conformer", "small", seed=0)
         p = tmp_path / "m.ckpt"
@@ -146,6 +159,18 @@ class TestCheckpoints:
 
 
 class TestRegistry:
+    def test_build_model_forwards_every_descriptor_field(self):
+        fields = dict(seed=2, dropout=0.1, n_classes=3, n_channels=8, n_samples=40)
+        m = build_model("eegnet", "medium", **fields)
+        assert m.descriptor() == dict(arch="eegnet", size="medium", **fields)
+
+    def test_loss_is_the_mean_cross_entropy_tensor(self):
+        m = build_model("lstm", "small", seed=0)
+        x, y = small_batch(4), np.array([0, 1, 1, 0])
+        loss = m.loss(x, y, training=False)
+        assert isinstance(loss, Tensor)
+        assert loss.data == ops.cross_entropy(m.forward(x, training=False), y).data
+
     def test_duplicate_parameter_name_rejected(self):
         m = build_model("eegnet", "small", seed=0)
         taken = m.named_params()[0][0]
