@@ -3,9 +3,10 @@
 A ``Tensor`` records its parents and a backward closure when gradients
 are enabled; ``backward()`` walks the tape in reverse topological order
 with a deterministic accumulation order, so two identical runs produce
-bitwise-identical gradients.  Every op output is checked for finiteness
-at creation; a NaN or Inf raises ``NumericError`` at the op that made
-it rather than surfacing later as a corrupted update.
+bitwise-identical gradients.  An op output drops its gradient once its
+closure has passed it on; only leaves keep theirs.  Every op output is
+checked for finiteness at creation; a NaN or Inf raises ``NumericError``
+at the op that made it rather than surfacing later as a corrupted update.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 class Parameter(Tensor):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import NumericError
+from ..errors import NumericError, UsageError
 from .core import Parameter, no_grad
 
 FD_STEP = 1e-5
@@ -107,10 +107,14 @@ def grad_check(
 
     Raises
     ------
+    UsageError
+        If ``sample`` is below 1.
     NumericError
         If parameters are not float64, or two evaluations of the loss
         disagree (nondeterministic forward).
     """
+    if sample is not None and sample < 1:
+        raise UsageError(f"gradient check sample must be at least 1, got {sample}")
     for name, p in params:
         if p.data.dtype != np.float64:
             raise NumericError(

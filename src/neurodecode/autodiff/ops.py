@@ -3,9 +3,12 @@
 Primitive ops construct one graph node with an explicit backward
 closure.  Higher-level blocks (LSTM layer, attention, Chebyshev graph
 convolution) are composed from primitives, so their gradients need no
-dedicated derivation.  The convolutions are composed the same way: a
-two-operand ``einsum`` over ``time_windows``, a zero-copy strided view
-of the same-padded input, so no convolution has a backward of its own.
+dedicated derivation.  The convolutions are composed the same way.  A
+linear map along time (temporal and depthwise temporal convolution,
+average pooling) is one ``matmul`` with a (T, T') matrix: a banded
+Toeplitz matrix built from the kernel, or a fixed pooling matrix.  The
+maps across features (pointwise and spatial convolution) are one
+two-operand ``einsum``.  No convolution has a backward of its own.
 
 Layout conventions: convolutional feature maps are (batch, features,
 channels, time); sequence models take (batch, time, channels); graph
@@ -201,8 +204,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        a.accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        b.accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return make(out, (a, b), backward, "matmul")
 
@@ -256,30 +261,26 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
     return make(out, (a, b), backward, "einsum")
 
 
-def time_windows(x: Tensor, k: int) -> Tensor:
-    """Same-padded length-k windows along the last axis, (..., T) -> (..., T, k):
-    a zero-copy view of the padded input, whose backward scatter-adds the k taps."""
-    T = x.data.shape[-1]
-    left = (k - 1) // 2
-    xp = np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(left, k - 1 - left)])
-    out = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-1)
-
-    def backward(g):
-        gxp = np.zeros_like(xp)
-        for j in range(k):
-            gxp[..., j : j + T] += g[..., j]
-        x.accumulate(gxp[..., left : left + T])
-
-    return make(out, (x,), backward, "time_windows")
+def _banded(w: Tensor, T: int) -> Tensor:
+    """Kernels (..., k) -> same-padded band matrices (..., T, T) with
+    M[..., s, t] = w[..., s - t + (k - 1) // 2], so ``x @ M`` convolves x
+    along time.  One product with a constant 0/1 tap tensor."""
+    *lead, k = w.data.shape
+    taps = np.arange(T)[:, None] - np.arange(T) + (k - 1) // 2
+    select = constant((taps.reshape(1, T * T) == np.arange(k)[:, None]).astype(w.data.dtype))
+    return reshape(matmul(reshape(w, (-1, k)), select), (*lead, T, T))
 
 
 def conv_temporal(x: Tensor, w: Tensor) -> Tensor:
     """1-d convolution along time, shared over channels: (B, Cin, H, T) x
     (Cout, Cin, k) -> (B, Cout, H, T), same padding, stride 1."""
-    _, Cin_w, k = w.data.shape
-    if Cin_w != x.data.shape[1]:
-        raise NumericError(f"conv_temporal: {x.data.shape[1]} input features vs kernel {Cin_w}")
-    return einsum("ocj,bchtj->boht", w, time_windows(x, k))
+    B, Cin, H, T = x.data.shape
+    Cout, Cin_w, _ = w.data.shape
+    if Cin_w != Cin:
+        raise NumericError(f"conv_temporal: {Cin} input features vs kernel {Cin_w}")
+    band = reshape(transpose(_banded(w, T), (1, 2, 0, 3)), (Cin * T, Cout * T))
+    rows = reshape(transpose(x, (0, 2, 1, 3)), (B * H, Cin * T))
+    return transpose(reshape(matmul(rows, band), (B, H, Cout, T)), (0, 2, 1, 3))
 
 
 def conv_spatial_depthwise(x: Tensor, w: Tensor) -> Tensor:
@@ -299,10 +300,10 @@ def conv_spatial_depthwise(x: Tensor, w: Tensor) -> Tensor:
 
 def depthwise_conv_time(x: Tensor, w: Tensor) -> Tensor:
     """Per-feature temporal convolution: (B, C, H, T) x (C, k), same padding."""
-    Cw, k = w.data.shape
+    Cw = w.data.shape[0]
     if Cw != x.data.shape[1]:
         raise NumericError(f"depthwise kernel for {Cw} features applied to {x.data.shape[1]}")
-    return einsum("cj,bchtj->bcht", w, time_windows(x, k))
+    return matmul(x, _banded(w, x.data.shape[-1]))
 
 
 def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
@@ -317,18 +318,11 @@ def separable_conv(x: Tensor, w_depth: Tensor, w_point: Tensor) -> Tensor:
 
 def avg_pool_time(x: Tensor, k: int) -> Tensor:
     """Non-overlapping average pooling along time; trailing remainder dropped."""
-    B, C, H, T = x.data.shape
-    t_out = T // k
-    if t_out == 0:
+    T = x.data.shape[-1]
+    if T // k == 0:
         raise NumericError(f"avg_pool_time: window {k} longer than time axis {T}")
-    out = x.data[:, :, :, : t_out * k].reshape(B, C, H, t_out, k).mean(axis=-1)
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[:, :, :, : t_out * k] = np.repeat(g / k, k, axis=-1)
-        x.accumulate(gx)
-
-    return make(out, (x,), backward, "avg_pool_time")
+    pool = (np.arange(T)[:, None] // k == np.arange(T // k)) / k
+    return matmul(x, constant(pool, x.data.dtype))
 
 
 # ------------------------------------------------------------- normalization

@@ -31,6 +31,22 @@ from . import analysis, baseline, checks, data, models, pipeline, training
 from .errors import DataError, NumericError, UsageError
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag is a ``UsageError`` (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _subject(value: str) -> int | str:
+    if value == "all":
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a subject id or 'all', got {value!r}") from None
+
+
 def resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
@@ -69,7 +85,7 @@ def _merged_config(cls, config_path: str | None, overrides: dict):
     base.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return cls(**base)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad {cls.__name__}: {exc}") from exc
 
 
@@ -140,10 +156,6 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _headline(meta_subject: int | None) -> str:
-    return "mean_last5" if meta_subject is not None else "max_last5"
-
-
 def _train_one(
     data_path: str,
     subject: int | None,
@@ -163,7 +175,7 @@ def _train_one(
         arch, size, seed=cfg.seed, dropout=dropout, n_classes=max(n_classes, 2)
     )
     result = training.train(model, task, cfg, run_dir=run_dir)
-    kind = _headline(subject)
+    kind = "mean_last5" if subject is not None else "max_last5"
     peak = analysis.peak_metric(result.rows, result.cycle_ends, kind)
     return {
         "run_dir": run_dir,
@@ -185,18 +197,9 @@ def _train_worker(payload: dict) -> dict:
 
 def cmd_train(args) -> int:
     seed = resolve_seed(args.seed)
-    overrides = {
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr_max": args.lr_max,
-        "lr_min": args.lr_min,
-        "momentum": args.momentum,
-        "weight_decay": args.weight_decay,
-        "restart_t0": args.restart_t0,
-        "restart_mult": args.restart_mult,
-        "track_train_acc": True if args.track_train_acc else None,
-        "seed": seed,
-    }
+    # every TrainConfig field has a flag of the same name; unset flags are None
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(training.TrainConfig)}
+    overrides.update(track_train_acc=args.track_train_acc or None, seed=seed)
     cfg = _merged_config(training.TrainConfig, args.config, overrides)
 
     if args.subject == "all":
@@ -204,7 +207,7 @@ def cmd_train(args) -> int:
         subjects = sorted({m.subject for m in epochs.meta})
         del epochs
     elif args.subject is not None:
-        subjects = [int(args.subject)]
+        subjects = [args.subject]
     else:
         subjects = [None]
 
@@ -322,7 +325,7 @@ def cmd_audit_params(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neurodecode",
         description="EEG decoding benchmark: synthetic data, decoders, baseline, analysis.",
     )
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", required=True, choices=list(models.ARCHITECTURES))
     p.add_argument("--size", default="small", choices=list(models.SIZES))
     p.add_argument("--run-dir", required=True)
-    p.add_argument("--subject", default=None, help="subject id, or 'all' for one run each")
+    p.add_argument("--subject", type=_subject, help="subject id, or 'all' for one run each")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--config", default=None, help="JSON with TrainConfig fields")
     p.add_argument("--epochs", type=int, default=None)

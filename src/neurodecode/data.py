@@ -430,6 +430,8 @@ def generate_raw(
     """
     if cfg.mode != "linear":
         raise DataError(f"raw generation supports the linear mode, got {cfg.mode!r}")
+    if not 0 <= lead_in_ms < np.inf:
+        raise DataError(f"lead_in_ms must be finite and not negative, got {lead_in_ms}")
     rng_pat, rng_lab, rng_noise = _streams(cfg.seed)
     n = cfg.n_trials
     pats, mixing = _spatial(rng_pat)

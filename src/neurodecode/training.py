@@ -200,7 +200,6 @@ def train(
     dataset: EpochSet,
     cfg: TrainConfig,
     run_dir: str | Path | None = None,
-    quiet: bool = True,
 ) -> RunResult:
     """Train on the 'train' split, evaluating the 'test' split each epoch.
 
@@ -254,11 +253,6 @@ def train(
         if epoch in windowed and test_eval.accuracy > best_acc:
             best_epoch, best_acc = epoch, test_eval.accuracy
             best_preds = test_eval.predictions.copy()
-        if not quiet:
-            print(
-                f"epoch {epoch:4d}  lr {lr:.5f}  train_loss {rows[-1].train_loss:.4f}  "
-                f"test_acc {test_eval.accuracy:.4f}"
-            )
 
     result = RunResult(
         rows=rows,

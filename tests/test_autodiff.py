@@ -47,6 +47,22 @@ class TestForwardOracles:
         loss.backward()
         np.testing.assert_array_equal(p.grad, [1.0, 1.0])
 
+    def test_backward_releases_op_gradients_and_keeps_leaf_gradients(self):
+        p = param([1.0, 2.0, 3.0])
+        hidden = ops.mul(ops.scale(p, 2.0), p)
+        loss = ops.mean_axis(hidden, 0)
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        np.testing.assert_array_equal(p.grad, 4.0 * p.data / 3.0)
+
+    def test_second_backward_adds_the_same_leaf_gradient(self):
+        p = param([1.0, 2.0, 3.0])
+        loss = ops.mean_axis(ops.mul(ops.scale(p, 2.0), p), 0)
+        loss.backward()
+        once = p.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(p.grad, 2.0 * once)
+
     def test_dense_matches_matmul_plus_bias(self):
         x = param(np.arange(6.0).reshape(2, 3))
         w = param(np.arange(12.0).reshape(3, 4))
@@ -286,6 +302,9 @@ class TestConvReferences:
         (ops.conv_temporal, conv_temporal_per_tap, (2, 1, 3, 12), (3, 1, 4), (2, 3, 3, 12)),
         (ops.depthwise_conv_time, depthwise_conv_time_per_tap, (3, 4, 1, 13), (4, 6), (3, 4, 1, 13)),
         (ops.depthwise_conv_time, depthwise_conv_time_per_tap, (2, 3, 2, 9), (3, 5), (2, 3, 2, 9)),
+        # kernels longer than the time axis: eegnet's separable stage, and an odd k
+        (ops.depthwise_conv_time, depthwise_conv_time_per_tap, (3, 16, 1, 12), (16, 16), (3, 16, 1, 12)),
+        (ops.conv_temporal, conv_temporal_per_tap, (2, 2, 3, 6), (3, 2, 9), (2, 3, 3, 6)),
     ]
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -317,14 +336,38 @@ class TestConvReferences:
         for a, b in zip(got, reference(x, w, g)):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_avg_pool_time_matches_window_means(self, dtype, tol):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 2, 2, 11)).astype(dtype)
+        xp = Parameter(x)
+        out = ops.avg_pool_time(xp, 4)
+        g = rng.standard_normal((3, 2, 2, 2)).astype(dtype)
+        out.backward(g)
+        # the trailing remainder (3 samples) is dropped and gets no gradient
+        expected = x[..., :8].reshape(3, 2, 2, 2, 4).mean(axis=-1)
+        expected_grad = np.concatenate([np.repeat(g / 4, 4, axis=-1), np.zeros_like(x[..., 8:])], -1)
+        for name, a, b in (("out", out.data, expected), ("grad x", xp.grad, expected_grad)):
+            assert a.dtype == dtype and a.shape == b.shape
+            rel = np.abs(a - b).max() / np.abs(b).max()
+            assert rel <= tol, f"{name}: relative error {rel:.3g}"
+        assert not xp.grad[..., 8:].any()
+
     def test_einsum_skips_operands_without_grad(self):
-        windows = ops.time_windows(constant(np.ones((2, 1, 3, 8))), 3)
-        w = Parameter(np.ones((2, 1, 3)))
-        out = ops.einsum("ocj,bchtj->boht", w, windows)
+        x = constant(np.ones((2, 1, 3, 8)))
+        w = Parameter(np.ones((2, 1)))
+        out = ops.einsum("oc,bcht->boht", w, x)
         ops.mean_axis(ops.reshape(out, (96,)), 0).backward()
-        assert windows.grad is None
-        # same padding: the edge taps see one zero per row of 8 samples
-        np.testing.assert_allclose(w.grad, np.tile([7.0, 8.0, 7.0], (2, 1, 1)) * 6 / 96, rtol=1e-12)
+        assert x.grad is None
+        # each weight sees 2 * 3 * 8 ones out of 96 outputs
+        np.testing.assert_array_equal(w.grad, np.full((2, 1), 0.5))
+
+    def test_matmul_skips_operands_without_grad(self):
+        a = constant(np.ones((4, 3)))
+        b = Parameter(np.ones((3, 2)))
+        ops.mean_axis(ops.reshape(ops.matmul(a, b), (8,)), 0).backward()
+        assert a.grad is None
+        np.testing.assert_array_equal(b.grad, np.full((3, 2), 0.5))
 
 
 @settings(max_examples=30, deadline=None)

@@ -292,3 +292,40 @@ class TestChecks:
         assert run(["audit-params", "--strict"]) == 0
         out = capsys.readouterr().out
         assert "eegnet" in out and "conformer" in out
+
+
+class TestBadInputs:
+    """Every malformed input ends in its documented exit code and message."""
+
+    GRADCHECK = ["gradcheck", "--scope", "models", "--arch", "eegnet", "--size", "small"]
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        ([], 1, "error: neurodecode: the following arguments are required: command"),
+        (["synth"], 1, "error: neurodecode synth: the following arguments are required: --out"),
+        (["synth", "--n-trials", "many", "--out", "{tmp}/x.eegb"], 1,
+         "error: neurodecode synth: argument --n-trials: invalid int value"),
+        (["train", "--data", "{tmp}/x.eegb", "--arch", "cnn", "--run-dir", "{tmp}/run"], 1,
+         "error: neurodecode train: argument --arch: invalid choice"),
+        (["train", "--data", "{tmp}/x.eegb", "--arch", "eegnet", "--run-dir", "{tmp}/run",
+          "--subject", "abc"], 1, "error: neurodecode train: argument --subject: expected"),
+        (["preprocess", "--raw", "{tmp}/raw.eegb", "--out", "{tmp}/o.eegb",
+          "--config", "{tmp}/band.json"], 1, "error: bad PipelineConfig:"),
+        (GRADCHECK + ["--sample", "-1"], 1, "error: gradient check sample must be at least 1"),
+        (GRADCHECK + ["--sample", "0"], 1, "error: gradient check sample must be at least 1"),
+        (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "-5", "--out", "{tmp}/raw.eegb"], 2,
+         "data error: lead_in_ms must be finite and not negative"),
+        (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "nan", "--out", "{tmp}/raw.eegb"], 2,
+         "data error: lead_in_ms must be finite and not negative"),
+    ])
+    def test_exit_code_and_message(self, tmp_path, capsys, argv, code, prefix):
+        (tmp_path / "band.json").write_text(json.dumps({"band": [1]}))
+        assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix), captured.err
+        assert captured.out == ""
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--help"])
+        assert exc.value.code == 0
+        assert "--subject" in capsys.readouterr().out
