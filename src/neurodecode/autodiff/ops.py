@@ -273,14 +273,14 @@ def _banded(w: Tensor, T: int) -> Tensor:
 
 def conv_temporal(x: Tensor, w: Tensor) -> Tensor:
     """1-d convolution along time, shared over channels: (B, Cin, H, T) x
-    (Cout, Cin, k) -> (B, Cout, H, T), same padding, stride 1."""
+    (Cout, Cin, k) -> (B, Cout, H, T), same padding, stride 1.  One product per
+    (batch, output feature): OpenBLAS threads one (B·H, Cin·T) GEMM for no gain."""
     B, Cin, H, T = x.data.shape
     Cout, Cin_w, _ = w.data.shape
     if Cin_w != Cin:
         raise NumericError(f"conv_temporal: {Cin} input features vs kernel {Cin_w}")
-    band = reshape(transpose(_banded(w, T), (1, 2, 0, 3)), (Cin * T, Cout * T))
-    rows = reshape(transpose(x, (0, 2, 1, 3)), (B * H, Cin * T))
-    return transpose(reshape(matmul(rows, band), (B, H, Cout, T)), (0, 2, 1, 3))
+    rows = reshape(transpose(x, (0, 2, 1, 3)), (B, 1, H, Cin * T))
+    return matmul(rows, reshape(_banded(w, T), (Cout, Cin * T, T)))
 
 
 def conv_spatial_depthwise(x: Tensor, w: Tensor) -> Tensor:
