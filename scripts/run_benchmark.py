@@ -66,7 +66,7 @@ def main() -> None:
             model = models.build_model(arch, "small", seed=seed)
             cfg_t = training.TrainConfig(epochs=args.epochs, seed=seed)
             result = training.train(model, datasets["xor"], cfg_t, run_dir=run_dir)
-            peak = analysis.peak_metric(result.rows, result.cycle_ends, "max_last5")
+            peak = analysis.peak_metric(result.history(), result.cycle_ends, "max_last5")
             print(f"  {arch}-small seed {seed}: peak {peak.value:.4f} -> {run_dir}")
             run_dirs.append(str(run_dir))
 

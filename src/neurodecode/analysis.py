@@ -31,14 +31,6 @@ from .errors import DataError
 PEAK_WINDOW = 5
 
 
-def _acc_of(row) -> float:
-    return row["test_acc"] if isinstance(row, dict) else row.test_acc
-
-
-def _epoch_of(row) -> int:
-    return row["epoch"] if isinstance(row, dict) else row.epoch
-
-
 @dataclass
 class PeakMetric:
     kind: str
@@ -47,11 +39,15 @@ class PeakMetric:
     windows: list[tuple[int, int]]
 
 
-def peak_metric(rows, cycle_ends: list[int], kind: str = "max_last5") -> PeakMetric:
-    """Peak test accuracy over the last-5 windows of each restart cycle."""
+def peak_metric(history: list[dict], cycle_ends: list[int], kind: str = "max_last5") -> PeakMetric:
+    """Peak test accuracy over the last-5 windows of each restart cycle.
+
+    ``history`` holds ``history.jsonl`` records; a run still in memory
+    gives them as ``RunResult.history()``.
+    """
     if kind not in ("max_last5", "mean_last5"):
         raise DataError(f"unknown peak metric {kind!r}")
-    by_epoch = {_epoch_of(r): _acc_of(r) for r in rows}
+    by_epoch = {r["epoch"]: r["test_acc"] for r in history}
     if not by_epoch:
         raise DataError("empty history")
     windows = []

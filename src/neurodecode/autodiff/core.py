@@ -70,8 +70,11 @@ class Tensor:
         if g.dtype != self.data.dtype:
             g = g.astype(self.data.dtype)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # one new array in the data's layout, as zeros_like gives; adding 0
+            # turns -0.0 into +0.0, as adding into zeros does
+            self.grad = np.add(g, 0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Reverse sweep from this node; seeds with ones unless given."""

@@ -1,14 +1,17 @@
 """Differentiable operations.
 
 Primitive ops construct one graph node with an explicit backward
-closure.  Higher-level blocks (LSTM layer, attention, Chebyshev graph
-convolution) are composed from primitives, so their gradients need no
-dedicated derivation.  The convolutions are composed the same way.  A
-linear map along time (temporal and depthwise temporal convolution,
-average pooling) is one ``matmul`` with a (T, T') matrix: a banded
-Toeplitz matrix built from the kernel, or a fixed pooling matrix.  The
-maps across features (pointwise and spatial convolution) are one
-two-operand ``einsum``.  No convolution has a backward of its own.
+closure.  Attention and the Chebyshev graph convolution are composed
+from primitives, so their gradients need no dedicated derivation.  The
+LSTM recurrence no longer is: composed, it cost 17 nodes per time step.
+It is one node whose backward repeats the composed loop's arithmetic in
+the tape's order, so it keeps the loop's bytes.  The convolutions are
+composed from primitives.  A linear map along time (temporal and
+depthwise temporal convolution, average pooling) is one ``matmul`` with
+a (T, T') matrix: a banded Toeplitz matrix built from the kernel, or a
+fixed pooling matrix.  The maps across features (pointwise and spatial
+convolution) are one two-operand ``einsum``.  No convolution has a
+backward of its own.
 
 Layout conventions: convolutional feature maps are (batch, features,
 channels, time); sequence models take (batch, time, channels); graph
@@ -16,6 +19,8 @@ convolutions take (batch, nodes, features).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import expit
@@ -443,27 +448,61 @@ def sinusoidal_positions(n_positions: int, d_model: int, dtype=np.float32) -> Te
 def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor) -> Tensor:
     """One LSTM layer over (batch, time, features) -> (batch, time, hidden).
 
-    Gate order i, f, g, o in the stacked weight matrices; the input
-    projection for every step runs as a single GEMM up front and the
-    recurrence is composed from primitive ops, so backpropagation
-    through time falls out of the tape.
+    Gate order i, f, g, o in the stacked weight matrices.  The input
+    projection for every step is one ``dense`` node (Appleyard et al.
+    2016); the recurrence is one node whose backward runs one
+    (B, 4H) @ (4H, H) product per step.  It keeps the bytes of the
+    primitive-op loop it replaced, which ``tests/test_autodiff.py`` keeps
+    as the reference: it evaluates that loop's expressions, a two-term
+    sum is the same in either order, and dW_hh adds one step at a time
+    from the last step down, as the tape did.  One product over all
+    steps would sum in another order.
     """
     B, T, _ = x.data.shape
-    hidden = w_hh.data.shape[0]
+    H = w_hh.data.shape[0]
     xw = dense(x, w_ih, b)  # (B, T, 4H)
-    h = constant(np.zeros((B, hidden), dtype=x.data.dtype))
-    c = constant(np.zeros((B, hidden), dtype=x.data.dtype))
-    steps = []
+    h = c = np.zeros((B, H), dtype=x.data.dtype)
+    hs, cs, gates, tanh_cs = [], [c], [], []
     for t in range(T):
-        zt = add(reshape(narrow(xw, 1, t, 1), (B, 4 * hidden)), matmul(h, w_hh))
-        i_g = sigmoid(narrow(zt, 1, 0, hidden))
-        f_g = sigmoid(narrow(zt, 1, hidden, hidden))
-        g_g = tanh(narrow(zt, 1, 2 * hidden, hidden))
-        o_g = sigmoid(narrow(zt, 1, 3 * hidden, hidden))
-        c = add(mul(f_g, c), mul(i_g, g_g))
-        h = mul(o_g, tanh(c))
-        steps.append(h)
-    return stack(steps, axis=1)
+        z = xw.data[:, t] + h @ w_hh.data
+        a = np.empty_like(z)
+        expit(z[:, : 2 * H], out=a[:, : 2 * H])
+        np.tanh(z[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
+        expit(z[:, 3 * H :], out=a[:, 3 * H :])
+        i, f, g, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        hs.append(h)
+        cs.append(c)
+        gates.append(a)
+        tanh_cs.append(tc)
+
+    def backward(grad):
+        dxw = np.empty_like(xw.data)
+        dw = np.zeros_like(w_hh.data)
+        dh_next = dc_next = None  # what step t + 1 passes back to step t
+        for t in range(T - 1, -1, -1):
+            a, c_prev, tc = gates[t], cs[t], tanh_cs[t]
+            i, f, g, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+            dh = grad[:, t] if dh_next is None else grad[:, t] + dh_next
+            dc = dh * o * (1.0 - tc * tc)
+            if dc_next is not None:
+                dc = dc_next + dc
+            dz = np.empty_like(a)
+            dz[:, :H] = dc * g * i * (1.0 - i)
+            dz[:, H : 2 * H] = dc * c_prev * f * (1.0 - f)
+            dz[:, 2 * H : 3 * H] = dc * i * (1.0 - g * g)
+            dz[:, 3 * H :] = dh * tc * o * (1.0 - o)
+            dxw[:, t] = dz
+            dc_next = dc * f
+            if t > 0:  # h before step 0 is a constant zero
+                dh_next = dz @ w_hh.data.swapaxes(-1, -2)
+                dw += hs[t - 1].swapaxes(-1, -2) @ dz
+        w_hh.accumulate(dw)
+        xw.accumulate(dxw)
+
+    return make(np.stack(hs, axis=1), (xw, w_hh), backward, "lstm_layer")
 
 
 def multi_head_attention(
@@ -495,7 +534,7 @@ def multi_head_attention(
     q = split_heads(dense(x, w_q, b_q))
     k = split_heads(dense(x, w_k, None))
     v = split_heads(dense(x, w_v, b_v))
-    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d_k))
+    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d_k))
     attn = softmax(scores, axis=-1)
     ctx = transpose(matmul(attn, v), (0, 2, 1, 3))
     return dense(reshape(ctx, (B, T, d_model)), w_o, b_o)

@@ -176,7 +176,7 @@ def _train_one(
     )
     result = training.train(model, task, cfg, run_dir=run_dir)
     kind = "mean_last5" if subject is not None else "max_last5"
-    peak = analysis.peak_metric(result.rows, result.cycle_ends, kind)
+    peak = analysis.peak_metric(result.history(), result.cycle_ends, kind)
     return {
         "run_dir": run_dir,
         "subject": subject,

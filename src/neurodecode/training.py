@@ -191,8 +191,12 @@ class RunResult:
     predictions: np.ndarray
     test_meta: list[TrialMeta]
 
+    def history(self) -> list[dict]:
+        """The rows as the records of ``history.jsonl``."""
+        return [r.to_dict() for r in self.rows]
+
     def history_lines(self) -> list[str]:
-        return [json.dumps(r.to_dict(), sort_keys=True) for r in self.rows]
+        return [json.dumps(r, sort_keys=True) for r in self.history()]
 
 
 def train(

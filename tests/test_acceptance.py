@@ -100,7 +100,7 @@ def test_04_parity_task_separates_decoder_families():
 
     model = build_model("eegnet", "small", seed=0)
     result = train(model, es, TrainConfig(epochs=15, seed=0))
-    peak = analysis.peak_metric(result.rows, result.cycle_ends, "max_last5").value
+    peak = analysis.peak_metric(result.history(), result.cycle_ends, "max_last5").value
     wall = time.monotonic() - t0
     ok = peak >= 0.9 and 0.47 <= csp_acc <= 0.53 and wall < 900.0
     report(
@@ -131,7 +131,7 @@ def test_06_subject_signatures_decodable():
     )
     model = build_model("eegnet", "small", seed=0, n_classes=4)
     result = train(model, es, TrainConfig(epochs=8, seed=0))
-    peak = analysis.peak_metric(result.rows, result.cycle_ends, "max_last5").value
+    peak = analysis.peak_metric(result.history(), result.cycle_ends, "max_last5").value
     report(
         6,
         "4-way subject identification >= 0.9 with a small decoder",
@@ -186,7 +186,7 @@ def test_08_comparison_pipeline(tmp_path):
             rd = tmp_path / f"{arch}-s{seed}"
             model = build_model(arch, "small", seed=seed)
             res = train(model, es, TrainConfig(epochs=3, batch_size=64, seed=seed), run_dir=rd)
-            vals.append(analysis.peak_metric(res.rows, res.cycle_ends, "max_last5").value)
+            vals.append(analysis.peak_metric(res.history(), res.cycle_ends, "max_last5").value)
             run_dirs.append(rd)
         metrics[arch] = vals
     rep = analysis.compare_decoders(metrics)

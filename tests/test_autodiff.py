@@ -63,6 +63,15 @@ class TestForwardOracles:
         loss.backward()
         np.testing.assert_array_equal(p.grad, 2.0 * once)
 
+    def test_first_gradient_is_a_new_c_ordered_array_without_negative_zeros(self):
+        # the layout and the sign of zero reach the next GEMM and the saved bytes
+        p = param(np.ones((3, 2)))
+        g = np.asfortranarray([[-0.0, 1.0], [2.0, -0.0], [3.0, 4.0]])
+        p.accumulate(g)
+        assert p.grad is not g and p.grad.flags.c_contiguous
+        assert not np.signbit(p.grad).any()
+        np.testing.assert_array_equal(p.grad, g)
+
     def test_dense_matches_matmul_plus_bias(self):
         x = param(np.arange(6.0).reshape(2, 3))
         w = param(np.arange(12.0).reshape(3, 4))
@@ -368,6 +377,80 @@ class TestConvReferences:
         ops.mean_axis(ops.reshape(ops.matmul(a, b), (8,)), 0).backward()
         assert a.grad is None
         np.testing.assert_array_equal(b.grad, np.full((3, 2), 0.5))
+
+
+def lstm_layer_composed(x, w_ih, w_hh, b):
+    """The LSTM layer as the primitive-op loop the fused node replaced."""
+    B, T, _ = x.data.shape
+    hidden = w_hh.data.shape[0]
+    xw = ops.dense(x, w_ih, b)
+    h = constant(np.zeros((B, hidden), dtype=x.data.dtype))
+    c = constant(np.zeros((B, hidden), dtype=x.data.dtype))
+    steps = []
+    for t in range(T):
+        zt = ops.add(ops.reshape(ops.narrow(xw, 1, t, 1), (B, 4 * hidden)), ops.matmul(h, w_hh))
+        i_g = ops.sigmoid(ops.narrow(zt, 1, 0, hidden))
+        f_g = ops.sigmoid(ops.narrow(zt, 1, hidden, hidden))
+        g_g = ops.tanh(ops.narrow(zt, 1, 2 * hidden, hidden))
+        o_g = ops.sigmoid(ops.narrow(zt, 1, 3 * hidden, hidden))
+        c = ops.add(ops.mul(f_g, c), ops.mul(i_g, g_g))
+        h = ops.mul(o_g, ops.tanh(c))
+        steps.append(h)
+    return ops.stack(steps, axis=1)
+
+
+def _tape_nodes(out):
+    """Op nodes reachable from ``out``: those with a backward closure."""
+    seen, todo, ops_seen = set(), [out], 0
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node.parents)
+            ops_seen += node._backward is not None
+    return ops_seen
+
+
+class TestLstmReference:
+    """The fused LSTM node against the composed loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("upstream", ["every step", "last step"])
+    @pytest.mark.parametrize("B, T, F, H", [(3, 6, 5, 4), (4, 1, 3, 5), (16, 20, 9, 40)])
+    def test_fused_layer_matches_composed_loop(self, dtype, upstream, B, T, F, H):
+        rng = np.random.default_rng(T * H)
+        arrays_in = [
+            rng.standard_normal((B, T, F)),
+            rng.uniform(-0.5, 0.5, (F, 4 * H)),
+            rng.uniform(-0.5, 0.5, (H, 4 * H)),
+            rng.uniform(-0.5, 0.5, 4 * H),
+        ]
+        g = rng.standard_normal((B, T, H)).astype(dtype)
+        if upstream == "last step":
+            g[:, :-1] = 0.0
+        results = []
+        for layer in (lstm_layer_composed, ops.lstm_layer):
+            params = [Parameter(a.astype(dtype)) for a in arrays_in]
+            out = layer(*params)
+            out.backward(g)
+            results.append([out.data] + [p.grad for p in params])
+        names = ("out", "grad x", "grad w_ih", "grad w_hh", "grad b")
+        for name, want, got in zip(names, *results):
+            assert got.dtype == dtype, name
+            assert np.array_equal(got, want), name
+
+    def test_tape_nodes_do_not_grow_with_time(self):
+        rng = np.random.default_rng(0)
+        w_ih, w_hh, b = (Parameter(rng.standard_normal(s)) for s in ((3, 8), (2, 8), (8,)))
+        counts = {
+            T: _tape_nodes(ops.lstm_layer(constant(rng.standard_normal((2, T, 3))), w_ih, w_hh, b))
+            for T in (1, 5, 40)
+        }
+        assert counts[1] == counts[5] == counts[40] == 2  # dense, then the recurrence
+        # the composed loop adds 17 nodes a step
+        composed = [_tape_nodes(lstm_layer_composed(constant(np.ones((2, T, 3))), w_ih, w_hh, b))
+                    for T in (1, 2)]
+        assert composed[1] - composed[0] == 17
 
 
 @settings(max_examples=30, deadline=None)

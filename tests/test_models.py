@@ -100,6 +100,27 @@ class TestForward:
             build_model("eegnet", "huge")
 
 
+class TestDtypeContract:
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_float32_model_computes_in_float32(self, arch, monkeypatch):
+        # a float64 constant inside an op would lift everything after it to
+        # float64 and leave the tape to cast each gradient back
+        m = build_model(arch, "small", seed=0)
+        seen = set()
+        accumulate = Tensor.accumulate
+
+        def recording(self, g):
+            seen.add(g.dtype)
+            accumulate(self, g)
+
+        monkeypatch.setattr(Tensor, "accumulate", recording)
+        loss = m.loss(small_batch(4), np.array([0, 1, 1, 0]), training=True)
+        loss.backward()
+        assert loss.data.dtype == np.float32
+        assert seen == {np.dtype(np.float32)}
+        assert all(p.grad.dtype == np.float32 for p in m.params())
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_round_trip_bitwise(self, tmp_path, arch):
