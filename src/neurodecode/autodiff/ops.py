@@ -1,17 +1,20 @@
 """Differentiable operations.
 
 Primitive ops construct one graph node with an explicit backward
-closure.  Attention and the Chebyshev graph convolution are composed
-from primitives, so their gradients need no dedicated derivation.  The
-LSTM recurrence no longer is: composed, it cost 17 nodes per time step.
-It is one node whose backward repeats the composed loop's arithmetic in
-the tape's order, so it keeps the loop's bytes.  The convolutions are
-composed from primitives.  A linear map along time (temporal and
-depthwise temporal convolution, average pooling) is one ``matmul`` with
-a (T, T') matrix: a banded Toeplitz matrix built from the kernel, or a
-fixed pooling matrix.  The maps across features (pointwise and spatial
-convolution) are one two-operand ``einsum``.  No convolution has a
-backward of its own.
+closure.  Attention, the convolutions and the Chebyshev graph
+convolution are composed from primitives, so their gradients need no
+dedicated derivation.  The LSTM recurrence is not: composed, it cost 17
+nodes per time step.  It is one node whose backward repeats the composed
+loop's arithmetic in the tape's order, so it keeps the loop's bytes.
+
+Every linear map along time or across features is one ``matmul``.
+Along time (temporal and depthwise temporal convolution, average
+pooling) it multiplies by a (T, T') matrix: a banded Toeplitz matrix
+built from the kernel, or a fixed pooling matrix.  Across features
+(pointwise and spatial convolution) the weight multiplies the feature
+axis and broadcasts over the batch.  Of the linear maps only ``dense``
+keeps a backward of its own, which folds the weight gradient into one
+2-d product.
 
 Layout conventions: convolutional feature maps are (batch, features,
 channels, time); sequence models take (batch, time, channels); graph
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 from ..errors import NumericError
-from .core import Parameter, Tensor, constant, make
+from .core import Tensor, constant, make, no_grad
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -250,22 +253,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------- convolutions
 
 
-def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand ``np.einsum`` with explicit output labels.  Each operand's
-    gradient, computed only if it requires one, is the einsum of the output
-    gradient with the other operand, so no label may belong to one operand alone."""
-    labels_a, labels_b, labels_out = spec.replace("->", ",").split(",")
-    out = np.einsum(spec, a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.einsum(f"{labels_out},{labels_b}->{labels_a}", g, b.data))
-        if b.requires_grad:
-            b.accumulate(np.einsum(f"{labels_a},{labels_out}->{labels_b}", a.data, g))
-
-    return make(out, (a, b), backward, "einsum")
-
-
 def _banded(w: Tensor, T: int) -> Tensor:
     """Kernels (..., k) -> same-padded band matrices (..., T, T) with
     M[..., s, t] = w[..., s - t + (k - 1) // 2], so ``x @ M`` convolves x
@@ -300,7 +287,7 @@ def conv_spatial_depthwise(x: Tensor, w: Tensor) -> Tensor:
     Fw, D, Hw = w.data.shape
     if (Fw, Hw) != (F, H):
         raise NumericError(f"depthwise kernel {w.data.shape} does not match input {x.data.shape}")
-    return reshape(einsum("fdh,bfht->bfdt", w, x), (B, F * D, 1, T))
+    return reshape(matmul(w, x), (B, F * D, 1, T))
 
 
 def depthwise_conv_time(x: Tensor, w: Tensor) -> Tensor:
@@ -313,7 +300,8 @@ def depthwise_conv_time(x: Tensor, w: Tensor) -> Tensor:
 
 def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
     """1x1 convolution mixing features: (B, C, H, T) x (O, C) -> (B, O, H, T)."""
-    return einsum("oc,bcht->boht", w, x)
+    B, C, H, T = x.data.shape
+    return reshape(matmul(w, reshape(x, (B, C, H * T))), (B, w.data.shape[0], H, T))
 
 
 def separable_conv(x: Tensor, w_depth: Tensor, w_point: Tensor) -> Tensor:
@@ -557,19 +545,26 @@ def _power_iteration_max_eig(mat: np.ndarray, iters: int = 20) -> float:
     return float(max(v @ (m @ v), 1e-6))
 
 
-def laplacian_spectral_radius(adj_data: np.ndarray, iters: int = 20) -> float:
-    """lambda_max of the normalized Laplacian the graph conv would build.
+def _normalized_laplacian(adj: Tensor) -> Tensor:
+    """L = I - D^{-1/2} A D^{-1/2} of the adjacency symmetrized, rectified
+    and zeroed on the diagonal, degree regularized by 1e-6."""
+    n = adj.data.shape[0]
+    dtype = adj.data.dtype
+    sym = scale(add(adj, transpose(adj, (1, 0))), 0.5)
+    a_hat = mul(relu(sym), constant((1.0 - np.eye(n)).astype(dtype)))
+    deg = add(sum_axis(a_hat, axis=1), constant(np.full(n, 1e-6, dtype=dtype)))
+    d_inv_sqrt = powc(deg, -0.5)
+    norm = mul(mul(reshape(d_inv_sqrt, (n, 1)), a_hat), reshape(d_inv_sqrt, (1, n)))
+    return sub(constant(np.eye(n, dtype=dtype)), norm)
 
-    Pure numpy on raw values; used to pin the estimate across repeated
-    forwards during gradient checking.
-    """
-    n = adj_data.shape[0]
-    sym = 0.5 * (adj_data + adj_data.T)
-    a_hat = np.maximum(sym, 0.0) * (1.0 - np.eye(n))
-    deg = a_hat.sum(axis=1) + 1e-6
-    d = deg**-0.5
-    lap = np.eye(n) - d[:, None] * a_hat * d[None, :]
-    return _power_iteration_max_eig(lap, iters=iters)
+
+def laplacian_spectral_radius(adj_data: np.ndarray, iters: int = 20) -> float:
+    """lambda_max of the normalized Laplacian the graph conv builds, from raw
+    values and off the tape; pins the estimate across the repeated forwards
+    of a gradient check."""
+    with no_grad():
+        lap = _normalized_laplacian(constant(adj_data))
+    return _power_iteration_max_eig(lap.data, iters=iters)
 
 
 def chebyshev_graph_conv(
@@ -594,17 +589,10 @@ def chebyshev_graph_conv(
     x is (batch, nodes, features); each theta maps features to the
     output width; K = len(thetas) polynomial terms.
     """
-    n = adj.data.shape[0]
-    eye = constant(np.eye(n, dtype=x.data.dtype))
-    offdiag = constant((1.0 - np.eye(n)).astype(x.data.dtype))
-    sym = scale(add(adj, transpose(adj, (1, 0))), 0.5)
-    a_hat = mul(relu(sym), offdiag)
-    deg = add(sum_axis(a_hat, axis=1), constant(np.full(n, 1e-6, dtype=x.data.dtype)))
-    d_inv_sqrt = powc(deg, -0.5)
-    norm = mul(mul(reshape(d_inv_sqrt, (n, 1)), a_hat), reshape(d_inv_sqrt, (1, n)))
-    lap = sub(eye, norm)
+    lap = _normalized_laplacian(adj)
     if lam_max is None:
         lam_max = _power_iteration_max_eig(lap.data)
+    eye = constant(np.eye(adj.data.shape[0], dtype=adj.data.dtype))
     lap_scaled = sub(scale(lap, 2.0 / lam_max), eye)
 
     terms = [x]

@@ -27,7 +27,7 @@ import numpy as np
 from .autodiff import constant, ops
 from .autodiff.core import Parameter, check_finite
 from .data import EpochSet, TrialMeta
-from .errors import NumericError, UsageError
+from .errors import DataError, NumericError, UsageError
 from .models import Model, eval_logits, save_model
 
 
@@ -150,6 +150,10 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int = 256) 
     """Evaluation-mode metrics.  A class never predicted scores
     precision 0.0; a class absent from ``y`` scores recall 0.0."""
     y = np.asarray(y)
+    if y.size and (y.min() < 0 or y.max() >= model.n_classes):
+        raise DataError(
+            f"labels span {y.min()}..{y.max()}, but the model scores classes 0..{model.n_classes - 1}"
+        )
     logits = eval_logits(model, x, batch_size)
     preds = np.argmax(logits, axis=1)
     # batch by batch, not in one call: the summation order fixes the bytes of test_loss

@@ -304,9 +304,9 @@ def _conv_with_grads(op, x, w, out_shape, rng):
 
 
 class TestConvReferences:
-    """The einsum convolutions against the per-tap loops and einsum specs they replaced."""
+    """The convolutions against the per-tap loops and einsum specs they replaced."""
 
-    TAPPED = [
+    REFERENCES = [
         (ops.conv_temporal, conv_temporal_per_tap, (3, 2, 5, 19), (4, 2, 7), (3, 4, 5, 19)),
         (ops.conv_temporal, conv_temporal_per_tap, (2, 1, 3, 12), (3, 1, 4), (2, 3, 3, 12)),
         (ops.depthwise_conv_time, depthwise_conv_time_per_tap, (3, 4, 1, 13), (4, 6), (3, 4, 1, 13)),
@@ -314,11 +314,14 @@ class TestConvReferences:
         # kernels longer than the time axis: eegnet's separable stage, and an odd k
         (ops.depthwise_conv_time, depthwise_conv_time_per_tap, (3, 16, 1, 12), (16, 16), (3, 16, 1, 12)),
         (ops.conv_temporal, conv_temporal_per_tap, (2, 2, 3, 6), (3, 2, 9), (2, 3, 3, 6)),
+        # the feature-mixing convolutions, against the einsum specs they ran as
+        (ops.conv_spatial_depthwise, conv_spatial_depthwise_einsum, (3, 4, 6, 11), (4, 2, 6), (3, 8, 1, 11)),
+        (ops.pointwise_conv, pointwise_conv_einsum, (3, 4, 2, 11), (5, 4), (3, 5, 2, 11)),
     ]
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    @pytest.mark.parametrize("op, reference, x_shape, w_shape, out_shape", TAPPED)
-    def test_windowed_convs_match_per_tap_loops(
+    @pytest.mark.parametrize("op, reference, x_shape, w_shape, out_shape", REFERENCES)
+    def test_convs_match_their_references(
         self, op, reference, x_shape, w_shape, out_shape, dtype, tol
     ):
         rng = np.random.default_rng(3)
@@ -329,21 +332,6 @@ class TestConvReferences:
             assert a.dtype == dtype and a.shape == b.shape
             rel = np.abs(a - b).max() / np.abs(b).max()
             assert rel <= tol, f"{name}: relative error {rel:.3g}"
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("op, reference, x_shape, w_shape, out_shape", [
-        (ops.conv_spatial_depthwise, conv_spatial_depthwise_einsum, (3, 4, 6, 11), (4, 2, 6), (3, 8, 1, 11)),
-        (ops.pointwise_conv, pointwise_conv_einsum, (3, 4, 2, 11), (5, 4), (3, 5, 2, 11)),
-    ])
-    def test_unwindowed_convs_keep_their_einsums(
-        self, op, reference, x_shape, w_shape, out_shape, dtype
-    ):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(x_shape).astype(dtype)
-        w = rng.standard_normal(w_shape).astype(dtype)
-        g, got = _conv_with_grads(op, x, w, out_shape, rng)
-        for a, b in zip(got, reference(x, w, g)):
-            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_avg_pool_time_matches_window_means(self, dtype, tol):
@@ -362,21 +350,19 @@ class TestConvReferences:
             assert rel <= tol, f"{name}: relative error {rel:.3g}"
         assert not xp.grad[..., 8:].any()
 
-    def test_einsum_skips_operands_without_grad(self):
-        x = constant(np.ones((2, 1, 3, 8)))
-        w = Parameter(np.ones((2, 1)))
-        out = ops.einsum("oc,bcht->boht", w, x)
-        ops.mean_axis(ops.reshape(out, (96,)), 0).backward()
-        assert x.grad is None
-        # each weight sees 2 * 3 * 8 ones out of 96 outputs
-        np.testing.assert_array_equal(w.grad, np.full((2, 1), 0.5))
-
     def test_matmul_skips_operands_without_grad(self):
         a = constant(np.ones((4, 3)))
         b = Parameter(np.ones((3, 2)))
         ops.mean_axis(ops.reshape(ops.matmul(a, b), (8,)), 0).backward()
         assert a.grad is None
         np.testing.assert_array_equal(b.grad, np.full((3, 2), 0.5))
+        # a weight broadcast over the batch, as the feature-mixing convs use it
+        x = constant(np.ones((2, 1, 24)))
+        w = Parameter(np.ones((2, 1)))
+        ops.mean_axis(ops.reshape(ops.matmul(w, x), (96,)), 0).backward()
+        assert x.grad is None
+        # each weight sees 2 * 24 ones out of 96 outputs, summed over the batch
+        np.testing.assert_array_equal(w.grad, np.full((2, 1), 0.5))
 
 
 def lstm_layer_composed(x, w_ih, w_hh, b):

@@ -246,6 +246,14 @@ def trained_run(tmp_path_factory):
     return rd
 
 
+@pytest.fixture(scope="module")
+def signature_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("signature") / "signature.eegb"
+    argv = ["synth", "--mode", "subject_signature", "--n-trials", "64", "--seed", "0", "--out", str(out)]
+    assert run(argv) == 0
+    return out
+
+
 class TestAnalyzeBadRuns:
     @pytest.mark.parametrize("fname, content", [
         ("manifest.json", None),  # missing
@@ -316,10 +324,18 @@ class TestBadInputs:
          "data error: lead_in_ms must be finite and not negative"),
         (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "nan", "--out", "{tmp}/raw.eegb"], 2,
          "data error: lead_in_ms must be finite and not negative"),
+        # a 2-class checkpoint scored on labels 0-3
+        (["eval", "--run-dir", "{run}", "--data", "{signature}"], 2,
+         "data error: labels span 0..3, but the model scores classes 0..1"),
     ])
-    def test_exit_code_and_message(self, tmp_path, capsys, argv, code, prefix):
+    def test_exit_code_and_message(
+        self, tmp_path, capsys, trained_run, signature_file, argv, code, prefix
+    ):
         (tmp_path / "band.json").write_text(json.dumps({"band": [1]}))
-        assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+        paths = {"{tmp}": str(tmp_path), "{run}": str(trained_run), "{signature}": str(signature_file)}
+        for key, value in paths.items():
+            argv = [a.replace(key, value) for a in argv]
+        assert run(argv) == code
         captured = capsys.readouterr()
         assert captured.err.startswith(prefix), captured.err
         assert captured.out == ""
