@@ -18,7 +18,6 @@ names (``TrainConfig`` for ``train``, ``PipelineConfig`` for
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -156,45 +155,6 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _train_one(
-    data_path: str,
-    subject: int | None,
-    arch: str,
-    size: str,
-    dropout: float | None,
-    cfg: training.TrainConfig,
-    test_frac: float,
-    run_dir: str,
-) -> dict:
-    epochs = data.load_epochs(data_path)
-    task = data.build_task(epochs, subject)
-    task = _ensure_split(task, test_frac, cfg.seed)
-    labels = task.labels
-    n_classes = int(labels.max()) + 1
-    model = models.build_model(
-        arch, size, seed=cfg.seed, dropout=dropout, n_classes=max(n_classes, 2)
-    )
-    result = training.train(model, task, cfg, run_dir=run_dir)
-    kind = "mean_last5" if subject is not None else "max_last5"
-    peak = analysis.peak_metric(result.history(), result.cycle_ends, kind)
-    return {
-        "run_dir": run_dir,
-        "subject": subject,
-        "arch": arch,
-        "size": size,
-        "seed": cfg.seed,
-        "peak_metric": peak.value,
-        "peak_kind": kind,
-        "best_epoch": result.best_epoch,
-        "final_test_acc": result.rows[-1].test_acc,
-    }
-
-
-def _train_worker(payload: dict) -> dict:
-    cfg = training.TrainConfig(**payload.pop("cfg"))
-    return _train_one(cfg=cfg, **payload)
-
-
 def cmd_train(args) -> int:
     seed = resolve_seed(args.seed)
     # every TrainConfig field has a flag of the same name; unset flags are None
@@ -202,42 +162,27 @@ def cmd_train(args) -> int:
     overrides.update(track_train_acc=args.track_train_acc or None, seed=seed)
     cfg = _merged_config(training.TrainConfig, args.config, overrides)
 
+    epochs = data.load_epochs(args.data)
     if args.subject == "all":
-        epochs = data.load_epochs(args.data)
         subjects = sorted({m.subject for m in epochs.meta})
-        del epochs
-    elif args.subject is not None:
+    else:
         subjects = [args.subject]
-    else:
-        subjects = [None]
-
     run_root = Path(args.run_dir)
-    payloads = []
     for subject in subjects:
-        sub_dir = run_root if subject is None or len(subjects) == 1 else run_root / f"sub{subject:02d}"
-        payloads.append(
-            dict(
-                data_path=args.data,
-                subject=subject,
-                arch=args.arch,
-                size=args.size,
-                dropout=args.dropout,
-                cfg=dataclasses.asdict(cfg),
-                test_frac=args.test_frac,
-                run_dir=str(sub_dir),
-            )
+        run_dir = run_root / f"sub{subject:02d}" if len(subjects) > 1 else run_root
+        task = _ensure_split(data.build_task(epochs, subject), args.test_frac, cfg.seed)
+        n_classes = int(task.labels.max()) + 1
+        model = models.build_model(
+            args.arch, args.size, seed=cfg.seed, dropout=args.dropout, n_classes=max(n_classes, 2)
         )
-    if args.jobs > 1 and len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(_train_worker, payloads))
-    else:
-        summaries = [_train_worker(p) for p in payloads]
-    for s in summaries:
-        where = "" if s["subject"] is None else f" subject {s['subject']}"
+        result = training.train(model, task, cfg, run_dir=str(run_dir))
+        kind = "mean_last5" if subject is not None else "max_last5"
+        peak = analysis.peak_metric(result.history(), result.cycle_ends, kind)
+        where = "" if subject is None else f" subject {subject}"
         print(
-            f"{s['arch']}-{s['size']}{where}: {s['peak_kind']} = {s['peak_metric']:.4f} "
-            f"(best epoch {s['best_epoch']}, final test acc {s['final_test_acc']:.4f}) "
-            f"-> {s['run_dir']}"
+            f"{args.arch}-{args.size}{where}: {kind} = {peak.value:.4f} "
+            f"(best epoch {result.best_epoch}, final test acc {result.rows[-1].test_acc:.4f}) "
+            f"-> {run_dir}"
         )
     return 0
 
@@ -361,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", default="small", choices=list(models.SIZES))
     p.add_argument("--run-dir", required=True)
     p.add_argument("--subject", type=_subject, help="subject id, or 'all' for one run each")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--config", default=None, help="JSON with TrainConfig fields")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)

@@ -109,9 +109,15 @@ class TrialMeta:
         """Inverse of ``to_dict``; only fields with a default may be absent."""
         try:
             present = [f.name for f in fields(cls) if f.name in d or f.default is MISSING]
-            return cls(**{name: d[name] for name in present})
+            values = {name: d[name] for name in present}
         except KeyError as exc:
             raise DataError(f"metadata record missing field {exc}") from exc
+        for name, value in values.items():
+            kind = str if name in ("concept_name", "category", "split") else int
+            # bool is an int subclass, and a JSON true is no id
+            if type(value) is not kind and not (name == "split" and value is None):
+                raise DataError(f"metadata field {name!r} must be {kind.__name__}, got {value!r}")
+        return cls(**values)
 
 
 @dataclass
@@ -508,6 +514,9 @@ def load_raw(path) -> tuple[RawRecording, list[TrialMeta]]:
         raise DataError(f"{path}: raw sidecar record missing field {exc}") from exc
     if type(sample_rate) is not int:  # bool is an int subclass, and a JSON true is no rate
         raise DataError(f"{path}: raw header sample_rate must be an integer, got {sample_rate!r}")
+    bad = [onset for onset in onsets if type(onset) is not int]
+    if bad:
+        raise DataError(f"{path}: raw event onset must be an integer sample index, got {bad[0]!r}")
     meta = [TrialMeta.from_dict(d) for d in events]
     rec = RawRecording(
         data=np.ascontiguousarray(tensor[0], dtype=np.float64),

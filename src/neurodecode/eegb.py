@@ -33,6 +33,8 @@ Round-trips are bitwise exact.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -58,11 +60,17 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".jsonl")
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise TruncatedPayloadError(f"file ends inside {what}: wanted {n} bytes, got {len(buf)}")
-    return buf
+    # a size is checked against the file before it is read, so a corrupt
+    # header cannot ask for an allocation larger than the file itself
+    left = _bytes_left(fh)
+    if n > left:
+        raise TruncatedPayloadError(f"file ends inside {what}: wanted {n} bytes, got {left}")
+    return fh.read(n)
 
 
 def _json_object(text: str | bytes, what: str) -> dict:
@@ -118,11 +126,12 @@ def read_tensor_file(path: str | Path) -> tuple[np.ndarray, list[dict]]:
             raise DataError(f"{path}: unknown dtype code {dtype_code}")
         dtype = _DTYPE_CODES[dtype_code]
         nbytes = n_trials * n_channels * n_samples * np.dtype(dtype).itemsize
-        raw = fh.read(nbytes + 1)
-    if len(raw) < nbytes:
-        raise TruncatedPayloadError(f"{path}: payload holds {len(raw)} bytes, header promises {nbytes}")
-    if len(raw) > nbytes:
-        raise DataError(f"{path}: trailing bytes after payload")
+        left = _bytes_left(fh)
+        if left < nbytes:
+            raise TruncatedPayloadError(f"{path}: payload holds {left} bytes, header promises {nbytes}")
+        if left > nbytes:
+            raise DataError(f"{path}: trailing bytes after payload")
+        raw = fh.read(nbytes)
     tensor = np.frombuffer(raw, dtype=dtype).reshape(n_trials, n_channels, n_samples)
 
     side = sidecar_path(path)
@@ -179,18 +188,17 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise VersionMismatchError(f"{path}: format version {version}, supported {FORMAT_VERSION}")
         try:
             descriptor = _json_object(_read_exact(fh, json_len, "descriptor"), "descriptor")
-        except ValueError as exc:  # also a descriptor that is not UTF-8
+            (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
+            for _ in range(n_tensors):
+                (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "tensor name length"))
+                name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+                dtype_code, ndim = struct.unpack("<2I", _read_exact(fh, 8, "tensor header"))
+                if dtype_code not in _DTYPE_CODES:
+                    raise DataError(f"{path}: tensor {name!r} has unknown dtype code {dtype_code}")
+                shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "tensor dims"))
+                dtype = np.dtype(_DTYPE_CODES[dtype_code])
+                raw = _read_exact(fh, math.prod(shape) * dtype.itemsize, f"tensor {name!r} payload")
+                tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:  # also a descriptor or tensor name that is not UTF-8
             raise DataError(f"{path}: {exc}") from exc
-        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "tensor name length"))
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-            dtype_code, ndim = struct.unpack("<2I", _read_exact(fh, 8, "tensor header"))
-            if dtype_code not in _DTYPE_CODES:
-                raise DataError(f"{path}: tensor {name!r} has unknown dtype code {dtype_code}")
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "tensor dims"))
-            dtype = np.dtype(_DTYPE_CODES[dtype_code])
-            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            raw = _read_exact(fh, count * dtype.itemsize, f"tensor {name!r} payload")
-            tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return descriptor, tensors

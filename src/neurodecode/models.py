@@ -96,8 +96,12 @@ class Model:
     """Base: parameter/buffer registry, init rng, dropout rng."""
 
     arch = ""
-    # what a checkpoint records to rebuild the model: its class and constructor fields
-    DESCRIPTOR_FIELDS = ("arch", "size", "seed", "dropout", "n_classes", "n_channels", "n_samples")
+    # what a checkpoint records to rebuild the model: its class and constructor
+    # fields, each with the JSON value types it may hold
+    DESCRIPTOR_FIELDS = {
+        "arch": (str,), "size": (str,), "seed": (int,), "dropout": (float, int, type(None)),
+        "n_classes": (int,), "n_channels": (int,), "n_samples": (int,),
+    }
 
     def __init__(
         self,
@@ -570,6 +574,11 @@ def load_model(path) -> Model:
         fields = {name: descriptor[name] for name in Model.DESCRIPTOR_FIELDS}
     except KeyError as exc:
         raise MetaMismatchError(f"{path}: checkpoint descriptor missing field {exc}") from exc
+    for name, kinds in Model.DESCRIPTOR_FIELDS.items():
+        if type(fields[name]) not in kinds:  # exact types: a JSON true is no count
+            raise MetaMismatchError(
+                f"{path}: checkpoint descriptor field {name!r} has the wrong type: {fields[name]!r}"
+            )
     model = build_model(**fields)
     expected = {f"param:{name}" for name, _ in model.named_params()}
     expected |= {f"buffer:{name}" for name, _ in model.named_buffers()}

@@ -7,9 +7,10 @@ downsampling, stimulus-locked epoch extraction over [-200 ms, +500 ms),
 pre-stimulus baseline correction, and per-channel z-scoring of the
 post-stimulus 500 ms crop.
 
-All stages compute in double precision; callers cast to float32 when
-assembling an epoch file.  Every stage is a pure function, safe to apply
-in parallel across recordings.
+The stages after ``downsample`` act on the whole trial stack, one
+n_trials x n_channels x n_samples array, in one call.  All stages
+compute in double precision; ``run_pipeline`` casts to float32.  Every
+stage is a pure function, safe to apply in parallel across recordings.
 """
 
 from __future__ import annotations
@@ -59,24 +60,6 @@ class RawRecording:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class Epoch:
-    """One stimulus-locked window; ``t0_offset`` samples precede onset."""
-
-    data: np.ndarray
-    t0_offset: int
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        object.__setattr__(self, "data", data)
-        if data.ndim != 2:
-            raise DataError(f"epoch data must be channels x samples, got shape {data.shape}")
-        if not 0 <= self.t0_offset <= data.shape[1]:
-            raise DataError(f"t0_offset {self.t0_offset} outside epoch of {data.shape[1]} samples")
-        if not np.all(np.isfinite(data)):
-            raise NumericError("epoch contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -136,52 +119,65 @@ def downsample(rec: RawRecording, target: int) -> RawRecording:
     return replace(rec, data=data, sample_rate=target, event_onsets=onsets)
 
 
+def _samples(ms: float, rate: int) -> int:
+    return int(round(ms / 1000.0 * rate))
+
+
 def extract_epochs(
     rec: RawRecording, pre_ms: float = 200.0, post_ms: float = 500.0
-) -> tuple[list[tuple[int, Epoch]], list[tuple[int, str]]]:
-    """Cut one epoch per event over [-pre_ms, +post_ms).
+) -> tuple[list[int], np.ndarray, list[tuple[int, str]]]:
+    """Cut one window per event over [-pre_ms, +post_ms).
 
-    Returns (kept, skipped): kept pairs (trial_id, epoch); skipped pairs
-    (trial_id, reason) for onsets too close to a recording edge.  Nothing
-    is dropped silently.
+    Returns (trial_ids, windows, skipped): windows is the C-contiguous
+    n_kept x channels x samples stack, row i cut for trial_ids[i];
+    skipped pairs (trial_id, reason) for onsets too close to a recording
+    edge.  Nothing is dropped silently.
     """
-    pre = int(round(pre_ms / 1000.0 * rec.sample_rate))
-    post = int(round(post_ms / 1000.0 * rec.sample_rate))
-    kept: list[tuple[int, Epoch]] = []
+    pre = _samples(pre_ms, rec.sample_rate)
+    post = _samples(post_ms, rec.sample_rate)
+    trial_ids: list[int] = []
+    starts: list[int] = []
     skipped: list[tuple[int, str]] = []
     for onset, trial_id in rec.event_onsets:
         start, stop = onset - pre, onset + post
         if start < 0:
             skipped.append((trial_id, f"window start {start} before recording start"))
-            continue
-        if stop > rec.n_samples:
+        elif stop > rec.n_samples:
             skipped.append((trial_id, f"window end {stop} beyond recording end {rec.n_samples}"))
-            continue
-        kept.append((trial_id, Epoch(data=rec.data[:, start:stop].copy(), t0_offset=pre)))
-    return kept, skipped
+        else:
+            trial_ids.append(trial_id)
+            starts.append(start)
+    index = np.array(starts, dtype=np.intp)[:, None] + np.arange(pre + post)
+    windows = np.ascontiguousarray(rec.data[:, index].transpose(1, 0, 2))
+    if not np.isfinite(windows).all():
+        raise NumericError("epoch contains non-finite values")
+    return trial_ids, windows, skipped
 
 
-def baseline_correct(epoch: Epoch) -> Epoch:
-    """Subtract each channel's mean over the pre-stimulus samples."""
-    if epoch.t0_offset == 0:
+def baseline_correct(windows: np.ndarray, t0: int) -> np.ndarray:
+    """Subtract each channel's mean over the ``t0`` pre-stimulus samples."""
+    if t0 == 0:
         raise DataError("epoch has no pre-stimulus samples to baseline from")
-    base = epoch.data[:, : epoch.t0_offset].mean(axis=1, keepdims=True)
-    return Epoch(data=epoch.data - base, t0_offset=epoch.t0_offset)
+    out = windows - windows[..., :t0].mean(axis=-1, keepdims=True)
+    if not np.isfinite(out).all():
+        raise NumericError("epoch contains non-finite values")
+    return out
 
 
-def crop_and_zscore(epoch: Epoch, eps: float = 1e-8, n_keep: int = 50) -> np.ndarray:
-    """Keep ``n_keep`` post-onset samples and z-score each channel.
+def crop_and_zscore(
+    windows: np.ndarray, t0: int, eps: float = 1e-8, n_keep: int = 50
+) -> np.ndarray:
+    """Keep ``n_keep`` samples from onset ``t0`` and z-score each channel.
 
     Constant channels map to all zeros through the eps guard.
     """
-    t0 = epoch.t0_offset
-    if epoch.data.shape[1] < t0 + n_keep:
+    if windows.shape[-1] < t0 + n_keep:
         raise DataError(
-            f"epoch of {epoch.data.shape[1]} samples cannot supply {n_keep} post-onset samples"
+            f"epoch of {windows.shape[-1]} samples cannot supply {n_keep} post-onset samples"
         )
-    x = epoch.data[:, t0 : t0 + n_keep]
-    mean = x.mean(axis=1, keepdims=True)
-    std = x.std(axis=1, keepdims=True)
+    x = windows[..., t0 : t0 + n_keep]
+    mean = x.mean(axis=-1, keepdims=True)
+    std = x.std(axis=-1, keepdims=True)
     return (x - mean) / (std + eps)
 
 
@@ -198,17 +194,9 @@ def run_pipeline(
     rec = bandpass(rec, *cfg.band)
     rec = downsample(rec, cfg.target_rate)
     pre_ms = -cfg.baseline_window[0]
-    post_ms = cfg.crop_window[1]
-    kept, skipped = extract_epochs(rec, pre_ms=pre_ms, post_ms=post_ms)
-    n_keep = int(round((cfg.crop_window[1] - cfg.crop_window[0]) / 1000.0 * cfg.target_rate))
-    rows = []
-    trial_ids = []
-    for trial_id, ep in kept:
-        ep = baseline_correct(ep)
-        rows.append(crop_and_zscore(ep, eps=cfg.zscore_epsilon, n_keep=n_keep))
-        trial_ids.append(trial_id)
-    if rows:
-        tensor = np.stack(rows).astype(np.float32)
-    else:
-        tensor = np.zeros((0, rec.data.shape[0], n_keep), dtype=np.float32)
-    return tensor, trial_ids, skipped
+    trial_ids, windows, skipped = extract_epochs(rec, pre_ms=pre_ms, post_ms=cfg.crop_window[1])
+    t0 = _samples(pre_ms, rec.sample_rate)
+    n_keep = _samples(cfg.crop_window[1] - cfg.crop_window[0], cfg.target_rate)
+    windows = baseline_correct(windows, t0)
+    tensor = crop_and_zscore(windows, t0, eps=cfg.zscore_epsilon, n_keep=n_keep)
+    return tensor.astype(np.float32), trial_ids, skipped

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from neurodecode import eegb
 from neurodecode.cli import main
 
 
@@ -124,6 +125,23 @@ class TestTrainEvalAnalyze:
         report = tmp_path / "report"
         assert run(["analyze", "--runs", str(rd), "--out", str(report)]) == 0
         assert (report / "metrics.csv").exists()
+
+    def test_subject_all_trains_one_run_per_subject(self, tmp_path, capsys):
+        xor = tmp_path / "xor.eegb"
+        argv = ["synth", "--mode", "xor", "--n-trials", "48", "--n-subjects", "2", "--out", str(xor)]
+        assert run(argv) == 0
+        capsys.readouterr()
+        rd = tmp_path / "runs"
+        argv = ["train", "--data", str(xor), "--arch", "dgcnn", "--epochs", "2",
+                "--subject", "all", "--run-dir", str(rd)]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(p.name for p in rd.iterdir()) == ["sub01", "sub02"]
+        assert all((rd / sub / "model.ckpt").exists() for sub in ("sub01", "sub02"))
+        assert len(lines) == 2
+        for subject, line in zip((1, 2), lines):
+            assert line.startswith(f"dgcnn-small subject {subject}: mean_last5 = ")
+            assert line.endswith(str(rd / f"sub{subject:02d}"))
 
     def test_config_file_merging(self, tmp_path, epochs_file):
         cfg = tmp_path / "cfg.json"
@@ -254,6 +272,27 @@ def signature_file(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def corrupt_dir(tmp_path_factory, trained_run, signature_file):
+    """CLI-written files with one record field of the wrong JSON type each."""
+    root = tmp_path_factory.mktemp("corrupt")
+
+    def retype(src, dst, line_no, key, value):
+        shutil.copy(src, dst)
+        lines = (src.parent / (src.name + ".jsonl")).read_text().splitlines()
+        lines[line_no] = json.dumps({**json.loads(lines[line_no]), key: value})
+        (dst.parent / (dst.name + ".jsonl")).write_text("\n".join(lines) + "\n")
+
+    retype(signature_file, root / "subject.eegb", 0, "subject", "one")
+    raw = root / "raw.eegb"
+    assert run(["synth", "--raw", "--n-trials", "8", "--out", str(raw)]) == 0
+    retype(raw, root / "onset.eegb", 1, "onset", "soon")  # line 0 is the header
+    shutil.copytree(trained_run, root / "run")
+    desc, tensors = eegb.load_checkpoint(root / "run" / "model.ckpt")
+    eegb.save_checkpoint(root / "run" / "model.ckpt", {**desc, "n_classes": "2"}, tensors)
+    return root
+
+
 class TestAnalyzeBadRuns:
     @pytest.mark.parametrize("fname, content", [
         ("manifest.json", None),  # missing
@@ -327,14 +366,27 @@ class TestBadInputs:
         # a 2-class checkpoint scored on labels 0-3
         (["eval", "--run-dir", "{run}", "--data", "{signature}"], 2,
          "data error: labels span 0..3, but the model scores classes 0..1"),
+        # record fields of the wrong JSON type
+        (["baseline", "--data", "{corrupt}/subject.eegb"], 2,
+         "data error: metadata field 'subject' must be int, got 'one'"),
+        (["preprocess", "--raw", "{corrupt}/onset.eegb", "--out", "{tmp}/o.eegb"], 2,
+         "data error: {corrupt}/onset.eegb: raw event onset must be an integer sample index, got 'soon'"),
+        (["eval", "--run-dir", "{corrupt}/run", "--data", "{signature}"], 2,
+         "data error: {corrupt}/run/model.ckpt: checkpoint descriptor field 'n_classes' has the wrong type"),
     ])
     def test_exit_code_and_message(
-        self, tmp_path, capsys, trained_run, signature_file, argv, code, prefix
+        self, tmp_path, capsys, trained_run, signature_file, corrupt_dir, argv, code, prefix
     ):
         (tmp_path / "band.json").write_text(json.dumps({"band": [1]}))
-        paths = {"{tmp}": str(tmp_path), "{run}": str(trained_run), "{signature}": str(signature_file)}
+        paths = {
+            "{tmp}": str(tmp_path),
+            "{run}": str(trained_run),
+            "{signature}": str(signature_file),
+            "{corrupt}": str(corrupt_dir),
+        }
         for key, value in paths.items():
             argv = [a.replace(key, value) for a in argv]
+            prefix = prefix.replace(key, value)
         assert run(argv) == code
         captured = capsys.readouterr()
         assert captured.err.startswith(prefix), captured.err

@@ -73,6 +73,17 @@ class TestEpochFile:
         with pytest.raises(TruncatedPayloadError):
             eegb.read_tensor_file(path)
 
+    def test_header_sizes_beyond_the_file_are_truncation(self, tmp_path):
+        # n_channels = n_samples = 0xFFFFFFFF promises more bytes than a
+        # read call can even ask for; the size is checked before reading
+        path = tmp_path / "epochs.eegb"
+        eegb.write_tensor_file(path, _tensor(), _meta(5))
+        raw = bytearray(path.read_bytes())
+        raw[12:20] = b"\xff" * 8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TruncatedPayloadError, match="header promises"):
+            eegb.read_tensor_file(path)
+
     def test_trailing_garbage_detected(self, tmp_path):
         path = tmp_path / "epochs.eegb"
         eegb.write_tensor_file(path, _tensor(), _meta(5))
@@ -142,6 +153,26 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:-11])
         with pytest.raises(TruncatedPayloadError):
+            eegb.load_checkpoint(path)
+
+    def test_tensor_name_not_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        eegb.save_checkpoint(path, {}, {"param:w": _tensor()})
+        raw = bytearray(path.read_bytes())
+        # magic, version, json_len, b"{}", n_tensors, name_len, then the name
+        raw[22] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=str(path)):
+            eegb.load_checkpoint(path)
+
+    def test_tensor_dims_beyond_the_file_are_truncation(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        eegb.save_checkpoint(path, {}, {"w": _tensor()})
+        raw = bytearray(path.read_bytes())
+        # ... name_len, b"w", dtype, ndim, then the first dim
+        raw[31:35] = b"\xff" * 4
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TruncatedPayloadError, match="tensor 'w' payload"):
             eegb.load_checkpoint(path)
 
     @pytest.mark.parametrize("blob", [b'{"arch": "eeg', b'{"arch": "\xff"}', b'["eegnet"]'])

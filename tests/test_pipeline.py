@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurodecode import data, pipeline
-from neurodecode.errors import DataError
+from neurodecode.errors import DataError, NumericError
 from neurodecode.pipeline import (
-    Epoch,
     PipelineConfig,
     RawRecording,
     bandpass,
@@ -128,37 +127,67 @@ class TestEpochs:
         # onset 5 leaves no room for the 20-sample pre-window; onset 190
         # leaves no room for the 50-sample post-window
         rec = _rec(arr, rate=100, names=("a",), onsets=((5, 0), (100, 1), (190, 2)))
-        kept, skipped = extract_epochs(rec, pre_ms=200, post_ms=500)
-        assert [t for t, _ in kept] == [1]
+        trial_ids, windows, skipped = extract_epochs(rec, pre_ms=200, post_ms=500)
+        assert trial_ids == [1]
         assert sorted(t for t, _ in skipped) == [0, 2]
         for _, reason in skipped:
             assert isinstance(reason, str) and reason
-        ep = kept[0][1]
-        assert ep.data.shape == (1, 70)
-        assert ep.t0_offset == 20
-        np.testing.assert_array_equal(ep.data[0], np.arange(80.0, 150.0))
+        assert windows.shape == (1, 1, 70)
+        assert windows.dtype == np.float64 and windows.flags.c_contiguous
+        np.testing.assert_array_equal(windows[0, 0], np.arange(80.0, 150.0))
+
+    def test_rows_follow_kept_trials(self):
+        arr = np.arange(600, dtype=np.float64).reshape(2, 300)
+        rec = _rec(arr, rate=100, names=("a", "b"), onsets=((250, 7), (30, 4), (280, 9)))
+        trial_ids, windows, skipped = extract_epochs(rec, pre_ms=200, post_ms=500)
+        assert trial_ids == [7, 4] and [t for t, _ in skipped] == [9]
+        np.testing.assert_array_equal(windows[0], arr[:, 230:300])
+        np.testing.assert_array_equal(windows[1], arr[:, 10:80])
 
     def test_baseline_oracle(self):
         # window mean [1, 3] -> 2 and [2, 2] -> 2, subtracted everywhere
-        arr = np.array([[1.0, 3.0, 1.0, 3.0], [2.0, 2.0, 2.0, 2.0]])
-        ep = Epoch(data=arr, t0_offset=2)
-        out = baseline_correct(ep)
-        np.testing.assert_allclose(out.data, [[-1.0, 1.0, -1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        arr = np.array([[[1.0, 3.0, 1.0, 3.0], [2.0, 2.0, 2.0, 2.0]]])
+        out = baseline_correct(np.concatenate([arr, arr + 5.0]), t0=2)
+        expected = [[-1.0, 1.0, -1.0, 1.0], [0.0, 0.0, 0.0, 0.0]]
+        np.testing.assert_allclose(out, [expected, expected])
 
     def test_baseline_requires_window(self):
-        ep = Epoch(data=np.zeros((1, 4)), t0_offset=0)
         with pytest.raises(DataError):
-            baseline_correct(ep)
+            baseline_correct(np.zeros((1, 1, 4)), t0=0)
+
+    def test_non_finite_after_baseline_is_numeric_error(self):
+        windows = np.array([[[0.0, 0.0, np.inf]]])
+        with pytest.raises(NumericError, match="non-finite"):
+            baseline_correct(windows, t0=2)
 
     def test_crop_and_zscore(self):
         rng = np.random.default_rng(2)
-        ep = Epoch(data=rng.standard_normal((3, 70)) * 5 + 2, t0_offset=20)
-        out = crop_and_zscore(ep, n_keep=50)
-        assert out.shape == (3, 50)
-        np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
+        windows = rng.standard_normal((2, 3, 70)) * 5 + 2
+        out = crop_and_zscore(windows, t0=20, n_keep=50)
+        assert out.shape == (2, 3, 50)
+        np.testing.assert_allclose(out.mean(axis=2), 0.0, atol=1e-12)
         # std slightly under 1 because of the epsilon in the denominator
-        assert np.all(out.std(axis=1) < 1.0)
-        assert np.all(out.std(axis=1) > 0.99)
+        assert np.all(out.std(axis=2) < 1.0)
+        assert np.all(out.std(axis=2) > 0.99)
+
+    def test_crop_needs_enough_post_onset_samples(self):
+        with pytest.raises(DataError):
+            crop_and_zscore(np.zeros((1, 1, 60)), t0=20, n_keep=50)
+
+
+def _per_trial_reference(rec, pre=20, post=50, n_keep=50, eps=1e-8):
+    """The epoch stages one trial at a time: cut, baseline, crop, z-score."""
+    rows, trial_ids = [], []
+    for onset, trial_id in rec.event_onsets:
+        if onset - pre < 0 or onset + post > rec.n_samples:
+            continue
+        ep = rec.data[:, onset - pre : onset + post].copy()
+        ep = ep - ep[:, :pre].mean(axis=1, keepdims=True)
+        x = ep[:, pre : pre + n_keep]
+        std = x.std(axis=1, keepdims=True)
+        rows.append((x - x.mean(axis=1, keepdims=True)) / (std + eps))
+        trial_ids.append(trial_id)
+    return np.stack(rows), trial_ids
 
 
 class TestFullPipeline:
@@ -186,6 +215,38 @@ class TestFullPipeline:
         t2, _, _ = run_pipeline(rec, PipelineConfig())
         assert np.array_equal(t1.view(np.uint8), t2.view(np.uint8))
 
+    @pytest.mark.parametrize("seed, n_trials, lead_in_ms", [(0, 120, 120), (5, 64, 50), (7, 10, 0)])
+    def test_stack_matches_per_trial_reference(self, seed, n_trials, lead_in_ms):
+        cfg = data.SynthConfig(mode="linear", n_trials=n_trials, seed=seed)
+        rec, _ = data.generate_raw(cfg, lead_in_ms=lead_in_ms)
+        down = downsample(bandpass(rereference(rec, "Cz"), 1.0, 40.0), 100)
+        ref, ref_ids = _per_trial_reference(down)
+        tensor, trial_ids, _ = run_pipeline(rec, PipelineConfig())
+        assert trial_ids == ref_ids
+        assert tensor.shape == ref.shape
+        assert tensor.tobytes() == ref.astype(np.float32).tobytes()
+        # the float64 stack before the cast, bit for bit: row reductions
+        # over the stack must sum in the per-trial order
+        _, windows, _ = extract_epochs(down)
+        assert crop_and_zscore(baseline_correct(windows, 20), 20).tobytes() == ref.tobytes()
+
+    def test_recording_shorter_than_a_window(self):
+        cfg = data.SynthConfig(mode="linear", n_trials=2, seed=0)
+        rec, _ = data.generate_raw(cfg, lead_in_ms=0)
+        short = RawRecording(rec.data[:, :300], rec.channel_names, rec.sample_rate, ((10, 0), (200, 1)))
+        tensor, trial_ids, skipped = run_pipeline(short, PipelineConfig())
+        assert tensor.shape == (0, 63, 50) and tensor.dtype == np.float32
+        assert trial_ids == [] and [t for t, _ in skipped] == [0, 1]
+
+    def test_nan_sample_is_numeric_error(self):
+        cfg = data.SynthConfig(mode="linear", n_trials=10, seed=7)
+        rec, _ = data.generate_raw(cfg)
+        bad = rec.data.copy()
+        bad[5, 1500] = np.nan
+        rec = RawRecording(bad, rec.channel_names, rec.sample_rate, rec.event_onsets)
+        with pytest.raises(NumericError, match="epoch contains non-finite values"):
+            run_pipeline(rec, PipelineConfig())
+
     def test_config_validation(self):
         with pytest.raises(DataError):
             PipelineConfig(band=(0.0, 40.0))
@@ -202,11 +263,9 @@ class TestFullPipeline:
 def test_zscore_scale_shift_invariance(scale, shift, seed):
     """Per-channel z-scoring is invariant to affine rescaling (up to eps)."""
     rng = np.random.default_rng(seed)
-    base = rng.standard_normal((4, 70))
-    ep_a = Epoch(data=base.copy(), t0_offset=20)
-    ep_b = Epoch(data=base * scale + shift, t0_offset=20)
-    za = crop_and_zscore(ep_a)
-    zb = crop_and_zscore(ep_b)
+    base = rng.standard_normal((3, 4, 70))
+    za = crop_and_zscore(base, t0=20)
+    zb = crop_and_zscore(base * scale + shift, t0=20)
     np.testing.assert_allclose(za, zb, atol=1e-4)
 
 
