@@ -325,12 +325,15 @@ def write_comparison(runs: list[Run], out_dir: str | Path, kind: str) -> str | N
 
 
 _PALETTE = ["#1b6ca8", "#c23b22", "#2e8540", "#8e44ad", "#d98e04", "#16777e", "#7f8c8d"]
+SVG_WIDTH = 860
+LINE_CHART_HEIGHT = 420
+N_TICKS = 5
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * i / (N_TICKS - 1) for i in range(N_TICKS)]
 
 
 def svg_line_chart(
@@ -338,10 +341,9 @@ def svg_line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 860,
-    height: int = 420,
 ) -> str:
     """Self-contained line chart; one polyline per named series."""
+    width, height = SVG_WIDTH, LINE_CHART_HEIGHT
     ml, mr, mt, mb = 62, 160, 40, 48
     iw, ih = width - ml - mr, height - mt - mb
     all_x = [v for xs, _ in series.values() for v in xs]
@@ -402,15 +404,9 @@ def svg_line_chart(
     return "\n".join(parts)
 
 
-def svg_bar_chart(
-    names: list[str],
-    values: list[float],
-    title: str,
-    xlabel: str,
-    width: int = 860,
-    v_max: float = 1.0,
-) -> str:
-    """Horizontal bar chart, one bar per name, in the order given."""
+def svg_bar_chart(names: list[str], values: list[float], title: str, xlabel: str) -> str:
+    """Horizontal bar chart, one bar per name, in the order given; bars span 0 to 1."""
+    width = SVG_WIDTH
     bar_h, gap = 16, 6
     ml, mr, mt, mb = 210, 70, 40, 40
     ih = len(names) * (bar_h + gap)
@@ -424,7 +420,7 @@ def svg_bar_chart(
     ]
     for i, (name, value) in enumerate(zip(names, values)):
         y = mt + i * (bar_h + gap)
-        w = iw * max(min(value / v_max, 1.0), 0.0)
+        w = iw * max(min(value, 1.0), 0.0)
         parts.append(
             f'<rect x="{ml}" y="{y}" width="{w:.1f}" height="{bar_h}" fill="{_PALETTE[0]}"/>'
         )

@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff: tensors, ops, and gradient checking."""
 
 from . import ops
-from .core import Parameter, Tensor, constant, grad_enabled, no_grad
+from .core import Parameter, Tensor, constant, no_grad
 from .gradcheck import FD_STEP, GradCheckReport, grad_check, relative_error
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "Tensor",
     "constant",
     "grad_check",
-    "grad_enabled",
     "no_grad",
     "ops",
     "relative_error",

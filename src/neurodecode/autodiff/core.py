@@ -32,10 +32,6 @@ def no_grad():
         _grad_enabled = old
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 def check_finite(data: np.ndarray, op: str) -> None:
     # one reduction instead of a full isfinite map; any NaN/Inf poisons the sum
     if not np.isfinite(np.sum(data, dtype=np.float64)):

@@ -31,6 +31,10 @@ from scipy.special import expit
 from ..errors import NumericError
 from .core import Tensor, constant, make, no_grad
 
+BN_MOMENTUM = 0.1
+NORM_EPS = 1e-5
+POWER_ITERATIONS = 20
+
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to the shape it was broadcast from."""
@@ -103,12 +107,12 @@ def relu(x: Tensor) -> Tensor:
     return make(out, (x,), backward, "relu")
 
 
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    neg = alpha * np.expm1(x.data)
+def elu(x: Tensor) -> Tensor:
+    neg = np.expm1(x.data)
     out = np.where(x.data > 0, x.data, neg)
 
     def backward(g):
-        x.accumulate(g * np.where(x.data > 0, 1.0, neg + alpha))
+        x.accumulate(g * np.where(x.data > 0, 1.0, neg + 1.0))
 
     return make(out, (x,), backward, "elu")
 
@@ -181,25 +185,21 @@ def stack(tensors: list[Tensor], axis: int) -> Tensor:
     return make(out, tuple(tensors), backward, "stack")
 
 
-def mean_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out = x.data.mean(axis=axis, keepdims=keepdims)
+def mean_axis(x: Tensor, axis: int) -> Tensor:
+    out = x.data.mean(axis=axis)
     n = x.data.shape[axis]
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        x.accumulate(np.broadcast_to(g / n, x.data.shape).copy())
+        x.accumulate(np.broadcast_to(np.expand_dims(g, axis) / n, x.data.shape).copy())
 
     return make(out, (x,), backward, "mean")
 
 
-def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+def sum_axis(x: Tensor, axis: int) -> Tensor:
+    out = x.data.sum(axis=axis)
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        x.accumulate(np.broadcast_to(g, x.data.shape).copy())
+        x.accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
 
     return make(out, (x,), backward, "sum")
 
@@ -328,8 +328,6 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Batch normalization over all axes except axis 1.
 
@@ -352,14 +350,14 @@ def batch_norm(
     if training:
         mean = x.data.mean(axis=axes, keepdims=True)
         var = x.data.var(axis=axes, keepdims=True)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.reshape(-1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.reshape(-1)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean.reshape(-1)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var.reshape(-1)
     else:
         mean = running_mean.reshape(bshape).astype(x.data.dtype)
         var = running_var.reshape(bshape).astype(x.data.dtype)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mean) * inv
     if gamma is None:
         out = xhat
@@ -387,11 +385,11 @@ def batch_norm(
     return make(out, parents, backward, "batch_norm")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then affine."""
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mean) * inv
     out = gamma.data * xhat + beta.data
     reduce_axes = tuple(range(x.data.ndim - 1))
@@ -531,12 +529,12 @@ def multi_head_attention(
 # ------------------------------------------------------------ graph convolution
 
 
-def _power_iteration_max_eig(mat: np.ndarray, iters: int = 20) -> float:
+def _power_iteration_max_eig(mat: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
     n = mat.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n), dtype=np.float64)
     m = mat.astype(np.float64)
-    for _ in range(iters):
+    for _ in range(POWER_ITERATIONS):
         v = m @ v
         norm = np.linalg.norm(v)
         if norm < 1e-12:
@@ -558,13 +556,13 @@ def _normalized_laplacian(adj: Tensor) -> Tensor:
     return sub(constant(np.eye(n, dtype=dtype)), norm)
 
 
-def laplacian_spectral_radius(adj_data: np.ndarray, iters: int = 20) -> float:
+def laplacian_spectral_radius(adj_data: np.ndarray) -> float:
     """lambda_max of the normalized Laplacian the graph conv builds, from raw
     values and off the tape; pins the estimate across the repeated forwards
     of a gradient check."""
     with no_grad():
         lap = _normalized_laplacian(constant(adj_data))
-    return _power_iteration_max_eig(lap.data, iters=iters)
+    return _power_iteration_max_eig(lap.data)
 
 
 def chebyshev_graph_conv(

@@ -99,7 +99,7 @@ def csp_features(model: CspModel, x: np.ndarray) -> np.ndarray:
     return np.log(var / var.sum(axis=1, keepdims=True))
 
 
-def fit_lda(feats: np.ndarray, y: np.ndarray, shrinkage: float = LDA_SHRINKAGE) -> LdaModel:
+def fit_lda(feats: np.ndarray, y: np.ndarray) -> LdaModel:
     """Two-class LDA with diagonal shrinkage of the pooled covariance."""
     feats = np.asarray(feats, dtype=np.float64)
     y = np.asarray(y)
@@ -112,7 +112,7 @@ def fit_lda(feats: np.ndarray, y: np.ndarray, shrinkage: float = LDA_SHRINKAGE) 
     centered[y == 0] -= mu0
     centered[y == 1] -= mu1
     pooled = centered.T @ centered / (n - 2)
-    pooled = pooled + shrinkage * np.mean(np.diag(pooled)) * np.eye(pooled.shape[0])
+    pooled = pooled + LDA_SHRINKAGE * np.mean(np.diag(pooled)) * np.eye(pooled.shape[0])
     try:
         weights = np.linalg.solve(pooled, mu1 - mu0)
     except np.linalg.LinAlgError as exc:
@@ -121,7 +121,7 @@ def fit_lda(feats: np.ndarray, y: np.ndarray, shrinkage: float = LDA_SHRINKAGE) 
     return LdaModel(weights=weights, bias=bias)
 
 
-def fit_csp_lda(x: np.ndarray, y: np.ndarray, n_pairs: int = N_FILTER_PAIRS) -> CspLdaPipeline:
-    csp = fit_csp(x, y, n_pairs=n_pairs)
+def fit_csp_lda(x: np.ndarray, y: np.ndarray) -> CspLdaPipeline:
+    csp = fit_csp(x, y)
     lda = fit_lda(csp_features(csp, x), y)
     return CspLdaPipeline(csp=csp, lda=lda)

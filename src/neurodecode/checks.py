@@ -183,11 +183,7 @@ def check_op_gradients() -> list[tuple[str, GradCheckReport]]:
 
 
 def check_model_gradients(
-    arch: str,
-    size: str,
-    sample: int = MODEL_CHECK_SAMPLE,
-    batch: int = MODEL_CHECK_BATCH,
-    seed: int = 0,
+    arch: str, size: str, sample: int = MODEL_CHECK_SAMPLE, seed: int = 0
 ) -> GradCheckReport:
     """Sampled gradient check of one architecture at one size."""
     model = build_model(arch, size, seed=seed, dropout=0.0)
@@ -195,8 +191,8 @@ def check_model_gradients(
     if arch == "dgcnn":
         model.lam_max = ops.laplacian_spectral_radius(model.adj.data)
     rng = np.random.default_rng(seed + 17)
-    x = rng.standard_normal((batch, model.n_channels, model.n_samples))
-    y = rng.integers(0, model.n_classes, size=batch)
+    x = rng.standard_normal((MODEL_CHECK_BATCH, model.n_channels, model.n_samples))
+    y = rng.integers(0, model.n_classes, size=MODEL_CHECK_BATCH)
 
     def loss_fn():
         return model.loss(x, y, training=True)

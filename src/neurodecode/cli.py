@@ -157,9 +157,9 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     seed = resolve_seed(args.seed)
-    # every TrainConfig field has a flag of the same name; unset flags are None
+    # build_parser gives every TrainConfig field a flag of the same name; unset flags are None
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(training.TrainConfig)}
-    overrides.update(track_train_acc=args.track_train_acc or None, seed=seed)
+    overrides["seed"] = seed
     cfg = _merged_config(training.TrainConfig, args.config, overrides)
 
     epochs = data.load_epochs(args.data)
@@ -172,8 +172,15 @@ def cmd_train(args) -> int:
         run_dir = run_root / f"sub{subject:02d}" if len(subjects) > 1 else run_root
         task = _ensure_split(data.build_task(epochs, subject), args.test_frac, cfg.seed)
         n_classes = int(task.labels.max()) + 1
+        _, n_channels, n_samples = task.tensor.shape
         model = models.build_model(
-            args.arch, args.size, seed=cfg.seed, dropout=args.dropout, n_classes=max(n_classes, 2)
+            args.arch,
+            args.size,
+            seed=cfg.seed,
+            dropout=args.dropout,
+            n_classes=max(n_classes, 2),
+            n_channels=n_channels,
+            n_samples=n_samples,
         )
         result = training.train(model, task, cfg, run_dir=str(run_dir))
         kind = "mean_last5" if subject is not None else "max_last5"
@@ -307,18 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True)
     p.add_argument("--subject", type=_subject, help="subject id, or 'all' for one run each")
     p.add_argument("--config", default=None, help="JSON with TrainConfig fields")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr-max", type=float, default=None)
-    p.add_argument("--lr-min", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--restart-t0", type=int, default=None)
-    p.add_argument("--restart-mult", type=int, default=None)
+    for f in dataclasses.fields(training.TrainConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
     p.add_argument("--dropout", type=float, default=None)
     p.add_argument("--test-frac", type=float, default=0.2)
-    p.add_argument("--track-train-acc", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("baseline", help="CSP + LDA reference decoder")

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import eegb
 from .errors import DataError
-from .pipeline import RawRecording
+from .pipeline import RawRecording, crop_and_zscore
 
 # Category table for the animacy task: category name -> number of
 # concepts.  Label 1 = alive, 0 = not alive; anything absent (e.g.
@@ -58,6 +58,9 @@ N_CONCEPTS = sum(ALIVE_CATEGORIES.values()) + sum(NONLIVING_CATEGORIES.values())
 
 N_CHANNELS = 63
 N_SAMPLES = 50
+# the raw recording: a 1 kHz stream with one stimulus every 100 ms
+RAW_RATE = 1000
+RAW_INTERVAL_MS = 100.0
 
 # Per-mode signal-to-noise defaults, fixed by the pilot sweep in
 # scripts/pilot_snr.py (see its header for the recorded accuracies).
@@ -263,13 +266,13 @@ def _envelopes(n_samples: int = N_SAMPLES, rate: int = 100) -> tuple[np.ndarray,
     return w1, w2
 
 
-def _patterns(rng: np.random.Generator, count: int, n_channels: int = N_CHANNELS) -> np.ndarray:
+def _patterns(rng: np.random.Generator, count: int) -> np.ndarray:
     """Mutually orthogonal spatial patterns, each scaled to unit per-channel RMS."""
-    if count > n_channels:
-        raise DataError(f"cannot draw {count} orthogonal patterns in {n_channels} channels")
-    raw = rng.standard_normal((n_channels, count))
+    if count > N_CHANNELS:
+        raise DataError(f"cannot draw {count} orthogonal patterns in {N_CHANNELS} channels")
+    raw = rng.standard_normal((N_CHANNELS, count))
     q, _ = np.linalg.qr(raw)
-    return (q * np.sqrt(n_channels)).T.copy()
+    return (q * np.sqrt(N_CHANNELS)).T.copy()
 
 
 def _pink_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -295,20 +298,14 @@ def _background(
     return (own + mixed) / np.sqrt(2.0)
 
 
-def _zscore(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    std = x.std(axis=-1, keepdims=True)
-    return ((x - mean) / (std + eps)).astype(np.float32)
-
-
-def _synthetic_concepts(per_class: int = 16) -> dict[int, list[tuple[int, str, str]]]:
-    """Small per-class concept pools drawn from the real category table."""
+def _synthetic_concepts() -> dict[int, list[tuple[int, str, str]]]:
+    """Small per-class concept pools, 16 each, drawn from the real category table."""
     pools: dict[int, list[tuple[int, str, str]]] = {0: [], 1: []}
     full = concept_table()
     for label in (1, 0):
         cats = list((ALIVE_CATEGORIES if label else NONLIVING_CATEGORIES).keys())
         k = 0
-        while len(pools[label]) < per_class:
+        while len(pools[label]) < 16:
             category = cats[k % len(cats)]
             # pick the (k // len(cats))-th concept of that category
             nth = k // len(cats)
@@ -406,7 +403,9 @@ def generate_synthetic(cfg: SynthConfig) -> EpochSet:
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         noise = _background(rng_noise, stop - start, mixing, N_CHANNELS, N_SAMPLES)
-        tensor[start:stop] = _zscore(noise + cfg.effective_snr * signal(slice(start, stop)))
+        tensor[start:stop] = crop_and_zscore(
+            noise + cfg.effective_snr * signal(slice(start, stop)), 0, n_keep=N_SAMPLES
+        )
 
     if cfg.mode == "subject_signature":
         meta = [
@@ -419,18 +418,15 @@ def generate_synthetic(cfg: SynthConfig) -> EpochSet:
 
 
 def generate_raw(
-    cfg: SynthConfig,
-    sample_rate: int = 1000,
-    lead_in_ms: float = 1000.0,
-    stimulus_interval_ms: float = 100.0,
+    cfg: SynthConfig, lead_in_ms: float = 1000.0
 ) -> tuple[RawRecording, list[TrialMeta]]:
-    """Continuous 64-channel recording for exercising the preprocessing chain.
+    """Continuous 64-channel 1 kHz recording for exercising the preprocessing chain.
 
     The trials are the linear mode's: the same seed draws the same
     patterns, labels and metadata as ``generate_synthetic``.  The
     reference channel carries only the shared common-mode component,
     so re-referencing recovers the clean per-channel signal.  Stimuli
-    arrive every ``stimulus_interval_ms`` after a ``lead_in_ms`` quiet
+    arrive every 100 ms after a ``lead_in_ms`` quiet
     period; a short lead-in leaves early trials too close to the edge
     so they surface through the skip report rather than silently.
     """
@@ -443,8 +439,9 @@ def generate_raw(
     pats, mixing = _spatial(rng_pat)
     labels, phases = _linear_labels(rng_lab, n)
 
+    sample_rate = RAW_RATE
     lead_in = int(round(lead_in_ms / 1000.0 * sample_rate))
-    interval = int(round(stimulus_interval_ms / 1000.0 * sample_rate))
+    interval = int(round(RAW_INTERVAL_MS / 1000.0 * sample_rate))
     trial_len = int(round(0.5 * sample_rate))
     total = lead_in + (n - 1) * interval + trial_len + sample_rate
 
@@ -507,11 +504,15 @@ def load_raw(path) -> tuple[RawRecording, list[TrialMeta]]:
     if header.get("kind") != "raw":
         raise DataError(f"{path} sidecar does not declare kind=raw")
     try:
-        channel_names = tuple(header["channel_names"])
+        channel_names = header["channel_names"]
         sample_rate = header["sample_rate"]
         onsets = [d.pop("onset") for d in events]
     except KeyError as exc:
         raise DataError(f"{path}: raw sidecar record missing field {exc}") from exc
+    if type(channel_names) is not list or any(type(name) is not str for name in channel_names):
+        raise DataError(
+            f"{path}: raw header channel_names must be a list of strings, got {channel_names!r}"
+        )
     if type(sample_rate) is not int:  # bool is an int subclass, and a JSON true is no rate
         raise DataError(f"{path}: raw header sample_rate must be an integer, got {sample_rate!r}")
     bad = [onset for onset in onsets if type(onset) is not int]
@@ -520,7 +521,7 @@ def load_raw(path) -> tuple[RawRecording, list[TrialMeta]]:
     meta = [TrialMeta.from_dict(d) for d in events]
     rec = RawRecording(
         data=np.ascontiguousarray(tensor[0], dtype=np.float64),
-        channel_names=channel_names,
+        channel_names=tuple(channel_names),
         sample_rate=sample_rate,
         event_onsets=tuple(zip(onsets, (m.trial_id for m in meta))),
     )

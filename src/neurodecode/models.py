@@ -24,6 +24,9 @@ from .autodiff import Parameter, Tensor, constant, no_grad, ops
 from .errors import DataError, MetaMismatchError, UsageError
 
 N_CLASSES = 2
+# trials per forward pass when evaluating; the batching also fixes the
+# summation order, and so the bytes, of the evaluation loss
+EVAL_BATCH = 256
 
 ARCHITECTURES = ("eegnet", "lstm", "dgcnn", "transformer", "conformer")
 SIZES = ("small", "medium", "large")
@@ -79,15 +82,15 @@ CONFORMER_SIZES = {
 }
 
 
-def eval_logits(model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def eval_logits(model, x: np.ndarray) -> np.ndarray:
     """Evaluation-mode logits of every trial, a batch at a time, without building a tape.
 
     Needs only ``model.forward`` and ``model.n_classes``.
     """
     with no_grad():
         out = [
-            model.forward(x[start : start + batch_size], training=False).data
-            for start in range(0, len(x), batch_size)
+            model.forward(x[start : start + EVAL_BATCH], training=False).data
+            for start in range(0, len(x), EVAL_BATCH)
         ]
     return np.concatenate(out) if out else np.zeros((0, model.n_classes))
 
@@ -119,6 +122,10 @@ class Model:
         self.dropout = DROPOUT_BY_SIZE[size] if dropout is None else float(dropout)
         if not 0.0 <= self.dropout < 1.0:
             raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
+        shape = {"n_classes": n_classes, "n_channels": n_channels, "n_samples": n_samples}
+        for name, value in shape.items():
+            if value < 1:
+                raise UsageError(f"{name} must be at least 1, got {value}")
         self.n_classes = n_classes
         self.n_channels = n_channels
         self.n_samples = n_samples
@@ -194,9 +201,9 @@ class Model:
         """Mean cross-entropy of the batch."""
         return ops.cross_entropy(self.forward(x, training), y)
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Class predictions in evaluation mode, without building a tape."""
-        return np.argmax(eval_logits(self, x, batch_size), axis=1)
+        return np.argmax(eval_logits(self, x), axis=1)
 
     def descriptor(self) -> dict:
         return {name: getattr(self, name) for name in self.DESCRIPTOR_FIELDS}
@@ -291,6 +298,10 @@ class EEGNet(Model):
         c = EEGNET_SIZES[self.size]
         f1, depth, f2 = c["f1"], c["depth"], c["f2"]
         self.f1, self.depth, self.f2 = f1, depth, f2
+        # time steps left after pooling by 4 and then 8; the head reads all of them
+        self.n_pooled = self.n_samples // 4 // 8
+        if self.n_pooled == 0:
+            raise UsageError(f"eegnet needs at least 32 samples, got {self.n_samples}")
         k = self.TEMPORAL_KERNEL
         self.w_temporal = self._uniform("temporal.w", (f1, 1, k), k)
         # bn1 -> spatial conv -> bn2 is a linear sandwich: bn2 undoes
@@ -302,8 +313,9 @@ class EEGNet(Model):
         self.w_sep_depth = self._uniform("separable.depth", (f1 * depth, ks), ks)
         self.w_sep_point = self._uniform("separable.point", (f2, f1 * depth), f1 * depth)
         self.bn3 = _BatchNorm(self, f2, "bn3")
-        self.w_head = self._uniform("head.w", (f2, self.n_classes), f2)
-        self.b_head = self._uniform("head.b", (self.n_classes,), f2)
+        flat = f2 * self.n_pooled
+        self.w_head = self._uniform("head.w", (flat, self.n_classes), flat)
+        self.b_head = self._uniform("head.b", (self.n_classes,), flat)
 
     def forward(self, x, training):
         x = self._input(x)
@@ -320,7 +332,7 @@ class EEGNet(Model):
         h = ops.elu(h)
         h = ops.avg_pool_time(h, 8)
         h = self._drop(h, training)
-        h = ops.reshape(h, (x.shape[0], self.f2))
+        h = ops.reshape(h, (x.shape[0], self.f2 * self.n_pooled))
         return ops.dense(h, self.w_head, self.b_head)
 
 
@@ -453,6 +465,8 @@ class Conformer(Model):
 
     def __init__(self, **kw):
         super().__init__(**kw)
+        if self.n_samples < self.POOL:
+            raise UsageError(f"conformer needs at least {self.POOL} samples, got {self.n_samples}")
         c = CONFORMER_SIZES[self.size]
         self.f, self.layers = c["f"], c["layers"]
         self.heads, self.head_hidden = c["heads"], c["head_hidden"]
@@ -579,7 +593,10 @@ def load_model(path) -> Model:
             raise MetaMismatchError(
                 f"{path}: checkpoint descriptor field {name!r} has the wrong type: {fields[name]!r}"
             )
-    model = build_model(**fields)
+    try:
+        model = build_model(**fields)
+    except UsageError as exc:
+        raise MetaMismatchError(f"{path}: checkpoint describes no buildable model: {exc}") from exc
     expected = {f"param:{name}" for name, _ in model.named_params()}
     expected |= {f"buffer:{name}" for name, _ in model.named_buffers()}
     if expected != set(tensors):

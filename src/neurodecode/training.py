@@ -24,11 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import PEAK_WINDOW
 from .autodiff import constant, ops
 from .autodiff.core import Parameter, check_finite
 from .data import EpochSet, TrialMeta
 from .errors import DataError, NumericError, UsageError
-from .models import Model, eval_logits, save_model
+from .models import EVAL_BATCH, Model, eval_logits, save_model
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class TrainConfig:
     restart_t0: int = 15
     restart_mult: int = 2
     seed: int = 0
-    track_train_acc: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -113,7 +113,6 @@ class EpochRow:
     train_loss: float
     test_loss: float
     test_acc: float
-    train_acc: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -146,7 +145,7 @@ class EvalResult:
         }
 
 
-def evaluate(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> EvalResult:
+def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> EvalResult:
     """Evaluation-mode metrics.  A class never predicted scores
     precision 0.0; a class absent from ``y`` scores recall 0.0."""
     y = np.asarray(y)
@@ -154,13 +153,13 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int = 256) 
         raise DataError(
             f"labels span {y.min()}..{y.max()}, but the model scores classes 0..{model.n_classes - 1}"
         )
-    logits = eval_logits(model, x, batch_size)
+    logits = eval_logits(model, x)
     preds = np.argmax(logits, axis=1)
     # batch by batch, not in one call: the summation order fixes the bytes of test_loss
     loss_sum = 0.0
-    for start in range(0, len(y), batch_size):
-        batch = logits[start : start + batch_size]
-        loss = ops.cross_entropy(constant(batch), y[start : start + batch_size])
+    for start in range(0, len(y), EVAL_BATCH):
+        batch = logits[start : start + EVAL_BATCH]
+        loss = ops.cross_entropy(constant(batch), y[start : start + EVAL_BATCH])
         loss_sum += float(loss.data) * len(batch)
     accuracy = float(np.mean(preds == y))
     per_class = []
@@ -227,7 +226,7 @@ def train(
     cycle_ends = restart_epochs(cfg.restart_t0, cfg.restart_mult, cfg.epochs)
     windowed = set()
     for end in cycle_ends:
-        windowed.update(range(max(1, end - 4), end + 1))
+        windowed.update(range(max(1, end - PEAK_WINDOW + 1), end + 1))
 
     started = datetime.datetime.now(datetime.timezone.utc)
     rows: list[EpochRow] = []
@@ -245,9 +244,6 @@ def train(
             sgd_step(model.params(), lr, cfg.momentum, cfg.weight_decay)
             loss_sum += float(loss.data) * len(idx)
         test_eval = evaluate(model, x_test, y_test)
-        train_acc = None
-        if cfg.track_train_acc:
-            train_acc = evaluate(model, x_train, y_train).accuracy
         rows.append(
             EpochRow(
                 epoch=epoch,
@@ -255,7 +251,6 @@ def train(
                 train_loss=loss_sum / n,
                 test_loss=test_eval.loss,
                 test_acc=test_eval.accuracy,
-                train_acc=train_acc,
             )
         )
         if epoch in windowed and test_eval.accuracy > best_acc:

@@ -3,12 +3,14 @@
 import json
 import os
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from neurodecode import eegb
 from neurodecode.cli import main
+from neurodecode.training import TrainConfig
 
 
 def run(argv):
@@ -125,6 +127,12 @@ class TestTrainEvalAnalyze:
         report = tmp_path / "report"
         assert run(["analyze", "--runs", str(rd), "--out", str(report)]) == 0
         assert (report / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("arch", ["eegnet", "lstm", "dgcnn", "transformer", "conformer"])
+    def test_model_sized_from_the_data(self, tmp_path, epochs_200hz, arch):
+        data, rd = str(epochs_200hz), str(tmp_path / "run")
+        assert run(["train", "--data", data, "--arch", arch, "--epochs", "1", "--run-dir", rd]) == 0
+        assert run(["eval", "--run-dir", rd, "--data", data]) == 0
 
     def test_subject_all_trains_one_run_per_subject(self, tmp_path, capsys):
         xor = tmp_path / "xor.eegb"
@@ -265,6 +273,16 @@ def trained_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def epochs_200hz(tmp_path_factory):
+    """63 x 100 epochs: preprocessing at 200 Hz, where the default rate gives 50 samples."""
+    root = tmp_path_factory.mktemp("prep200")
+    raw, prep = root / "raw.eegb", root / "prep.eegb"
+    assert run(["synth", "--n-trials", "16", "--raw", "--out", str(raw)]) == 0
+    assert run(["preprocess", "--raw", str(raw), "--out", str(prep), "--target-rate", "200"]) == 0
+    return prep
+
+
+@pytest.fixture(scope="module")
 def signature_file(tmp_path_factory):
     out = tmp_path_factory.mktemp("signature") / "signature.eegb"
     argv = ["synth", "--mode", "subject_signature", "--n-trials", "64", "--seed", "0", "--out", str(out)]
@@ -287,9 +305,12 @@ def corrupt_dir(tmp_path_factory, trained_run, signature_file):
     raw = root / "raw.eegb"
     assert run(["synth", "--raw", "--n-trials", "8", "--out", str(raw)]) == 0
     retype(raw, root / "onset.eegb", 1, "onset", "soon")  # line 0 is the header
+    retype(raw, root / "names.eegb", 0, "channel_names", 5)
     shutil.copytree(trained_run, root / "run")
     desc, tensors = eegb.load_checkpoint(root / "run" / "model.ckpt")
     eegb.save_checkpoint(root / "run" / "model.ckpt", {**desc, "n_classes": "2"}, tensors)
+    shutil.copytree(trained_run, root / "empty")
+    eegb.save_checkpoint(root / "empty" / "model.ckpt", {**desc, "n_samples": 0}, tensors)
     return root
 
 
@@ -373,6 +394,11 @@ class TestBadInputs:
          "data error: {corrupt}/onset.eegb: raw event onset must be an integer sample index, got 'soon'"),
         (["eval", "--run-dir", "{corrupt}/run", "--data", "{signature}"], 2,
          "data error: {corrupt}/run/model.ckpt: checkpoint descriptor field 'n_classes' has the wrong type"),
+        (["preprocess", "--raw", "{corrupt}/names.eegb", "--out", "{tmp}/o.eegb"], 2,
+         "data error: {corrupt}/names.eegb: raw header channel_names must be a list of strings"),
+        # right types, but values no model takes
+        (["eval", "--run-dir", "{corrupt}/empty", "--data", "{signature}"], 2,
+         "data error: {corrupt}/empty/model.ckpt: checkpoint describes no buildable model"),
     ])
     def test_exit_code_and_message(
         self, tmp_path, capsys, trained_run, signature_file, corrupt_dir, argv, code, prefix
@@ -396,4 +422,7 @@ class TestBadInputs:
         with pytest.raises(SystemExit) as exc:
             run(["train", "--help"])
         assert exc.value.code == 0
-        assert "--subject" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--subject" in out
+        # one flag per TrainConfig field
+        assert all(f"--{f.name.replace('_', '-')} " in out for f in fields(TrainConfig))

@@ -171,6 +171,24 @@ class TestCheckpoints:
         with pytest.raises(MetaMismatchError, match=f"missing field '{field}'"):
             models.load_model(p)
 
+    @pytest.mark.parametrize("arch, field, value", [
+        ("eegnet", "arch", "cnn"),
+        ("eegnet", "size", "huge"),
+        ("eegnet", "dropout", 1.5),
+        ("eegnet", "n_channels", -1),
+        ("eegnet", "n_samples", 0),
+        ("conformer", "n_samples", 1),
+    ])
+    def test_descriptor_value_that_builds_no_model_rejected(self, tmp_path, arch, field, value):
+        from neurodecode import eegb
+
+        p = tmp_path / "m.ckpt"
+        models.save_model(p, build_model(arch, "small", seed=0))
+        desc, tensors = eegb.load_checkpoint(p)
+        eegb.save_checkpoint(p, {**desc, field: value}, tensors)
+        with pytest.raises(MetaMismatchError, match="describes no buildable model"):
+            models.load_model(p)
+
     def test_param_order_preserved(self, tmp_path):
         m = build_model("conformer", "small", seed=0)
         p = tmp_path / "m.ckpt"

@@ -1,0 +1,30 @@
+"""The scripts under scripts/ still run against the library's current API."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import neurodecode
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_run_benchmark_writes_report(tmp_path):
+    src = str(Path(neurodecode.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, str(SCRIPTS / "run_benchmark.py"), "--seeds", "2",
+            "--archs", "dgcnn", "lstm", "--epochs", "1", "--n-trials", "200", "--out", str(tmp_path)]
+    subprocess.run(argv, env=env, check=True, capture_output=True)
+    for name in ("baseline.json", "report/metrics.csv", "report/comparison.txt"):
+        assert (tmp_path / name).exists(), name
+
+
+def test_pilot_snr_helpers():
+    spec = importlib.util.spec_from_file_location("pilot_snr", SCRIPTS / "pilot_snr.py")
+    pilot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pilot)
+    assert pilot.csp_accuracy("linear", 1.2, 200, 0) == 1.0
+    assert 0.0 <= pilot.decoder_accuracy("linear", 1.2, 64, 0, 1) <= 1.0

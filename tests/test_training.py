@@ -184,14 +184,6 @@ class TestTrainLoop:
         assert res.predictions.shape == (16,)
         assert len(res.test_meta) == 16
 
-    def test_train_acc_tracked_on_request(self):
-        cfg = TrainConfig(epochs=1, batch_size=16, seed=0, track_train_acc=True)
-        res = training.train(build_model("eegnet", "small", seed=0), self._dataset(), cfg)
-        assert res.rows[0].train_acc is not None
-        cfg_off = TrainConfig(epochs=1, batch_size=16, seed=0)
-        res_off = training.train(build_model("eegnet", "small", seed=0), self._dataset(), cfg_off)
-        assert res_off.rows[0].train_acc is None
-
     def test_run_dir_artifacts(self, tmp_path):
         cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
         run = tmp_path / "run"
