@@ -7,8 +7,8 @@ gradients, and audit parameter budgets.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
 (missing or malformed files), 3 numeric failure (non-finite values,
-failed checks).  When ``--seed`` is omitted the ``NEURODECODE_SEED``
-environment variable is consulted before falling back to 0.
+failed checks).  The seed is ``--seed``, else (``train``) the config
+file's, else the ``NEURODECODE_SEED`` environment variable, else 0.
 
 Config files are plain JSON objects whose keys are the dataclass field
 names (``TrainConfig`` for ``train``, ``PipelineConfig`` for
@@ -82,6 +82,8 @@ def _load_config_dict(path: str | None, cls) -> dict:
 def _merged_config(cls, config_path: str | None, overrides: dict):
     base = _load_config_dict(config_path, cls)
     base.update({k: v for k, v in overrides.items() if v is not None})
+    if "seed" in overrides and base.get("seed") is None:  # flag, then file, then NEURODECODE_SEED
+        base["seed"] = resolve_seed(None)
     try:
         return cls(**base)
     except (TypeError, ValueError) as exc:
@@ -156,10 +158,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    seed = resolve_seed(args.seed)
     # build_parser gives every TrainConfig field a flag of the same name; unset flags are None
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(training.TrainConfig)}
-    overrides["seed"] = seed
     cfg = _merged_config(training.TrainConfig, args.config, overrides)
 
     epochs = data.load_epochs(args.data)

@@ -1,10 +1,13 @@
 """Autodiff core: op oracles, gradient checks, guard rails."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 from neurodecode import checks
 from neurodecode.autodiff import ops
@@ -78,6 +81,47 @@ class TestForwardOracles:
         b = param(np.arange(4.0))
         out = ops.dense(x, w, b)
         np.testing.assert_allclose(out.data, x.data @ w.data + b.data)
+
+    @pytest.mark.parametrize(
+        "x_data",
+        [
+            np.arange(60.0).reshape(3, 5, 4) % 7 - 3,
+            np.arange(120.0).reshape(2, 3, 5, 4) % 11 - 5,
+            (np.arange(60.0).reshape(5, 3, 4) % 7 - 3).transpose(1, 0, 2),
+        ],
+        ids=["3-d", "4-d", "transposed"],
+    )
+    def test_dense_folded_matches_a_loop_of_row_products(self, x_data):
+        rng = np.random.default_rng(0)
+        x = Parameter(x_data)
+        w, b = param(rng.standard_normal((4, 6))), param(rng.standard_normal(6))
+        g = rng.standard_normal((*x_data.shape[:-1], 6))
+        out = ops.dense(x, w, b)
+        out.backward(g)
+        rows, g_rows = x_data.reshape(-1, 4), g.reshape(-1, 6)
+        products = [
+            (r[None] @ w.data, gr[None] @ w.data.T, r[:, None] @ gr[None])
+            for r, gr in zip(rows, g_rows)
+        ]
+        fwd, gx, gw = (np.concatenate(p) for p in zip(*products))
+        np.testing.assert_allclose(out.data, (fwd + b.data).reshape(g.shape), rtol=1e-12)
+        np.testing.assert_allclose(x.grad, gx.reshape(x_data.shape), rtol=1e-12)
+        np.testing.assert_allclose(w.grad, gw.reshape(-1, 4, 6).sum(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(b.grad, g_rows.sum(axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_expit(self, dtype):
+        x = np.linspace(-30.0, 30.0, 20001).astype(dtype)
+        got = ops.sigmoid(constant(x)).data
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, expit(x), rtol=4 * np.finfo(dtype).eps, atol=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_saturates_exactly_without_warnings(self, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ops.sigmoid(constant(np.array([-1000.0, 1000.0], dtype=dtype))).data
+        np.testing.assert_array_equal(out, [0.0, 1.0])
 
     def test_softmax_known_values(self):
         logits = constant(np.array([[0.0, np.log(3.0)]]))

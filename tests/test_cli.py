@@ -260,6 +260,20 @@ class TestTrainEvalAnalyze:
         )
         assert json.loads((rd / "config.json").read_text())["train"]["seed"] == 3
 
+    @pytest.mark.parametrize("env_seed", [None, "7"])
+    def test_config_file_seed_beats_env_seed(self, tmp_path, epochs_file, monkeypatch, env_seed):
+        if env_seed is None:
+            monkeypatch.delenv("NEURODECODE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("NEURODECODE_SEED", env_seed)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"seed": 5, "epochs": 1, "batch_size": 16}))
+        rd = tmp_path / "run"
+        argv = ["train", "--data", str(epochs_file), "--arch", "eegnet", "--config", str(cfg)]
+        assert run([*argv, "--run-dir", str(rd)]) == 0
+        train_cfg = json.loads((rd / "config.json").read_text())["train"]
+        assert (train_cfg["seed"], train_cfg["epochs"]) == (5, 1)
+
 
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
