@@ -71,13 +71,7 @@ def main() -> None:
             run_dirs.append(str(run_dir))
 
     print("== report ==")
-    runs = analysis.collect_runs(run_dirs)
-    paths = analysis.emit_report(runs, out / "report")
-    text = analysis.write_comparison(runs, out / "report", "max_last5")
-    if text is not None:
-        print(text)
-    for name, p in sorted(paths.items()):
-        print(f"  {name}: {p}")
+    print("\n".join(analysis.analyze(run_dirs, out / "report", "max_last5")))
 
 
 if __name__ == "__main__":

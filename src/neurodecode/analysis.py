@@ -528,3 +528,13 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
             )
     paths["categories"] = cat_csv
     return paths
+
+
+def analyze(run_dirs: list[str | Path], out_dir: str | Path, kind: str) -> list[str]:
+    """Write the report folder (and comparison.txt when the runs pair by seed);
+    return the comparison text, if any, then one ``name: path`` line per file."""
+    runs = collect_runs(run_dirs)
+    paths = emit_report(runs, out_dir)
+    text = write_comparison(runs, out_dir, kind)
+    lines = [] if text is None else [text]
+    return lines + [f"{name}: {p}" for name, p in sorted(paths.items())]

@@ -5,6 +5,12 @@ entry against the tape's gradient.  Checks run in double precision
 only: float32 round-off swamps the signal long before the tolerances
 of interest here.
 
+A kink (a ReLU's corner) inside the step makes a right gradient look
+wrong.  An entry whose error exceeds ``P99_TOL`` and whose one-sided
+slopes differ by more than its central slope misses the analytic one
+straddles a kink: it is differenced again at ``KINK_STEP`` and keeps the
+smaller of its two errors.  A wrong gradient is wrong at both steps.
+
 The checker also guards against nondeterministic forward passes (a
 live dropout mask, an unseeded generator): it evaluates the loss twice
 before differencing and refuses to certify gradients whose reference
@@ -21,6 +27,7 @@ from ..errors import NumericError, UsageError
 from .core import Parameter, no_grad
 
 FD_STEP = 1e-5
+KINK_STEP = FD_STEP / 100
 # a report passes when its relative errors stay within all three
 MEDIAN_TOL = 1e-6
 P99_TOL = 1e-4
@@ -46,6 +53,7 @@ class GradCheckReport:
     checks: list[ParamCheck]
     rel_errors: np.ndarray
     deterministic: bool = True
+    kinks: int = 0  # entries re-differenced at KINK_STEP
 
     @property
     def max_rel(self) -> float:
@@ -71,7 +79,8 @@ class GradCheckReport:
     def summary(self) -> str:
         return (
             f"{len(self.checks)} tensors, {self.rel_errors.size} entries: "
-            f"median {self.median_rel:.3e}, p99 {self.p99_rel:.3e}, max {self.max_rel:.3e}"
+            f"median {self.median_rel:.3e}, p99 {self.p99_rel:.3e}, max {self.max_rel:.3e}, "
+            f"{self.kinks} kinks"
         )
 
 
@@ -82,14 +91,28 @@ def _entry_indices(p: Parameter, sample: int | None, rng: np.random.Generator) -
     return np.sort(rng.choice(size, size=sample, replace=False))
 
 
+def _losses_at(loss_fn, flat: np.ndarray, i: int, step: float) -> tuple[float, float]:
+    """The loss with entry ``i`` of ``flat`` moved up, then down, by ``step``."""
+    orig = flat[i]
+    try:
+        with no_grad():
+            flat[i] = orig + step
+            f_plus = float(loss_fn().data)
+            flat[i] = orig - step
+            f_minus = float(loss_fn().data)
+    finally:
+        flat[i] = orig
+    return f_plus, f_minus
+
+
 def grad_check(
     loss_fn,
     params: list[tuple[str, Parameter]],
-    step: float = FD_STEP,
     sample: int | None = None,
     seed: int = 0,
 ) -> GradCheckReport:
-    """Compare tape gradients of ``loss_fn`` against central differences.
+    """Compare tape gradients of ``loss_fn`` against central differences
+    at ``FD_STEP``, re-checking kinked entries at ``KINK_STEP``.
 
     Parameters
     ----------
@@ -99,8 +122,6 @@ def grad_check(
         be frozen by the caller.
     params : list of (name, Parameter)
         Float64 parameters reached by ``loss_fn``.
-    step : float
-        Central-difference half-step.
     sample : int or None
         Entries checked per tensor; None checks every entry.  Sampling
         is seeded and reproducible.
@@ -121,17 +142,17 @@ def grad_check(
                 f"gradient check requires float64 parameters; {name!r} is {p.data.dtype}"
             )
     first = float(loss_fn().data)
-    second_t = loss_fn()
-    second = float(second_t.data)
-    if first != second:
+    centre = loss_fn()
+    f0 = float(centre.data)
+    if first != f0:
         raise NumericError(
             "nondeterministic forward pass: two evaluations of the loss at the same "
-            f"point returned {first!r} and {second!r}; freeze dropout masks and seed "
+            f"point returned {first!r} and {f0!r}; freeze dropout masks and seed "
             "every random source before checking gradients"
         )
     for _, p in params:
         p.grad = None
-    second_t.backward()
+    centre.backward()
     analytic = {name: np.array(p.grad, copy=True) for name, p in params}
     for name, p in params:
         if p.grad is None:
@@ -140,24 +161,29 @@ def grad_check(
     rng = np.random.default_rng(seed)
     checks = []
     all_rel = []
+    kinks = 0
     for name, p in params:
         idx = _entry_indices(p, sample, rng)
         flat = p.data.reshape(-1)
         a_flat = analytic[name].reshape(-1)
         worst = (0.0, (0,), 0.0, 0.0)
         for i in idx:
-            orig = flat[i]
-            with no_grad():
-                flat[i] = orig + step
-                f_plus = float(loss_fn().data)
-                flat[i] = orig - step
-                f_minus = float(loss_fn().data)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            rel = relative_error(float(a_flat[i]), numeric)
+            a = float(a_flat[i])
+            f_plus, f_minus = _losses_at(loss_fn, flat, i, FD_STEP)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
+            rel = relative_error(a, numeric)
+            # a kink inside the step: the one-sided slopes (f_plus - f0)/h and
+            # (f0 - f_minus)/h differ by more than the central slope misses
+            if rel > P99_TOL and abs((f_plus - f0) - (f0 - f_minus)) / FD_STEP > abs(numeric - a):
+                kinks += 1
+                f_plus, f_minus = _losses_at(loss_fn, flat, i, KINK_STEP)
+                fine = (f_plus - f_minus) / (2.0 * KINK_STEP)
+                # not the new error outright: round-off swamps tiny entries at KINK_STEP
+                if relative_error(a, fine) < rel:
+                    rel, numeric = relative_error(a, fine), fine
             all_rel.append(rel)
             if rel >= worst[0]:
-                worst = (rel, np.unravel_index(i, p.data.shape), float(a_flat[i]), numeric)
+                worst = (rel, np.unravel_index(i, p.data.shape), a, numeric)
         checks.append(
             ParamCheck(
                 name=name,
@@ -168,4 +194,4 @@ def grad_check(
                 worst_numeric=worst[3],
             )
         )
-    return GradCheckReport(checks=checks, rel_errors=np.array(all_rel))
+    return GradCheckReport(checks=checks, rel_errors=np.array(all_rel), kinks=kinks)

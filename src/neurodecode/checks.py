@@ -7,10 +7,11 @@ hours for no extra information.  Sampling is deterministic, so a
 failure reproduces.
 
 A model is checked through its ordinary training-mode loss, built so
-that the loss is a smooth deterministic function of the parameters:
-dropout is set to 0, batch norm normalizes with batch statistics and
-never reads the running buffers it updates, and for dgcnn the graph
-Laplacian's spectral-radius estimate is pinned at its starting value.
+that the loss is a deterministic function of the parameters: dropout is
+set to 0, and batch norm normalizes with batch statistics and never
+reads the running buffers it updates.  dgcnn needs no pin: its Laplacian
+bound is the constant lambda_max = 2 (Kipf & Welling, ICLR 2017, section
+2.2).  ``grad_check`` re-checks ReLU kinks inside the step.
 """
 
 from __future__ import annotations
@@ -25,12 +26,8 @@ MODEL_CHECK_SAMPLE = 4
 MODEL_CHECK_BATCH = 4
 
 
-def _p(rng: np.random.Generator, *shape: int, away_from_zero: bool = False) -> Parameter:
-    data = rng.standard_normal(shape)
-    if away_from_zero:
-        # keep |x| >= 0.2 so kinked activations (relu, elu) stay one-sided
-        data = np.sign(data) * (np.abs(data) + 0.2)
-    return Parameter(data)
+def _p(rng: np.random.Generator, *shape: int) -> Parameter:
+    return Parameter(rng.standard_normal(shape))
 
 
 def _mean_all(t: Tensor) -> Tensor:
@@ -65,9 +62,9 @@ def op_check_cases() -> list[tuple[str, object, list[tuple[str, Parameter]]]]:
     e = _p(rng, 3, 3)
     case("scale_pow", [e], lambda: _mean_all(ops.powc(ops.scale(ops.mul(e, e), 0.5), 1.5)))
 
-    f = _p(rng, 4, 6, away_from_zero=True)
+    f = _p(rng, 4, 6)
     case("relu", [f], lambda: _mean_all(ops.relu(f)))
-    g = _p(rng, 4, 6, away_from_zero=True)
+    g = _p(rng, 4, 6)
     case("elu", [g], lambda: _mean_all(ops.elu(g)))
     h = _p(rng, 5, 3)
     case("sigmoid_tanh", [h], lambda: _mean_all(ops.mul(ops.sigmoid(h), ops.tanh(h))))
@@ -154,11 +151,10 @@ def op_check_cases() -> list[tuple[str, object, list[tuple[str, Parameter]]]]:
     ch_adj = Parameter(ch_rng.uniform(0.01, 0.05, (5, 5)) * (1.0 - np.eye(5)))
     ch_t = [Parameter(ch_rng.standard_normal((4, 3))) for _ in range(3)]
     ch_b = Parameter(ch_rng.standard_normal(3))
-    ch_lam = ops.laplacian_spectral_radius(ch_adj.data)
     case(
         "chebyshev_graph_conv",
         [ch_x, ch_adj, *ch_t, ch_b],
-        lambda: _mean_all(ops.chebyshev_graph_conv(ch_x, ch_t, ch_adj, ch_b, lam_max=ch_lam)),
+        lambda: _mean_all(ops.chebyshev_graph_conv(ch_x, ch_t, ch_adj, ch_b)),
     )
 
     z_l = _p(rng, 6, 3)
@@ -182,14 +178,11 @@ def check_op_gradients() -> list[tuple[str, GradCheckReport]]:
     return results
 
 
-def check_model_gradients(
-    arch: str, size: str, sample: int = MODEL_CHECK_SAMPLE, seed: int = 0
-) -> GradCheckReport:
-    """Sampled gradient check of one architecture at one size."""
+def check_model_gradients(arch: str, size: str, seed: int = 0) -> GradCheckReport:
+    """Gradient check of one architecture at one size, ``MODEL_CHECK_SAMPLE``
+    entries per parameter tensor."""
     model = build_model(arch, size, seed=seed, dropout=0.0)
     model.to_float64()
-    if arch == "dgcnn":
-        model.lam_max = ops.laplacian_spectral_radius(model.adj.data)
     rng = np.random.default_rng(seed + 17)
     x = rng.standard_normal((MODEL_CHECK_BATCH, model.n_channels, model.n_samples))
     y = rng.integers(0, model.n_classes, size=MODEL_CHECK_BATCH)
@@ -197,4 +190,4 @@ def check_model_gradients(
     def loss_fn():
         return model.loss(x, y, training=True)
 
-    return grad_check(loss_fn, model.named_params(), sample=sample, seed=seed)
+    return grad_check(loss_fn, model.named_params(), sample=MODEL_CHECK_SAMPLE, seed=seed)

@@ -228,13 +228,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    runs = analysis.collect_runs(args.runs)
-    paths = analysis.emit_report(runs, args.out)
-    text = analysis.write_comparison(runs, args.out, args.headline)
-    if text is not None:
-        print(text)
-    for name, p in sorted(paths.items()):
-        print(f"{name}: {p}")
+    print("\n".join(analysis.analyze(args.runs, args.out, args.headline)))
     return 0
 
 
@@ -251,7 +245,7 @@ def cmd_gradcheck(args) -> int:
         sizes = [args.size] if args.size else list(models.SIZES)
         for arch in archs:
             for size in sizes:
-                report = checks.check_model_gradients(arch, size, sample=args.sample)
+                report = checks.check_model_gradients(arch, size)
                 status = "PASS" if report.passed else "FAIL"
                 print(f"model {arch}-{size:<8} {report.summary()}  {status}")
                 if not report.passed:
@@ -344,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=["all", "ops", "models"], default="all")
     p.add_argument("--arch", default=None, choices=list(models.ARCHITECTURES))
     p.add_argument("--size", default=None, choices=list(models.SIZES))
-    p.add_argument("--sample", type=int, default=checks.MODEL_CHECK_SAMPLE)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("audit-params", help="parameter counts vs size-budget targets")

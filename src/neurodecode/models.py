@@ -376,9 +376,9 @@ class LstmNet(Model):
 class Dgcnn(Model):
     """Chebyshev graph convolutions over a learned channel graph.
 
-    One adjacency is shared by every layer.  The spectral radius of its
-    Laplacian is re-estimated each forward pass unless ``lam_max`` pins
-    it; a gradient check pins it, so the differenced function is smooth.
+    One adjacency is shared by every layer.  Its normalized Laplacian is
+    rescaled by the fixed spectral bound lambda_max = 2 (Kipf & Welling,
+    ICLR 2017, section 2.2), so no estimate of it enters the forward.
     """
 
     arch = "dgcnn"
@@ -404,15 +404,12 @@ class Dgcnn(Model):
         self.b_node = self._uniform("node.b", (self.node_dense,), self.hidden)
         self.w_head = self._uniform("head.w", (self.node_dense, self.n_classes), self.node_dense)
         self.b_head = self._uniform("head.b", (self.n_classes,), self.node_dense)
-        self.lam_max: float | None = None
 
     def forward(self, x, training):
         x = self._input(x)
         h = constant(x)
         for thetas, bias in self.cheb:
-            h = ops.relu(
-                ops.chebyshev_graph_conv(h, thetas, self.adj, bias, lam_max=self.lam_max)
-            )
+            h = ops.relu(ops.chebyshev_graph_conv(h, thetas, self.adj, bias))
         h = ops.relu(ops.dense(h, self.w_node, self.b_node))
         h = ops.mean_axis(h, axis=1)
         h = self._drop(h, training)

@@ -379,8 +379,6 @@ class TestChecks:
 class TestBadInputs:
     """Every malformed input ends in its documented exit code and message."""
 
-    GRADCHECK = ["gradcheck", "--scope", "models", "--arch", "eegnet", "--size", "small"]
-
     @pytest.mark.parametrize("argv, code, prefix", [
         ([], 1, "error: neurodecode: the following arguments are required: command"),
         (["synth"], 1, "error: neurodecode synth: the following arguments are required: --out"),
@@ -392,8 +390,6 @@ class TestBadInputs:
           "--subject", "abc"], 1, "error: neurodecode train: argument --subject: expected"),
         (["preprocess", "--raw", "{tmp}/raw.eegb", "--out", "{tmp}/o.eegb",
           "--config", "{tmp}/band.json"], 1, "error: bad PipelineConfig:"),
-        (GRADCHECK + ["--sample", "-1"], 1, "error: gradient check sample must be at least 1"),
-        (GRADCHECK + ["--sample", "0"], 1, "error: gradient check sample must be at least 1"),
         (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "-5", "--out", "{tmp}/raw.eegb"], 2,
          "data error: lead_in_ms must be finite and not negative"),
         (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "nan", "--out", "{tmp}/raw.eegb"], 2,
