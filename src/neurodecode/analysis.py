@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from .data import ALIVE_CATEGORIES, NONLIVING_CATEGORIES, category_to_label
-from .errors import DataError
+from .errors import DataError, check_fields
 
 PEAK_WINDOW = 5
 
@@ -221,22 +221,12 @@ def compare_decoders(metrics: dict[str, list[float]]) -> ComparisonReport:
 
 # ------------------------------------------------------------------ reporting
 
-def _typed(v, kind) -> bool:
-    """Whether a run-file value is of its field's kind: any JSON number for
-    float, a list of ints for list, decimal text for "digits" (csv columns)."""
-    if kind == "digits":
-        return isinstance(v, str) and v.isdecimal()
-    if kind is list:
-        return isinstance(v, list) and all(_typed(e, int) for e in v)
-    return isinstance(v, (int, float) if kind is float else kind) and not isinstance(v, bool)
-
-
 # file name, parser, and the kind of each field every record must carry
 _RUN_FILES = (
     (
         "manifest.json",
         lambda fh: [json.load(fh)],
-        {"arch": str, "size": str, "seed": int, "best_epoch": int, "cycle_ends": list},
+        {"arch": str, "size": str, "seed": int, "best_epoch": int, "cycle_ends": [int]},
     ),
     (
         "history.jsonl",
@@ -280,11 +270,7 @@ def _read_run(rd: Path) -> Run:
         if not rows:
             raise DataError(f"{path} holds no records")
         for row in rows:
-            if not (isinstance(row, dict) and kinds.keys() <= row.keys()):
-                raise DataError(f"{path}: every record needs the fields {list(kinds)}")
-            bad = [key for key, kind in kinds.items() if not _typed(row[key], kind)]
-            if bad:
-                raise DataError(f"{path}: field {bad[0]!r} has the bad value {row[bad[0]]!r}")
+            check_fields(row, kinds, path)
         records.append(rows)
     (manifest,), history, predictions = records
     return Run(rd.name, rd, manifest, history, predictions)

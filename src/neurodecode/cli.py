@@ -7,12 +7,16 @@ gradients, and audit parameter budgets.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
 (missing or malformed files), 3 numeric failure (non-finite values,
-failed checks).  The seed is ``--seed``, else (``train``) the config
-file's, else the ``NEURODECODE_SEED`` environment variable, else 0.
+failed checks).  A closed stdout (``neurodecode gradcheck | head -1``)
+exits 1 without a traceback.  The seed is ``--seed``, else (``train``)
+the config file's, else the ``NEURODECODE_SEED`` environment variable,
+else 0.
 
 Config files are plain JSON objects whose keys are the dataclass field
-names (``TrainConfig`` for ``train``, ``PipelineConfig`` for
-``preprocess``); explicit flags override file values.
+names (``TrainConfig`` for ``train``; for ``preprocess``, the three of
+``PipelineConfig``: ``ref_channel``, ``band``, ``target_rate``); explicit
+flags override file values.  A value of the wrong JSON type for its
+field's default (an ``epochs`` of ``1.5`` or ``true``) is a usage error.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, baseline, checks, data, models, pipeline, training
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError, check_fields
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,13 +72,16 @@ def _load_config_dict(path: str | None, cls) -> dict:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {p} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise UsageError(f"config file {p} must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - known)
+    # a field's JSON kind is its default's type, as for its flag (a tuple: a list of its items')
+    kinds = {
+        f.name: [type(f.default[0])] if type(f.default) is tuple else type(f.default)
+        for f in dataclasses.fields(cls)
+    }
+    check_fields(raw, kinds, f"config file {p}", UsageError, required=())
+    unknown = sorted(set(raw) - kinds.keys())
     if unknown:
         raise UsageError(
-            f"config file {p} has unknown {cls.__name__} fields {unknown}; known: {sorted(known)}"
+            f"config file {p} has unknown {cls.__name__} fields {unknown}; known: {sorted(kinds)}"
         )
     return raw
 
@@ -107,7 +114,6 @@ def cmd_synth(args) -> int:
         n_subjects=args.n_subjects,
         snr=args.snr,
         seed=seed,
-        test_frac=args.test_frac,
     )
     if args.raw:
         rec, meta = data.generate_raw(cfg, lead_in_ms=args.lead_in_ms)
@@ -118,7 +124,7 @@ def cmd_synth(args) -> int:
         )
         return 0
     epochs = data.generate_synthetic(cfg)
-    epochs = data.split(epochs, cfg.test_frac, seed)
+    epochs = data.split(epochs, args.test_frac, seed)
     data.save_epochs(args.out, epochs)
     n_test = sum(1 for m in epochs.meta if m.split == "test")
     print(
@@ -351,7 +357,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,9 +2,9 @@
 
 The decoding task is binary animacy classification over visual-object
 concepts grouped into eleven categories.  This module owns the category
-to label table, the full-scale experimental design (subjects x concepts
-x repetitions), train/test splitting, and seeded synthetic generators
-used to exercise every downstream stage at desk scale:
+to label table and the concept inventory, train/test splitting, and
+seeded synthetic generators used to exercise every downstream stage at
+desk scale:
 
 ``linear``
     Class-signed spatial pattern with a fixed temporal envelope, plus a
@@ -28,12 +28,12 @@ noise, labels) are reproducible bit for bit across runs and platforms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import eegb
-from .errors import DataError
+from .errors import DataError, check_fields
 from .pipeline import RawRecording, crop_and_zscore
 
 # Category table for the animacy task: category name -> number of
@@ -108,19 +108,18 @@ class TrialMeta:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrialMeta":
-        """Inverse of ``to_dict``; only fields with a default may be absent."""
-        try:
-            present = [f.name for f in fields(cls) if f.name in d or f.default is MISSING]
-            values = {name: d[name] for name in present}
-        except KeyError as exc:
-            raise DataError(f"metadata record missing field {exc}") from exc
-        for name, value in values.items():
-            kind = str if name in ("concept_name", "category", "split") else int
-            # bool is an int subclass, and a JSON true is no id
-            if type(value) is not kind and not (name == "split" and value is None):
-                raise DataError(f"metadata field {name!r} must be {kind.__name__}, got {value!r}")
-        return cls(**values)
+    def from_dict(cls, d: dict, where) -> "TrialMeta":
+        """Inverse of ``to_dict`` for a record read from ``where``; only split may be absent."""
+        check_fields(d, _META_KINDS, where, required=_META_REQUIRED)
+        return cls(**{name: d[name] for name in _META_KINDS if name in d})
+
+
+# the JSON kind of each TrialMeta field
+_META_KINDS = {
+    "trial_id": int, "subject": int, "concept_id": int, "concept_name": str,
+    "category": str, "label": int, "split": (str, None),
+}
+_META_REQUIRED = _META_KINDS.keys() - {"split"}
 
 
 @dataclass
@@ -178,28 +177,6 @@ def concept_table() -> list[tuple[int, str, str, int]]:
     return rows
 
 
-def animacy_design(n_subjects: int = 46, repetitions: int = 12) -> list[TrialMeta]:
-    """Full-scale trial design: every subject sees every concept ``repetitions`` times."""
-    concepts = concept_table()
-    rows = []
-    trial_id = 0
-    for subject in range(1, n_subjects + 1):
-        for _rep in range(repetitions):
-            for cid, name, category, label in concepts:
-                rows.append(
-                    TrialMeta(
-                        trial_id=trial_id,
-                        subject=subject,
-                        concept_id=cid,
-                        concept_name=name,
-                        category=category,
-                        label=label,
-                    )
-                )
-                trial_id += 1
-    return rows
-
-
 def build_task(epochs: EpochSet, subject: int | None = None) -> EpochSet:
     """Select the cross-subject task (all trials) or one subject's trials."""
     if subject is None:
@@ -233,7 +210,6 @@ class SynthConfig:
     n_subjects: int = 4
     snr: float | None = None  # None: per-mode default from the pilot sweep
     seed: int = 0
-    test_frac: float = 0.2
 
     def __post_init__(self):
         if self.mode not in ("linear", "xor", "subject_signature"):
@@ -476,7 +452,7 @@ def save_epochs(path, epochs: EpochSet) -> None:
 def load_epochs(path) -> EpochSet:
     tensor, lines = eegb.read_tensor_file(path)
     eegb.check_meta_length(path, tensor.shape[0], len(lines))
-    return EpochSet(tensor, [TrialMeta.from_dict(d) for d in lines])
+    return EpochSet(tensor, [TrialMeta.from_dict(d, path) for d in lines])
 
 
 def save_raw(path, rec: RawRecording, meta: list[TrialMeta]) -> None:
@@ -496,6 +472,11 @@ def save_raw(path, rec: RawRecording, meta: list[TrialMeta]) -> None:
     eegb.write_tensor_file(path, rec.data[None, :, :].astype(np.float64), lines)
 
 
+# the JSON kinds of a raw sidecar's header line, and the field each event line adds
+_RAW_HEADER_KINDS = {"channel_names": [str], "sample_rate": int}
+_EVENT_KINDS = {"onset": int}
+
+
 def load_raw(path) -> tuple[RawRecording, list[TrialMeta]]:
     tensor, lines = eegb.read_tensor_file(path)
     if tensor.shape[0] != 1 or not lines:
@@ -503,26 +484,13 @@ def load_raw(path) -> tuple[RawRecording, list[TrialMeta]]:
     header, *events = lines
     if header.get("kind") != "raw":
         raise DataError(f"{path} sidecar does not declare kind=raw")
-    try:
-        channel_names = header["channel_names"]
-        sample_rate = header["sample_rate"]
-        onsets = [d.pop("onset") for d in events]
-    except KeyError as exc:
-        raise DataError(f"{path}: raw sidecar record missing field {exc}") from exc
-    if type(channel_names) is not list or any(type(name) is not str for name in channel_names):
-        raise DataError(
-            f"{path}: raw header channel_names must be a list of strings, got {channel_names!r}"
-        )
-    if type(sample_rate) is not int:  # bool is an int subclass, and a JSON true is no rate
-        raise DataError(f"{path}: raw header sample_rate must be an integer, got {sample_rate!r}")
-    bad = [onset for onset in onsets if type(onset) is not int]
-    if bad:
-        raise DataError(f"{path}: raw event onset must be an integer sample index, got {bad[0]!r}")
-    meta = [TrialMeta.from_dict(d) for d in events]
+    check_fields(header, _RAW_HEADER_KINDS, path)
+    onsets = [check_fields(d, _EVENT_KINDS, path)["onset"] for d in events]
+    meta = [TrialMeta.from_dict(d, path) for d in events]
     rec = RawRecording(
         data=np.ascontiguousarray(tensor[0], dtype=np.float64),
-        channel_names=tuple(channel_names),
-        sample_rate=sample_rate,
+        channel_names=tuple(header["channel_names"]),
+        sample_rate=header["sample_rate"],
         event_onsets=tuple(zip(onsets, (m.trial_id for m in meta))),
     )
     return rec, meta

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import eegb
 from .autodiff import Parameter, Tensor, constant, no_grad, ops
-from .errors import DataError, MetaMismatchError, UsageError
+from .errors import DataError, MetaMismatchError, UsageError, check_fields
 
 N_CLASSES = 2
 # trials per forward pass when evaluating; the batching also fixes the
@@ -100,10 +100,10 @@ class Model:
 
     arch = ""
     # what a checkpoint records to rebuild the model: its class and constructor
-    # fields, each with the JSON value types it may hold
+    # fields, each with the JSON kind it holds (see errors.check_fields)
     DESCRIPTOR_FIELDS = {
-        "arch": (str,), "size": (str,), "seed": (int,), "dropout": (float, int, type(None)),
-        "n_classes": (int,), "n_channels": (int,), "n_samples": (int,),
+        "arch": str, "size": str, "seed": int, "dropout": (float, None),
+        "n_classes": int, "n_channels": int, "n_samples": int,
     }
 
     def __init__(
@@ -581,15 +581,8 @@ def save_model(path, model: Model) -> None:
 def load_model(path) -> Model:
     """Rebuild a model from a checkpoint; shapes and names must round-trip."""
     descriptor, tensors = eegb.load_checkpoint(path)
-    try:
-        fields = {name: descriptor[name] for name in Model.DESCRIPTOR_FIELDS}
-    except KeyError as exc:
-        raise MetaMismatchError(f"{path}: checkpoint descriptor missing field {exc}") from exc
-    for name, kinds in Model.DESCRIPTOR_FIELDS.items():
-        if type(fields[name]) not in kinds:  # exact types: a JSON true is no count
-            raise MetaMismatchError(
-                f"{path}: checkpoint descriptor field {name!r} has the wrong type: {fields[name]!r}"
-            )
+    check_fields(descriptor, Model.DESCRIPTOR_FIELDS, path, MetaMismatchError)
+    fields = {name: descriptor[name] for name in Model.DESCRIPTOR_FIELDS}
     try:
         model = build_model(**fields)
     except UsageError as exc:

@@ -20,9 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import butter, sosfiltfilt
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, UsageError
 
 BUTTER_ORDER = 4  # applied forward-backward: effective order 8
+BASELINE_MS = 200.0  # pre-stimulus baseline, ending at onset
+CROP_MS = 500.0  # post-stimulus crop, starting at onset
+ZSCORE_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,18 +70,11 @@ class PipelineConfig:
     ref_channel: str = "Cz"
     band: tuple[float, float] = (1.0, 40.0)
     target_rate: int = 100
-    baseline_window: tuple[float, float] = (-200.0, 0.0)  # ms relative to onset
-    crop_window: tuple[float, float] = (0.0, 500.0)  # ms relative to onset
-    zscore_epsilon: float = 1e-8
 
     def __post_init__(self):
         low, high = self.band
         if not 0 < low < high < self.target_rate / 2:
-            raise DataError(f"band {self.band} not inside (0, {self.target_rate / 2}) Hz")
-        if self.baseline_window[1] != self.crop_window[0]:
-            raise DataError("baseline window must end where the crop window starts")
-        if self.zscore_epsilon <= 0:
-            raise DataError("zscore_epsilon must be positive")
+            raise UsageError(f"band {self.band} not inside (0, {self.target_rate / 2}) Hz")
 
 
 def rereference(rec: RawRecording, ref: str) -> RawRecording:
@@ -124,7 +120,7 @@ def _samples(ms: float, rate: int) -> int:
 
 
 def extract_epochs(
-    rec: RawRecording, pre_ms: float = 200.0, post_ms: float = 500.0
+    rec: RawRecording, pre_ms: float = BASELINE_MS, post_ms: float = CROP_MS
 ) -> tuple[list[int], np.ndarray, list[tuple[int, str]]]:
     """Cut one window per event over [-pre_ms, +post_ms).
 
@@ -164,12 +160,10 @@ def baseline_correct(windows: np.ndarray, t0: int) -> np.ndarray:
     return out
 
 
-def crop_and_zscore(
-    windows: np.ndarray, t0: int, eps: float = 1e-8, n_keep: int = 50
-) -> np.ndarray:
+def crop_and_zscore(windows: np.ndarray, t0: int, n_keep: int = 50) -> np.ndarray:
     """Keep ``n_keep`` samples from onset ``t0`` and z-score each channel.
 
-    Constant channels map to all zeros through the eps guard.
+    Constant channels map to all zeros through the ``ZSCORE_EPS`` guard.
     """
     if windows.shape[-1] < t0 + n_keep:
         raise DataError(
@@ -178,7 +172,7 @@ def crop_and_zscore(
     x = windows[..., t0 : t0 + n_keep]
     mean = x.mean(axis=-1, keepdims=True)
     std = x.std(axis=-1, keepdims=True)
-    return (x - mean) / (std + eps)
+    return (x - mean) / (std + ZSCORE_EPS)
 
 
 def run_pipeline(
@@ -193,10 +187,8 @@ def run_pipeline(
     rec = rereference(rec, cfg.ref_channel)
     rec = bandpass(rec, *cfg.band)
     rec = downsample(rec, cfg.target_rate)
-    pre_ms = -cfg.baseline_window[0]
-    trial_ids, windows, skipped = extract_epochs(rec, pre_ms=pre_ms, post_ms=cfg.crop_window[1])
-    t0 = _samples(pre_ms, rec.sample_rate)
-    n_keep = _samples(cfg.crop_window[1] - cfg.crop_window[0], cfg.target_rate)
+    trial_ids, windows, skipped = extract_epochs(rec)
+    t0 = _samples(BASELINE_MS, rec.sample_rate)
     windows = baseline_correct(windows, t0)
-    tensor = crop_and_zscore(windows, t0, eps=cfg.zscore_epsilon, n_keep=n_keep)
+    tensor = crop_and_zscore(windows, t0, n_keep=_samples(CROP_MS, rec.sample_rate))
     return tensor.astype(np.float32), trial_ids, skipped

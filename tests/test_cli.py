@@ -3,11 +3,15 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neurodecode
 from neurodecode import eegb
 from neurodecode.cli import main
 from neurodecode.training import TrainConfig
@@ -399,13 +403,32 @@ class TestBadInputs:
          "data error: labels span 0..3, but the model scores classes 0..1"),
         # record fields of the wrong JSON type
         (["baseline", "--data", "{corrupt}/subject.eegb"], 2,
-         "data error: metadata field 'subject' must be int, got 'one'"),
+         "data error: {corrupt}/subject.eegb: field 'subject' must be int, got 'one'"),
         (["preprocess", "--raw", "{corrupt}/onset.eegb", "--out", "{tmp}/o.eegb"], 2,
-         "data error: {corrupt}/onset.eegb: raw event onset must be an integer sample index, got 'soon'"),
+         "data error: {corrupt}/onset.eegb: field 'onset' must be int, got 'soon'"),
         (["eval", "--run-dir", "{corrupt}/run", "--data", "{signature}"], 2,
-         "data error: {corrupt}/run/model.ckpt: checkpoint descriptor field 'n_classes' has the wrong type"),
+         "data error: {corrupt}/run/model.ckpt: field 'n_classes' must be int, got '2'"),
         (["preprocess", "--raw", "{corrupt}/names.eegb", "--out", "{tmp}/o.eegb"], 2,
-         "data error: {corrupt}/names.eegb: raw header channel_names must be a list of strings"),
+         "data error: {corrupt}/names.eegb: field 'channel_names' must be list of str, got 5"),
+        # config values of the wrong JSON type
+        (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
+          "--config", "{tmp}/epochs_float.json"], 1,
+         "error: config file {tmp}/epochs_float.json: field 'epochs' must be int, got 1.5"),
+        (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
+          "--config", "{tmp}/epochs_true.json"], 1,
+         "error: config file {tmp}/epochs_true.json: field 'epochs' must be int, got True"),
+        (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
+          "--config", "{tmp}/seed_text.json"], 1,
+         "error: config file {tmp}/seed_text.json: field 'seed' must be int, got '5'"),
+        (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
+          "--config", "{tmp}/batch_float.json"], 1,
+         "error: config file {tmp}/batch_float.json: field 'batch_size' must be int, got 16.5"),
+        (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb",
+          "--config", "{tmp}/rate_float.json"], 1,
+         "error: config file {tmp}/rate_float.json: field 'target_rate' must be int, got 100.0"),
+        (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb",
+          "--config", "{tmp}/ref_number.json"], 1,
+         "error: config file {tmp}/ref_number.json: field 'ref_channel' must be str, got 5"),
         # right types, but values no model takes
         (["eval", "--run-dir", "{corrupt}/empty", "--data", "{signature}"], 2,
          "data error: {corrupt}/empty/model.ckpt: checkpoint describes no buildable model"),
@@ -413,7 +436,17 @@ class TestBadInputs:
     def test_exit_code_and_message(
         self, tmp_path, capsys, trained_run, signature_file, corrupt_dir, argv, code, prefix
     ):
-        (tmp_path / "band.json").write_text(json.dumps({"band": [1]}))
+        configs = {
+            "band": {"band": [1]},
+            "epochs_float": {"epochs": 1.5},
+            "epochs_true": {"epochs": True},
+            "seed_text": {"seed": "5"},
+            "batch_float": {"batch_size": 16.5},
+            "rate_float": {"target_rate": 100.0},
+            "ref_number": {"ref_channel": 5},
+        }
+        for name, config in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
         paths = {
             "{tmp}": str(tmp_path),
             "{run}": str(trained_run),
@@ -436,3 +469,18 @@ class TestBadInputs:
         assert "--subject" in out
         # one flag per TrainConfig field
         assert all(f"--{f.name.replace('_', '-')} " in out for f in fields(TrainConfig))
+
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first line is printed
+        src = str(Path(neurodecode.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        argv = [sys.executable, "-m", "neurodecode.cli", "synth", "--n-trials", "8",
+                "--out", str(tmp_path / "x.eegb")]
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

@@ -1,4 +1,4 @@
-"""Synthetic generator, design tables, splits."""
+"""Synthetic generator, category table, splits."""
 
 import json
 import tracemalloc
@@ -12,7 +12,6 @@ from neurodecode import data
 from neurodecode.data import (
     SynthConfig,
     TrialMeta,
-    animacy_design,
     build_task,
     category_to_label,
     concept_table,
@@ -56,25 +55,6 @@ class TestCategoryTable:
         rows = concept_table()
         assert len({cid for cid, _, _, _ in rows}) == 429
         assert len({name for _, name, _, _ in rows}) == 429
-
-
-class TestDesign:
-    def test_full_design_counts(self):
-        meta = animacy_design()
-        assert len(meta) == 429 * 12 * 46 == 236808
-        per_subject = {}
-        for m in meta:
-            per_subject[m.subject] = per_subject.get(m.subject, 0) + 1
-        assert set(per_subject.values()) == {5148}
-        assert len(per_subject) == 46
-
-    def test_trial_ids_unique(self):
-        meta = animacy_design(n_subjects=2, repetitions=2)
-        ids = [m.trial_id for m in meta]
-        assert len(set(ids)) == len(ids)
-
-    def test_test_count_at_default_fraction(self):
-        assert int(round(0.2 * 236808)) == 47362
 
 
 class TestSplit:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurodecode import data, pipeline
-from neurodecode.errors import DataError, NumericError
+from neurodecode.errors import DataError, NumericError, UsageError
 from neurodecode.pipeline import (
     PipelineConfig,
     RawRecording,
@@ -248,9 +248,9 @@ class TestFullPipeline:
             run_pipeline(rec, PipelineConfig())
 
     def test_config_validation(self):
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError):
             PipelineConfig(band=(0.0, 40.0))
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError):
             PipelineConfig(band=(1.0, 60.0))  # above nyquist of 100 Hz
 
 
