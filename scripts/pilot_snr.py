@@ -47,8 +47,8 @@ def decoder_accuracy(mode: str, snr: float, n_trials: int, seed: int, epochs_n: 
     n_classes = int(epochs.labels.max()) + 1
     model = models.build_model("eegnet", "small", seed=seed, n_classes=n_classes)
     cfg_t = training.TrainConfig(epochs=epochs_n, seed=seed)
-    result = training.train(model, epochs, cfg_t)
-    return max(r.test_acc for r in result.rows)
+    run = training.train(model, epochs, cfg_t)
+    return max(r["test_acc"] for r in run.history)
 
 
 def main() -> None:

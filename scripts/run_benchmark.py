@@ -65,9 +65,8 @@ def main() -> None:
             run_dir = out / f"{arch}-s{seed}"
             model = models.build_model(arch, "small", seed=seed)
             cfg_t = training.TrainConfig(epochs=args.epochs, seed=seed)
-            result = training.train(model, datasets["xor"], cfg_t, run_dir=run_dir)
-            peak = analysis.peak_metric(result.history(), result.cycle_ends, "max_last5")
-            print(f"  {arch}-small seed {seed}: peak {peak.value:.4f} -> {run_dir}")
+            run = training.train(model, datasets["xor"], cfg_t, run_dir=run_dir)
+            print(f"  {arch}-small seed {seed}: peak {run.peak('max_last5'):.4f} -> {run_dir}")
             run_dirs.append(str(run_dir))
 
     print("== report ==")

@@ -39,11 +39,15 @@ class PeakMetric:
     windows: list[tuple[int, int]]
 
 
+def peak_windows(cycle_ends: list[int]) -> list[range]:
+    """The epochs of each cycle's last-5 window, the epochs a peak metric reads."""
+    return [range(max(1, end - PEAK_WINDOW + 1), end + 1) for end in cycle_ends]
+
+
 def peak_metric(history: list[dict], cycle_ends: list[int], kind: str = "max_last5") -> PeakMetric:
     """Peak test accuracy over the last-5 windows of each restart cycle.
 
-    ``history`` holds ``history.jsonl`` records; a run still in memory
-    gives them as ``RunResult.history()``.
+    ``history`` holds ``history.jsonl`` records, as ``Run.history`` does.
     """
     if kind not in ("max_last5", "mean_last5"):
         raise DataError(f"unknown peak metric {kind!r}")
@@ -52,8 +56,8 @@ def peak_metric(history: list[dict], cycle_ends: list[int], kind: str = "max_las
         raise DataError("empty history")
     windows = []
     means = []
-    for end in cycle_ends:
-        span = [e for e in range(max(1, end - PEAK_WINDOW + 1), end + 1) if e in by_epoch]
+    for window in peak_windows(cycle_ends):
+        span = [e for e in window if e in by_epoch]
         if not span:
             continue
         windows.append((span[0], span[-1]))
@@ -221,38 +225,52 @@ def compare_decoders(metrics: dict[str, list[float]]) -> ComparisonReport:
 
 # ------------------------------------------------------------------ reporting
 
-# file name, parser, and the kind of each field every record must carry
-_RUN_FILES = (
-    (
-        "manifest.json",
+
+def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write ``header`` and then ``rows`` (lists of cells) as one csv file."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+# file name -> its parser, and the kind of each field every record must carry;
+# the predictions.csv kinds are also its columns, in order
+_RUN_FILES = {
+    "manifest.json": (
         lambda fh: [json.load(fh)],
         {"arch": str, "size": str, "seed": int, "best_epoch": int, "cycle_ends": [int]},
     ),
-    (
-        "history.jsonl",
+    "history.jsonl": (
         lambda fh: [json.loads(line) for line in fh if line.strip()],
         {"epoch": int, "lr": float, "train_loss": float, "test_loss": float, "test_acc": float},
     ),
-    (
-        "predictions.csv",
+    "predictions.csv": (
         lambda fh: list(csv.DictReader(fh)),
         {
-            "concept_id": "digits", "concept_name": str, "category": str,
-            "label": "digits", "pred": "digits",
+            "trial_id": "digits", "subject": "digits", "concept_id": "digits",
+            "concept_name": str, "category": str, "label": "digits", "pred": "digits",
         },
     ),
-)
+}
 
 
 @dataclass
 class Run:
-    """One finished training run directory, as written by ``training.train``."""
+    """One training run, as ``training.train`` returns it and ``collect_runs``
+    reads it back: the records of its manifest.json, history.jsonl and
+    predictions.csv (whose values read back as strings).  ``path`` is None
+    for a run trained without a run directory."""
 
-    name: str
-    path: Path
+    path: Path | None
     manifest: dict
     history: list[dict]
     predictions: list[dict]
+
+    @property
+    def name(self) -> str:
+        return self.path.name
 
     def peak(self, kind: str) -> float:
         return peak_metric(self.history, self.manifest["cycle_ends"], kind).value
@@ -260,7 +278,7 @@ class Run:
 
 def _read_run(rd: Path) -> Run:
     records = []
-    for fname, parse, kinds in _RUN_FILES:
+    for fname, (parse, kinds) in _RUN_FILES.items():
         path = rd / fname
         try:
             with open(path, encoding="utf-8", newline="") as fh:
@@ -273,7 +291,7 @@ def _read_run(rd: Path) -> Run:
             check_fields(row, kinds, path)
         records.append(rows)
     (manifest,), history, predictions = records
-    return Run(rd.name, rd, manifest, history, predictions)
+    return Run(rd, manifest, history, predictions)
 
 
 def collect_runs(run_dirs: list[str | Path]) -> list[Run]:
@@ -432,45 +450,36 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-    metrics_path = out_dir / "metrics.csv"
-    with open(metrics_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["run", "arch", "size", "seed", "best_epoch", "max_last5", "mean_last5", "final_test_acc"]
-        )
-        for run in runs:
-            m = run.manifest
-            writer.writerow(
-                [
-                    run.name,
-                    m["arch"],
-                    m["size"],
-                    m["seed"],
-                    m["best_epoch"],
-                    f"{run.peak('max_last5'):.6f}",
-                    f"{run.peak('mean_last5'):.6f}",
-                    f"{run.history[-1]['test_acc']:.6f}",
-                ]
-            )
-    paths["metrics"] = metrics_path
-
-    curves_path = out_dir / "training_curves.csv"
-    with open(curves_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "epoch", "lr", "train_loss", "test_loss", "test_acc"])
-        for run in runs:
-            for row in run.history:
-                writer.writerow(
-                    [
-                        run.name,
-                        row["epoch"],
-                        f"{row['lr']:.8f}",
-                        f"{row['train_loss']:.6f}",
-                        f"{row['test_loss']:.6f}",
-                        f"{row['test_acc']:.6f}",
-                    ]
-                )
-    paths["curves"] = curves_path
+    paths["metrics"] = write_csv(
+        out_dir / "metrics.csv",
+        ["run", "arch", "size", "seed", "best_epoch", "max_last5", "mean_last5", "final_test_acc"],
+        [
+            [
+                run.name,
+                *(run.manifest[k] for k in ("arch", "size", "seed", "best_epoch")),
+                f"{run.peak('max_last5'):.6f}",
+                f"{run.peak('mean_last5'):.6f}",
+                f"{run.history[-1]['test_acc']:.6f}",
+            ]
+            for run in runs
+        ],
+    )
+    paths["curves"] = write_csv(
+        out_dir / "training_curves.csv",
+        ["run", "epoch", "lr", "train_loss", "test_loss", "test_acc"],
+        [
+            [
+                run.name,
+                row["epoch"],
+                f"{row['lr']:.8f}",
+                f"{row['train_loss']:.6f}",
+                f"{row['test_loss']:.6f}",
+                f"{row['test_acc']:.6f}",
+            ]
+            for run in runs
+            for row in run.history
+        ],
+    )
 
     series = {
         run.name: ([r["epoch"] for r in run.history], [r["test_acc"] for r in run.history])
@@ -483,15 +492,11 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
     paths["curves_svg"] = svg_path
 
     objects = per_object_accuracy([r for run in runs for r in run.predictions])
-    obj_csv = out_dir / "object_accuracy.csv"
-    with open(obj_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["concept_id", "concept_name", "category", "n_trials", "accuracy"])
-        for o in objects:
-            writer.writerow(
-                [o.concept_id, o.concept_name, o.category, o.n_trials, f"{o.accuracy:.6f}"]
-            )
-    paths["objects"] = obj_csv
+    paths["objects"] = write_csv(
+        out_dir / "object_accuracy.csv",
+        ["concept_id", "concept_name", "category", "n_trials", "accuracy"],
+        [[o.concept_id, o.concept_name, o.category, o.n_trials, f"{o.accuracy:.6f}"] for o in objects],
+    )
 
     obj_svg = out_dir / "object_comparison.svg"
     obj_svg.write_text(
@@ -504,15 +509,14 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
     )
     paths["objects_svg"] = obj_svg
 
-    cat_csv = out_dir / "category_table.csv"
-    with open(cat_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category", "label", "n_objects", "n_trials", "mean_object_accuracy"])
-        for c in category_table(objects):
-            writer.writerow(
-                [c.category, "" if c.label is None else c.label, c.n_objects, c.n_trials, f"{c.mean_accuracy:.6f}"]
-            )
-    paths["categories"] = cat_csv
+    paths["categories"] = write_csv(
+        out_dir / "category_table.csv",
+        ["category", "label", "n_objects", "n_trials", "mean_object_accuracy"],
+        [
+            [c.category, "" if c.label is None else c.label, c.n_objects, c.n_trials, f"{c.mean_accuracy:.6f}"]
+            for c in category_table(objects)
+        ],
+    )
     return paths
 
 

@@ -19,7 +19,7 @@ point is not reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +39,8 @@ def relative_error(a: float, n: float) -> float:
 
 
 @dataclass
-class ParamCheck:
-    name: str
-    n_entries: int
-    max_rel: float
-    worst_index: tuple
-    worst_analytic: float
-    worst_numeric: float
-
-
-@dataclass
 class GradCheckReport:
-    checks: list[ParamCheck]
+    checks: list[str]  # the names of the checked tensors
     rel_errors: np.ndarray
     deterministic: bool = True
     kinks: int = 0  # entries re-differenced at KINK_STEP
@@ -159,14 +149,12 @@ def grad_check(
             raise NumericError(f"parameter {name!r} received no gradient from loss_fn")
 
     rng = np.random.default_rng(seed)
-    checks = []
     all_rel = []
     kinks = 0
     for name, p in params:
         idx = _entry_indices(p, sample, rng)
         flat = p.data.reshape(-1)
         a_flat = analytic[name].reshape(-1)
-        worst = (0.0, (0,), 0.0, 0.0)
         for i in idx:
             a = float(a_flat[i])
             f_plus, f_minus = _losses_at(loss_fn, flat, i, FD_STEP)
@@ -179,19 +167,8 @@ def grad_check(
                 f_plus, f_minus = _losses_at(loss_fn, flat, i, KINK_STEP)
                 fine = (f_plus - f_minus) / (2.0 * KINK_STEP)
                 # not the new error outright: round-off swamps tiny entries at KINK_STEP
-                if relative_error(a, fine) < rel:
-                    rel, numeric = relative_error(a, fine), fine
+                rel = min(rel, relative_error(a, fine))
             all_rel.append(rel)
-            if rel >= worst[0]:
-                worst = (rel, np.unravel_index(i, p.data.shape), a, numeric)
-        checks.append(
-            ParamCheck(
-                name=name,
-                n_entries=len(idx),
-                max_rel=worst[0],
-                worst_index=worst[1],
-                worst_analytic=worst[2],
-                worst_numeric=worst[3],
-            )
-        )
-    return GradCheckReport(checks=checks, rel_errors=np.array(all_rel), kinks=kinks)
+    return GradCheckReport(
+        checks=[name for name, _ in params], rel_errors=np.array(all_rel), kinks=kinks
+    )

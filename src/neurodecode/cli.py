@@ -188,14 +188,13 @@ def cmd_train(args) -> int:
             n_channels=n_channels,
             n_samples=n_samples,
         )
-        result = training.train(model, task, cfg, run_dir=str(run_dir))
+        run = training.train(model, task, cfg, run_dir=str(run_dir))
         kind = "mean_last5" if subject is not None else "max_last5"
-        peak = analysis.peak_metric(result.history(), result.cycle_ends, kind)
         where = "" if subject is None else f" subject {subject}"
         print(
-            f"{args.arch}-{args.size}{where}: {kind} = {peak.value:.4f} "
-            f"(best epoch {result.best_epoch}, final test acc {result.rows[-1].test_acc:.4f}) "
-            f"-> {run_dir}"
+            f"{args.arch}-{args.size}{where}: {kind} = {run.peak(kind):.4f} "
+            f"(best epoch {run.manifest['best_epoch']}, "
+            f"final test acc {run.history[-1]['test_acc']:.4f}) -> {run_dir}"
         )
     return 0
 

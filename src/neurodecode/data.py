@@ -111,7 +111,10 @@ class TrialMeta:
     def from_dict(cls, d: dict, where) -> "TrialMeta":
         """Inverse of ``to_dict`` for a record read from ``where``; only split may be absent."""
         check_fields(d, _META_KINDS, where, required=_META_REQUIRED)
-        return cls(**{name: d[name] for name in _META_KINDS if name in d})
+        try:
+            return cls(**{name: d[name] for name in _META_KINDS if name in d})
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from exc
 
 
 # the JSON kind of each TrialMeta field

@@ -16,7 +16,6 @@ produce byte-identical ``history.jsonl`` files.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 from dataclasses import asdict, dataclass
@@ -24,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import PEAK_WINDOW
+from .analysis import _RUN_FILES, Run, peak_windows, write_csv
 from .autodiff import constant, ops
 from .autodiff.core import Parameter, check_finite
-from .data import EpochSet, TrialMeta
+from .data import EpochSet
 from .errors import DataError, NumericError, UsageError
 from .models import EVAL_BATCH, Model, eval_logits, save_model
 
@@ -107,18 +106,6 @@ def sgd_step(
 
 
 @dataclass
-class EpochRow:
-    epoch: int
-    lr: float
-    train_loss: float
-    test_loss: float
-    test_acc: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
 class ClassMetrics:
     label: int
     support: int
@@ -185,35 +172,19 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> EvalResult:
     )
 
 
-@dataclass
-class RunResult:
-    rows: list[EpochRow]
-    cycle_ends: list[int]
-    best_epoch: int
-    best_acc: float
-    predictions: np.ndarray
-    test_meta: list[TrialMeta]
-
-    def history(self) -> list[dict]:
-        """The rows as the records of ``history.jsonl``."""
-        return [r.to_dict() for r in self.rows]
-
-    def history_lines(self) -> list[str]:
-        return [json.dumps(r, sort_keys=True) for r in self.history()]
-
-
 def train(
     model: Model,
     dataset: EpochSet,
     cfg: TrainConfig,
     run_dir: str | Path | None = None,
-) -> RunResult:
+) -> Run:
     """Train on the 'train' split, evaluating the 'test' split each epoch.
 
     Test predictions are stashed at the best-accuracy epoch within the
     last-5 windows of the restart cycles (the epochs the peak metric
     looks at), so the prediction file corresponds to the headline
-    number.  The final model state is what gets checkpointed.
+    number.  The final model state is what gets checkpointed.  Returns
+    the run record that ``write_run_dir`` writes to ``run_dir``.
     """
     train_set = dataset.split_view("train")
     test_set = dataset.split_view("test")
@@ -224,12 +195,10 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_ss)
 
     cycle_ends = restart_epochs(cfg.restart_t0, cfg.restart_mult, cfg.epochs)
-    windowed = set()
-    for end in cycle_ends:
-        windowed.update(range(max(1, end - PEAK_WINDOW + 1), end + 1))
+    windowed = {e for window in peak_windows(cycle_ends) for e in window}
 
     started = datetime.datetime.now(datetime.timezone.utc)
-    rows: list[EpochRow] = []
+    history: list[dict] = []
     best_epoch, best_acc = 0, -1.0
     best_preds = np.zeros(len(y_test), dtype=np.int64)
     for epoch in range(1, cfg.epochs + 1):
@@ -244,58 +213,19 @@ def train(
             sgd_step(model.params(), lr, cfg.momentum, cfg.weight_decay)
             loss_sum += float(loss.data) * len(idx)
         test_eval = evaluate(model, x_test, y_test)
-        rows.append(
-            EpochRow(
-                epoch=epoch,
-                lr=float(lr),
-                train_loss=loss_sum / n,
-                test_loss=test_eval.loss,
-                test_acc=test_eval.accuracy,
-            )
+        history.append(
+            {
+                "epoch": epoch,
+                "lr": float(lr),
+                "train_loss": loss_sum / n,
+                "test_loss": test_eval.loss,
+                "test_acc": test_eval.accuracy,
+            }
         )
         if epoch in windowed and test_eval.accuracy > best_acc:
             best_epoch, best_acc = epoch, test_eval.accuracy
             best_preds = test_eval.predictions.copy()
 
-    result = RunResult(
-        rows=rows,
-        cycle_ends=cycle_ends,
-        best_epoch=best_epoch,
-        best_acc=best_acc,
-        predictions=best_preds,
-        test_meta=test_set.meta,
-    )
-    if run_dir is not None:
-        write_run_dir(Path(run_dir), model, cfg, result, started)
-    return result
-
-
-def write_run_dir(
-    run_dir: Path,
-    model: Model,
-    cfg: TrainConfig,
-    result: RunResult,
-    started: datetime.datetime,
-) -> None:
-    """Persist one training run: config, history, checkpoint, predictions.
-
-    ``history.jsonl`` and ``predictions.csv`` are deterministic given
-    the config; wall-clock timestamps live only in ``manifest.json``.
-    """
-    run_dir.mkdir(parents=True, exist_ok=True)
-    config = {"model": model.descriptor(), "train": asdict(cfg)}
-    (run_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
-    (run_dir / "history.jsonl").write_text("\n".join(result.history_lines()) + "\n")
-    save_model(run_dir / "model.ckpt", model)
-    with open(run_dir / "predictions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["trial_id", "subject", "concept_id", "concept_name", "category", "label", "pred"]
-        )
-        for m, pred in zip(result.test_meta, result.predictions):
-            writer.writerow(
-                [m.trial_id, m.subject, m.concept_id, m.concept_name, m.category, m.label, int(pred)]
-            )
     manifest = {
         "created_at": started.isoformat(),
         "completed_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -303,9 +233,36 @@ def write_run_dir(
         "size": model.size,
         "seed": cfg.seed,
         "epochs": cfg.epochs,
-        "cycle_ends": result.cycle_ends,
-        "best_epoch": result.best_epoch,
-        "best_windowed_test_acc": result.best_acc,
+        "cycle_ends": cycle_ends,
+        "best_epoch": best_epoch,
+        "best_windowed_test_acc": best_acc,
         "n_params": model.n_params,
     }
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    predictions = [
+        {**{k: v for k, v in m.to_dict().items() if k != "split"}, "pred": int(pred)}
+        for m, pred in zip(test_set.meta, best_preds)
+    ]
+    run = Run(None if run_dir is None else Path(run_dir), manifest, history, predictions)
+    if run.path is not None:
+        write_run_dir(run.path, model, cfg, run)
+    return run
+
+
+def write_run_dir(run_dir: Path, model: Model, cfg: TrainConfig, run: Run) -> None:
+    """Persist one training run: config, history, checkpoint, predictions,
+    and last the manifest, whose presence marks a complete run.
+
+    Every file but ``manifest.json`` is deterministic given the config;
+    wall-clock timestamps live only in the manifest.
+    """
+    run_dir.mkdir(parents=True, exist_ok=True)
+    config = {"model": model.descriptor(), "train": asdict(cfg)}
+    (run_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    (run_dir / "history.jsonl").write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in run.history)
+    )
+    save_model(run_dir / "model.ckpt", model)
+    _, columns = _RUN_FILES["predictions.csv"]
+    rows = ([r[c] for c in columns] for r in run.predictions)
+    write_csv(run_dir / "predictions.csv", list(columns), rows)
+    (run_dir / "manifest.json").write_text(json.dumps(run.manifest, indent=2, sort_keys=True) + "\n")

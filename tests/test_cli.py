@@ -310,7 +310,7 @@ def signature_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def corrupt_dir(tmp_path_factory, trained_run, signature_file):
-    """CLI-written files with one record field of the wrong JSON type each."""
+    """CLI-written files with one record field of the wrong JSON type, or value, each."""
     root = tmp_path_factory.mktemp("corrupt")
 
     def retype(src, dst, line_no, key, value):
@@ -320,6 +320,7 @@ def corrupt_dir(tmp_path_factory, trained_run, signature_file):
         (dst.parent / (dst.name + ".jsonl")).write_text("\n".join(lines) + "\n")
 
     retype(signature_file, root / "subject.eegb", 0, "subject", "one")
+    retype(signature_file, root / "subject0.eegb", 0, "subject", 0)
     raw = root / "raw.eegb"
     assert run(["synth", "--raw", "--n-trials", "8", "--out", str(raw)]) == 0
     retype(raw, root / "onset.eegb", 1, "onset", "soon")  # line 0 is the header
@@ -429,7 +430,9 @@ class TestBadInputs:
         (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb",
           "--config", "{tmp}/ref_number.json"], 1,
          "error: config file {tmp}/ref_number.json: field 'ref_channel' must be str, got 5"),
-        # right types, but values no model takes
+        # right types, but values no trial or model takes
+        (["baseline", "--data", "{corrupt}/subject0.eegb"], 2,
+         "data error: {corrupt}/subject0.eegb: subject ids are 1-based, got 0"),
         (["eval", "--run-dir", "{corrupt}/empty", "--data", "{signature}"], 2,
          "data error: {corrupt}/empty/model.ckpt: checkpoint describes no buildable model"),
     ])

@@ -1,4 +1,4 @@
-"""The scripts under scripts/ still run against the library's current API."""
+"""The scripts under scripts/ and the bench tracer still run against the library's current API."""
 
 import importlib.util
 import os
@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import neurodecode
+import neurodecode.checks
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -28,3 +29,18 @@ def test_pilot_snr_helpers():
     spec.loader.exec_module(pilot)
     assert pilot.csp_accuracy("linear", 1.2, 200, 0) == 1.0
     assert 0.0 <= pilot.decoder_accuracy("linear", 1.2, 64, 0, 1) <= 1.0
+
+
+def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
+    # the tracer patches library attributes by name; a renamed or deleted one fails install
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "bench"))
+    import tracer
+
+    original = neurodecode.training.train
+    t = tracer.Tracer("t")
+    try:
+        t.install(neurodecode)
+        assert neurodecode.training.train is not original
+    finally:
+        t.restore()
+    assert neurodecode.training.train is original

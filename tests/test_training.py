@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from neurodecode import training
+from neurodecode import analysis, training
 from neurodecode.autodiff.core import Parameter
 from neurodecode.data import SynthConfig, generate_synthetic, split
 from neurodecode.errors import UsageError
@@ -158,10 +158,10 @@ class TestTrainLoop:
         data = self._dataset()
         r1 = training.train(build_model("eegnet", "small", seed=4), data, cfg)
         r2 = training.train(build_model("eegnet", "small", seed=4), data, cfg)
-        assert [r.__dict__ for r in r1.rows] == [r.__dict__ for r in r2.rows]
-        assert np.array_equal(r1.predictions, r2.predictions)
-        assert r1.best_epoch == r2.best_epoch
-        assert r1.best_acc == r2.best_acc
+        assert r1.history == r2.history
+        assert r1.predictions == r2.predictions
+        assert r1.manifest["best_epoch"] == r2.manifest["best_epoch"]
+        assert r1.manifest["best_windowed_test_acc"] == r2.manifest["best_windowed_test_acc"]
 
     def test_seed_changes_trajectory(self):
         data = self._dataset()
@@ -171,18 +171,17 @@ class TestTrainLoop:
         r2 = training.train(
             build_model("eegnet", "small", seed=1), data, TrainConfig(epochs=2, batch_size=16, seed=1)
         )
-        assert r1.rows[-1].train_loss != r2.rows[-1].train_loss
+        assert r1.history[-1]["train_loss"] != r2.history[-1]["train_loss"]
 
     def test_history_structure(self):
         cfg = TrainConfig(epochs=3, batch_size=16, seed=0)
         res = training.train(build_model("eegnet", "small", seed=0), self._dataset(), cfg)
-        assert [r.epoch for r in res.rows] == [1, 2, 3]
-        assert res.cycle_ends == [3]
-        assert all(np.isfinite(r.train_loss) for r in res.rows)
-        assert all(0.0 <= r.test_acc <= 1.0 for r in res.rows)
-        assert 1 <= res.best_epoch <= 3
-        assert res.predictions.shape == (16,)
-        assert len(res.test_meta) == 16
+        assert [r["epoch"] for r in res.history] == [1, 2, 3]
+        assert res.manifest["cycle_ends"] == [3]
+        assert all(np.isfinite(r["train_loss"]) for r in res.history)
+        assert all(0.0 <= r["test_acc"] <= 1.0 for r in res.history)
+        assert 1 <= res.manifest["best_epoch"] <= 3
+        assert len(res.predictions) == 16
 
     def test_run_dir_artifacts(self, tmp_path):
         cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
@@ -200,3 +199,21 @@ class TestTrainLoop:
         assert "best_windowed_test_acc" in manifest
         header = (run / "predictions.csv").read_text().splitlines()[0]
         assert header == "trial_id,subject,concept_id,concept_name,category,label,pred"
+
+    def test_run_record_round_trip(self, tmp_path):
+        # windows 4-8 and 12-16: epochs 1-3 and 9-11 lie outside both
+        cfg = TrainConfig(epochs=16, batch_size=16, restart_t0=8, restart_mult=1, seed=0)
+        trained = training.train(
+            build_model("eegnet", "small", seed=0), self._dataset(), cfg, run_dir=tmp_path / "run"
+        )
+        (read,) = analysis.collect_runs([tmp_path / "run"])
+        assert read.path == trained.path == tmp_path / "run"
+        assert read.history == trained.history
+        assert read.manifest == trained.manifest
+        assert analysis.per_object_accuracy(read.predictions) == analysis.per_object_accuracy(
+            trained.predictions
+        )
+        best = trained.manifest["best_epoch"]
+        assert any(best in w for w in analysis.peak_windows(trained.manifest["cycle_ends"]))
+        (row,) = [r for r in trained.history if r["epoch"] == best]
+        assert row["test_acc"] == trained.manifest["best_windowed_test_acc"]
