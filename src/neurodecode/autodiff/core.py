@@ -4,9 +4,17 @@ A ``Tensor`` records its parents and a backward closure when gradients
 are enabled; ``backward()`` walks the tape in reverse topological order
 with a deterministic accumulation order, so two identical runs produce
 bitwise-identical gradients.  An op output drops its gradient once its
-closure has passed it on; only leaves keep theirs.  Every op output is
-checked for finiteness at creation; a NaN or Inf raises ``NumericError``
-at the op that made it rather than surfacing later as a corrupted update.
+closure has passed it on; only leaves keep theirs.
+
+Every computing op's output is checked for finiteness at creation, in
+its own dtype, so a large but finite float32 or float64 value never
+reads as an overflow; a NaN or Inf raises ``NumericError`` at the op
+that made it rather than surfacing later as a corrupted update.  The
+pure views (``VIEW_OPS``) are not checked: they hold exactly the values
+of their input, which were checked when made.  Leaves are not checked
+either, so a non-finite model input is first reported by the first op
+that computes on it (in eegnet the ``matmul`` of the temporal
+convolution, not the ``transpose`` before it).
 """
 
 from __future__ import annotations
@@ -32,9 +40,13 @@ def no_grad():
         _grad_enabled = old
 
 
+# ops whose output holds exactly its input's values, in another shape or order
+VIEW_OPS = frozenset({"reshape", "transpose", "narrow"})
+
+
 def check_finite(data: np.ndarray, op: str) -> None:
-    # one reduction instead of a full isfinite map; any NaN/Inf poisons the sum
-    if not np.isfinite(np.sum(data, dtype=np.float64)):
+    # elementwise in the data's own dtype: a sum could overflow on finite values
+    if not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by op {op!r}")
 
 
@@ -117,7 +129,8 @@ class Parameter(Tensor):
 
 def make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
     """Create an op output, wiring the tape only when gradients are on."""
-    check_finite(data, op)
+    if op not in VIEW_OPS:
+        check_finite(data, op)
     out = Tensor(data, op=op)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True

@@ -330,6 +330,16 @@ def avg_pool_time(x: Tensor, k: int) -> Tensor:
 # ------------------------------------------------------------- normalization
 
 
+def _mean_square(centered: np.ndarray, axes) -> np.ndarray:
+    """The population variance from deviations already taken: the square and
+    sum ``np.var`` runs after its own mean and subtraction, then the count
+    division (float32 ``np.var`` divides in float64 and rounds back, which
+    gives the same bits)."""
+    total = np.multiply(centered, centered).sum(axis=axes, keepdims=True)
+    total /= centered.size // total.size
+    return total
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor | None,
@@ -358,16 +368,17 @@ def batch_norm(
         raise NumericError("batch_norm needs both gamma and beta, or neither")
     if training:
         mean = x.data.mean(axis=axes, keepdims=True)
-        var = x.data.var(axis=axes, keepdims=True)
+        centered = x.data - mean
+        var = _mean_square(centered, axes)
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean.reshape(-1)
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var.reshape(-1)
     else:
-        mean = running_mean.reshape(bshape).astype(x.data.dtype)
+        centered = x.data - running_mean.reshape(bshape).astype(x.data.dtype)
         var = running_var.reshape(bshape).astype(x.data.dtype)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = (x.data - mean) * inv
+    xhat = np.multiply(centered, inv, out=centered)
     if gamma is None:
         out = xhat
         gb = None
@@ -396,10 +407,9 @@ def batch_norm(
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then affine."""
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = (x.data - mean) * inv
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(_mean_square(centered, -1) + NORM_EPS)
+    xhat = np.multiply(centered, inv, out=centered)
     out = gamma.data * xhat + beta.data
     reduce_axes = tuple(range(x.data.ndim - 1))
 

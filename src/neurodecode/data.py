@@ -28,7 +28,7 @@ noise, labels) are reproducible bit for bit across runs and platforms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,7 +105,8 @@ class TrialMeta:
             raise DataError(f"split must be train/test/None, got {self.split!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so asdict's deep copy buys nothing
+        return {name: getattr(self, name) for name in _META_KINDS}
 
     @classmethod
     def from_dict(cls, d: dict, where) -> "TrialMeta":

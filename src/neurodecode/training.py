@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -237,6 +238,8 @@ def train(
         "best_epoch": best_epoch,
         "best_windowed_test_acc": best_acc,
         "n_params": model.n_params,
+        # the bytes of some cells' gradients depend on the BLAS thread count
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     predictions = [
         {**{k: v for k, v in m.to_dict().items() if k != "split"}, "pred": int(pred)}

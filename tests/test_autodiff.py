@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from neurodecode import checks
-from neurodecode.autodiff import ops
-from neurodecode.autodiff.core import NumericError, Parameter, make, no_grad
+from neurodecode.autodiff import core, ops
+from neurodecode.autodiff.core import NumericError, Parameter, check_finite, make, no_grad
 from neurodecode.autodiff.gradcheck import MAX_TOL
 from neurodecode.autodiff.ops import constant
 from neurodecode.errors import UsageError
@@ -216,6 +216,38 @@ class TestGuards:
             with pytest.raises(NumericError, match="powc"):
                 ops.powc(constant(np.array([-1.0])), 0.5)
 
+    def test_large_finite_values_pass_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_finite(np.array([1e308, 1e308]), "x")
+            check_finite(np.full(4, np.finfo(np.float32).max, dtype=np.float32), "x")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_nonfinite_entry_raises_at_either_end(self, dtype, bad, where):
+        data = np.ones((3, 5), dtype=dtype)
+        data.flat[where] = bad
+        with pytest.raises(NumericError, match="'scale'"):
+            check_finite(data, "scale")
+
+    def test_views_pass_on_the_computing_op_error(self):
+        x = constant(np.array([[-1.0, 1.0, 4.0], [9.0, 16.0, 25.0]]))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="'powc'"):
+                ops.narrow(ops.transpose(ops.reshape(ops.powc(x, 0.5), (3, 2)), (1, 0)), 1, 0, 2)
+
+    def test_views_are_not_checked_but_computing_ops_are(self, monkeypatch):
+        checked = []
+        real = core.check_finite
+        monkeypatch.setattr(core, "check_finite", lambda data, op: (checked.append(op), real(data, op)))
+        x = constant(np.array([[np.nan, 1.0], [2.0, 3.0]]))
+        viewed = ops.narrow(ops.transpose(ops.reshape(x, (4, 1)), (1, 0)), 1, 0, 3)
+        assert checked == []
+        with pytest.raises(NumericError, match="'scale'"):
+            ops.scale(viewed, 2.0)
+        assert checked == ["scale"]
+
     def test_float32_param_rejected(self):
         p = Parameter(np.ones(2, dtype=np.float64), name="w")
         p32 = Parameter(np.ones(2, dtype=np.float32), name="w32")
@@ -323,6 +355,99 @@ class TestBatchNormBuffers:
         assert np.array_equal(rm, rm0) and np.array_equal(rv, rv0)
         expected = (x.data - rm0[:, None, None]) / np.sqrt(rv0[:, None, None] + 1e-5)
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+
+
+def batch_norm_reference(x, gamma, beta, running_mean, running_var, training, g):
+    """The two-pass batch norm (``x.mean``, ``x.var``, ``(x - mean) * inv``):
+    output, input gradient and, when affine, the gamma and beta gradients."""
+    axes = tuple(i for i in range(x.ndim) if i != 1)
+    bshape = tuple(1 if i != 1 else -1 for i in range(x.ndim))
+    if training:
+        mean = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+        running_mean *= 1.0 - ops.BN_MOMENTUM
+        running_mean += ops.BN_MOMENTUM * mean.reshape(-1)
+        running_var *= 1.0 - ops.BN_MOMENTUM
+        running_var += ops.BN_MOMENTUM * var.reshape(-1)
+    else:
+        mean = running_mean.reshape(bshape).astype(x.dtype)
+        var = running_var.reshape(bshape).astype(x.dtype)
+    inv = 1.0 / np.sqrt(var + ops.NORM_EPS)
+    xhat = (x - mean) * inv
+    if gamma is None:
+        out, dxhat, grads = xhat, g, []
+    else:
+        gb = gamma.reshape(bshape)
+        out = gb * xhat + beta.reshape(bshape)
+        dxhat = g * gb
+        grads = [np.sum(g * xhat, axis=axes), np.sum(g, axis=axes)]
+    if training:
+        m1 = dxhat.mean(axis=axes, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
+        dx = (dxhat - m1 - xhat * m2) * inv
+    else:
+        dx = dxhat * inv
+    return [out, dx, *grads]
+
+
+def layer_norm_reference(x, gamma, beta, g):
+    """The two-pass layer norm: output and the x, gamma and beta gradients."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ops.NORM_EPS)
+    xhat = (x - mean) * inv
+    reduce_axes = tuple(range(x.ndim - 1))
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = (dxhat - m1 - xhat * m2) * inv
+    return [gamma * xhat + beta, dx, np.sum(g * xhat, axis=reduce_axes), np.sum(g, axis=reduce_axes)]
+
+
+class TestNormReferences:
+    """The one-centring norms against the two-pass formulas, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("affine", [True, False])
+    @pytest.mark.parametrize("shape", [(37, 6), (16, 8, 5, 50), (3, 4, 1, 7)])
+    def test_batch_norm_matches_two_pass_formula(self, dtype, training, affine, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        C = shape[1]
+        gamma = rng.uniform(0.5, 1.5, C).astype(dtype) if affine else None
+        beta = rng.standard_normal(C).astype(dtype) if affine else None
+        buffers = rng.standard_normal(C), rng.uniform(0.5, 2.0, C)
+        ref_rm, ref_rv = (b.copy() for b in buffers)
+        want = batch_norm_reference(x, gamma, beta, ref_rm, ref_rv, training, g)
+        rm, rv = (b.copy() for b in buffers)
+        xt = Parameter(x)
+        params = [Parameter(gamma), Parameter(beta)] if affine else [None, None]
+        out = ops.batch_norm(xt, *params, rm, rv, training=training)
+        out.backward(g)
+        got = [out.data, xt.grad] + ([p.grad for p in params] if affine else [])
+        for name, w, v in zip(("out", "grad x", "grad gamma", "grad beta"), want, got):
+            assert v.dtype == dtype, name
+            assert np.array_equal(v, w), name
+        assert np.array_equal(rm, ref_rm) and np.array_equal(rv, ref_rv)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(9, 40), (4, 25, 40)])
+    def test_layer_norm_matches_two_pass_formula(self, dtype, shape):
+        rng = np.random.default_rng(shape[-1])
+        x = (rng.standard_normal(shape) * 2.0 - 0.7).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, shape[-1]).astype(dtype)
+        beta = rng.standard_normal(shape[-1]).astype(dtype)
+        want = layer_norm_reference(x, gamma, beta, g)
+        params = [Parameter(a) for a in (x, gamma, beta)]
+        out = ops.layer_norm(*params)
+        out.backward(g)
+        for name, w, v in zip(("out", "grad x", "grad gamma", "grad beta"),
+                              want, [out.data] + [p.grad for p in params]):
+            assert v.dtype == dtype, name
+            assert np.array_equal(v, w), name
 
 
 def _pad_time(x, k):

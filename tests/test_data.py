@@ -1,5 +1,6 @@
 """Synthetic generator, category table, splits."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -78,6 +79,12 @@ class TestSplit:
         tr, te = es.split_view("train"), es.split_view("test")
         assert len(tr) + len(te) == 50
         assert set(m.trial_id for m in tr.meta).isdisjoint(m.trial_id for m in te.meta)
+
+    def test_meta_dict_is_every_field_in_order(self):
+        for m in split(self._epochs(20), 0.25, 0).meta[:4]:
+            d = m.to_dict()
+            assert list(d.items()) == list(dataclasses.asdict(m).items())
+            assert TrialMeta.from_dict(d, "x") == m
 
     def test_empty_side_rejected(self):
         es = self._epochs(10)

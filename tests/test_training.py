@@ -1,5 +1,7 @@
 """Training loop: optimizer, schedule, metrics, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,19 @@ class TestTrainLoop:
         assert "best_windowed_test_acc" in manifest
         header = (run / "predictions.csv").read_text().splitlines()[0]
         assert header == "trial_id,subject,concept_id,concept_name,category,label,pred"
+
+    @pytest.mark.parametrize("threads", ["1", None])
+    def test_manifest_records_the_blas_thread_count(self, tmp_path, monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+        run = training.train(
+            build_model("lstm", "small", seed=0), self._dataset(), cfg, run_dir=tmp_path / "run"
+        )
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["blas_threads"] == run.manifest["blas_threads"] == threads
 
     def test_run_record_round_trip(self, tmp_path):
         # windows 4-8 and 12-16: epochs 1-3 and 9-11 lie outside both
