@@ -84,8 +84,8 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self, seed: np.ndarray | None = None) -> None:
-        """Reverse sweep from this node; seeds with ones unless given."""
+    def backward(self) -> None:
+        """Reverse sweep from this node, seeded with ones."""
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -101,9 +101,7 @@ class Tensor:
             for p in node.parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        if seed is None:
-            seed = np.ones_like(self.data)
-        self.accumulate(np.asarray(seed, dtype=self.data.dtype))
+        self.accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

@@ -374,9 +374,5 @@ def main(argv=None) -> int:
         return 3
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import eegb
 from .errors import DataError, check_fields
-from .pipeline import RawRecording, crop_and_zscore
+from .pipeline import CROP_MS, TARGET_RATE, RawRecording, _samples, crop_and_zscore
 
 # Category table for the animacy task: category name -> number of
 # concepts.  Label 1 = alive, 0 = not alive; anything absent (e.g.
@@ -57,7 +57,7 @@ NONLIVING_CATEGORIES: dict[str, int] = {
 N_CONCEPTS = sum(ALIVE_CATEGORIES.values()) + sum(NONLIVING_CATEGORIES.values())  # 429
 
 N_CHANNELS = 63
-N_SAMPLES = 50
+N_SAMPLES = _samples(CROP_MS, TARGET_RATE)  # 50: the post-onset crop at the epoch rate
 # the raw recording: a 1 kHz stream with one stimulus every 100 ms
 RAW_RATE = 1000
 RAW_INTERVAL_MS = 100.0
@@ -230,13 +230,14 @@ class SynthConfig:
         return DEFAULT_SNR[self.mode] if self.snr is None else self.snr
 
 
-def _envelopes(n_samples: int = N_SAMPLES, rate: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature pair of Gaussian-windowed 5 Hz envelopes, unit RMS.
+def _envelopes(rate: int = TARGET_RATE) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature pair of Gaussian-windowed 5 Hz envelopes over one
+    ``CROP_MS`` trial at ``rate`` Hz, unit RMS.
 
     The pair is explicitly orthogonalized so the cross term in any
     second-moment statistic vanishes exactly, not just in expectation.
     """
-    t = np.arange(n_samples, dtype=np.float64) / rate
+    t = np.arange(_samples(CROP_MS, rate), dtype=np.float64) / rate
     window = np.exp(-0.5 * ((t - 0.17) / 0.035) ** 2)
     w1 = window * np.cos(2 * np.pi * 5.0 * (t - 0.17))
     w2 = window * np.sin(2 * np.pi * 5.0 * (t - 0.17))
@@ -268,72 +269,25 @@ def _pink_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return out / (rms + 1e-12)
 
 
-def _background(
-    rng: np.random.Generator, n: int, mixing: np.ndarray, n_channels: int, n_samples: int
-) -> np.ndarray:
-    """Per-channel pink noise plus a spatially correlated pink component."""
-    own = _pink_noise(rng, (n, n_channels, n_samples))
-    sources = _pink_noise(rng, (n, mixing.shape[1], n_samples))
+def _background(rng: np.random.Generator, n: int, mixing: np.ndarray) -> np.ndarray:
+    """Per-channel pink noise plus a spatially correlated pink component, n epochs."""
+    own = _pink_noise(rng, (n, N_CHANNELS, N_SAMPLES))
+    sources = _pink_noise(rng, (n, mixing.shape[1], N_SAMPLES))
     mixed = np.einsum("cs,nst->nct", mixing, sources)
     return (own + mixed) / np.sqrt(2.0)
 
 
-def _synthetic_concepts() -> dict[int, list[tuple[int, str, str]]]:
-    """Small per-class concept pools, 16 each, drawn from the real category table."""
-    pools: dict[int, list[tuple[int, str, str]]] = {0: [], 1: []}
-    full = concept_table()
-    for label in (1, 0):
-        cats = list((ALIVE_CATEGORIES if label else NONLIVING_CATEGORIES).keys())
-        k = 0
-        while len(pools[label]) < 16:
-            category = cats[k % len(cats)]
-            # pick the (k // len(cats))-th concept of that category
-            nth = k // len(cats)
-            matches = [r for r in full if r[2] == category]
-            cid, name, cat, _ = matches[nth]
-            pools[label].append((cid, name, cat))
-            k += 1
-    return pools
-
-
-def _streams(seed: int) -> list[np.random.Generator]:
-    """Pattern, label and noise generators on independent child streams of one root seed."""
-    return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(3)]
-
-
-def _spatial(rng: np.random.Generator, n_fingerprints: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal patterns p, q, q0, q1 (then any subject fingerprints), and
-    the unit-row 63 x 16 mixing matrix of the correlated background."""
-    pats = _patterns(rng, 4 + n_fingerprints)
-    mixing = rng.standard_normal((N_CHANNELS, 16))
-    mixing /= np.linalg.norm(mixing, axis=1, keepdims=True)
-    return pats, mixing
-
-
-def _linear_labels(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced labels in random order, and a random 10 Hz carrier phase per trial."""
-    labels = np.repeat([0, 1], n // 2)[rng.permutation(n)]
-    return labels, rng.uniform(0.0, 2 * np.pi, size=n)
-
-
-def _linear_signal(
-    labels: np.ndarray, phases: np.ndarray, pats: np.ndarray, w1: np.ndarray, rate: int
-) -> np.ndarray:
-    """Linear-mode trials (n x channels x samples): pattern p signed by the
-    class on the 5 Hz envelope, plus a 10 Hz carrier on q1 (alive) or q0."""
-    t = np.arange(w1.size, dtype=np.float64) / rate
-    sign = 2.0 * labels - 1.0
-    osc = np.sqrt(2.0) * np.cos(2 * np.pi * 10.0 * t[None, :] + phases[:, None])
-    carrier_pat = np.where(labels[:, None] == 1, pats[3][None, :], pats[2][None, :])
-    return (
-        sign[:, None, None] * pats[0][None, :, None] * w1[None, None, :]
-        + carrier_pat[:, :, None] * osc[:, None, :]
-    )
-
-
 def _concept_meta(labels: np.ndarray, n_subjects: int) -> list[TrialMeta]:
-    """Round-robin subjects; each class cycles through its concept pool in trial order."""
-    pools = {y: itertools.cycle(pool) for y, pool in _synthetic_concepts().items()}
+    """Round-robin subjects; each class cycles through a pool of 16 concepts
+    in trial order, the pool taking one concept of each of its categories in turn."""
+    by_category: dict[str, list[tuple[int, str, str]]] = {}
+    for cid, name, category, _ in concept_table():
+        by_category.setdefault(category, []).append((cid, name, category))
+    pools = {}
+    for y, table in ((1, ALIVE_CATEGORIES), (0, NONLIVING_CATEGORIES)):
+        cats = list(table)
+        pool = [by_category[cats[k % len(cats)]][k // len(cats)] for k in range(16)]
+        pools[y] = itertools.cycle(pool)
     meta = []
     for i, y in enumerate(labels.tolist()):
         cid, name, cat = next(pools[y])
@@ -341,33 +295,48 @@ def _concept_meta(labels: np.ndarray, n_subjects: int) -> list[TrialMeta]:
     return meta
 
 
-_CHUNK = 1024
+def _design(cfg: SynthConfig):
+    """The trial design that both generators draw from one root seed.
 
-
-def generate_synthetic(cfg: SynthConfig) -> EpochSet:
-    """Seeded synthetic epochs at 100 Hz, already z-scored, float32.
-
-    The generator draws from three independent child streams (patterns,
-    labels, noise) spawned from one root seed, so regenerating with the
-    same config is bitwise reproducible.
+    Returns ``(rng_noise, mixing, meta, signal)``: the noise generator,
+    the unit-row 63 x 16 mixing matrix of the correlated background, the
+    trial metadata, and ``signal(s, w1, w2, rate)``, the clean trials of
+    slice ``s`` (trials x channels x ``w1.size``) on the envelopes ``w1``
+    and ``w2`` sampled at ``rate`` Hz.  Patterns, labels and noise come
+    from independent child streams of the seed, so every draw is
+    reproducible bit for bit.
     """
-    rng_pat, rng_lab, rng_noise = _streams(cfg.seed)
+    rng_pat, rng_lab, rng_noise = (
+        np.random.default_rng(ss) for ss in np.random.SeedSequence(cfg.seed).spawn(3)
+    )
     n = cfg.n_trials
-    w1, w2 = _envelopes()
-    pats, mixing = _spatial(rng_pat, cfg.n_subjects if cfg.mode == "subject_signature" else 0)
+    # orthogonal patterns p, q, q0, q1, then one fingerprint per subject
+    pats = _patterns(rng_pat, 4 + (cfg.n_subjects if cfg.mode == "subject_signature" else 0))
+    mixing = rng_pat.standard_normal((N_CHANNELS, 16))
+    mixing /= np.linalg.norm(mixing, axis=1, keepdims=True)
 
-    # signal(s) builds the clean trials of slice s only: no whole-run float64 signal is held
     if cfg.mode == "linear":
-        labels, phases = _linear_labels(rng_lab, n)
+        # balanced labels in random order, and a random 10 Hz carrier phase per trial
+        labels = np.repeat([0, 1], n // 2)[rng_lab.permutation(n)]
+        phases = rng_lab.uniform(0.0, 2 * np.pi, size=n)
 
-        def signal(s):
-            return _linear_signal(labels[s], phases[s], pats, w1, 100)
+        def signal(s, w1, w2, rate):
+            # pattern p signed by the class on the 5 Hz envelope, plus a 10 Hz
+            # carrier on q1 (alive) or q0
+            t = np.arange(w1.size, dtype=np.float64) / rate
+            sign = 2.0 * labels[s] - 1.0
+            osc = np.sqrt(2.0) * np.cos(2 * np.pi * 10.0 * t[None, :] + phases[s][:, None])
+            carrier_pat = np.where(labels[s][:, None] == 1, pats[3][None, :], pats[2][None, :])
+            return (
+                sign[:, None, None] * pats[0][None, :, None] * w1[None, None, :]
+                + carrier_pat[:, :, None] * osc[:, None, :]
+            )
 
     elif cfg.mode == "xor":
         signs = rng_lab.choice([-1.0, 1.0], size=(n, 2))
         labels = (signs[:, 0] * signs[:, 1] > 0).astype(np.int64)
 
-        def signal(s):
+        def signal(s, w1, w2, rate):
             return (
                 signs[s, 0][:, None, None] * pats[0][None, :, None] * w1[None, None, :]
                 + signs[s, 1][:, None, None] * pats[1][None, :, None] * w2[None, None, :]
@@ -376,24 +345,35 @@ def generate_synthetic(cfg: SynthConfig) -> EpochSet:
     else:  # subject_signature: the label is the 0-based round-robin subject
         labels = np.arange(n) % cfg.n_subjects
 
-        def signal(s):
+        def signal(s, w1, w2, rate):
             return pats[4:][labels[s]][:, :, None] * w1[None, None, :]
 
-    tensor = np.empty((n, N_CHANNELS, N_SAMPLES), dtype=np.float32)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        noise = _background(rng_noise, stop - start, mixing, N_CHANNELS, N_SAMPLES)
-        tensor[start:stop] = crop_and_zscore(
-            noise + cfg.effective_snr * signal(slice(start, stop)), 0, n_keep=N_SAMPLES
-        )
-
-    if cfg.mode == "subject_signature":
         meta = [
             TrialMeta(i, y + 1, y, f"subject {y + 1:02d}", "subject", y)
             for i, y in enumerate(labels.tolist())
         ]
-    else:
-        meta = _concept_meta(labels, cfg.n_subjects)
+        return rng_noise, mixing, meta, signal
+    return rng_noise, mixing, _concept_meta(labels, cfg.n_subjects), signal
+
+
+_CHUNK = 1024
+
+
+def generate_synthetic(cfg: SynthConfig) -> EpochSet:
+    """Seeded synthetic epochs at 100 Hz, already z-scored, float32.
+
+    Regenerating with the same config is bitwise reproducible.
+    """
+    rng_noise, mixing, meta, signal = _design(cfg)
+    n = cfg.n_trials
+    w1, w2 = _envelopes()
+    # the clean trials are built one chunk at a time: no whole-run float64 signal is held
+    tensor = np.empty((n, N_CHANNELS, N_SAMPLES), dtype=np.float32)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        trials = _background(rng_noise, stop - start, mixing)
+        trials += cfg.effective_snr * signal(slice(start, stop), w1, w2, TARGET_RATE)
+        tensor[start:stop] = crop_and_zscore(trials, 0, n_keep=N_SAMPLES)
     return EpochSet(tensor, meta)
 
 
@@ -402,27 +382,31 @@ def generate_raw(
 ) -> tuple[RawRecording, list[TrialMeta]]:
     """Continuous 64-channel 1 kHz recording for exercising the preprocessing chain.
 
-    The trials are the linear mode's: the same seed draws the same
-    patterns, labels and metadata as ``generate_synthetic``.  The
-    reference channel carries only the shared common-mode component,
-    so re-referencing recovers the clean per-channel signal.  Stimuli
-    arrive every 100 ms after a ``lead_in_ms`` quiet
-    period; a short lead-in leaves early trials too close to the edge
-    so they surface through the skip report rather than silently.
+    The same config draws the same patterns, labels and metadata as
+    ``generate_synthetic``, in any mode.  The reference channel carries
+    only the shared common-mode component, so re-referencing recovers
+    the clean per-channel signal.  Stimuli arrive every 100 ms after a
+    ``lead_in_ms`` quiet period; a short lead-in leaves early trials too
+    close to the edge so they surface through the skip report rather
+    than silently.
+
+    This is a rapid stream, not a set of separate epochs: a trial's
+    signal lasts 500 ms, so each epoch cut from the stream also carries
+    the tails of the four trials before it.  The recording tests the
+    preprocessing chain; its epochs are a harder task than
+    ``generate_synthetic``'s (linear mode, seed 0: CSP+LDA scores 0.57
+    test accuracy at 1000 trials and 0.68 at 2000, against 1.000 on the
+    synthetic epochs of the same configs).
     """
-    if cfg.mode != "linear":
-        raise DataError(f"raw generation supports the linear mode, got {cfg.mode!r}")
     if not 0 <= lead_in_ms < np.inf:
         raise DataError(f"lead_in_ms must be finite and not negative, got {lead_in_ms}")
-    rng_pat, rng_lab, rng_noise = _streams(cfg.seed)
+    rng_noise, mixing, meta, signal = _design(cfg)
     n = cfg.n_trials
-    pats, mixing = _spatial(rng_pat)
-    labels, phases = _linear_labels(rng_lab, n)
-
     sample_rate = RAW_RATE
-    lead_in = int(round(lead_in_ms / 1000.0 * sample_rate))
-    interval = int(round(RAW_INTERVAL_MS / 1000.0 * sample_rate))
-    trial_len = int(round(0.5 * sample_rate))
+    w1, w2 = _envelopes(sample_rate)
+    trial_len = w1.size
+    lead_in = _samples(lead_in_ms, sample_rate)
+    interval = _samples(RAW_INTERVAL_MS, sample_rate)
     total = lead_in + (n - 1) * interval + trial_len + sample_rate
 
     own = _pink_noise(rng_noise, (N_CHANNELS, total))
@@ -436,17 +420,16 @@ def generate_raw(
     data += common + line  # common mode on every channel, reference included
 
     # trials overlap in time, so they are placed one at a time
-    w1, _ = _envelopes(trial_len, sample_rate)
     onsets = tuple((lead_in + i * interval, i) for i in range(n))
     for onset, i in onsets:
-        seg = _linear_signal(labels[i : i + 1], phases[i : i + 1], pats, w1, sample_rate)[0]
+        seg = signal(slice(i, i + 1), w1, w2, sample_rate)[0]
         data[1:, onset : onset + trial_len] += cfg.effective_snr * seg
 
     names = ("Cz",) + tuple(f"E{i:02d}" for i in range(1, N_CHANNELS + 1))
     rec = RawRecording(
         data=data, channel_names=names, sample_rate=sample_rate, event_onsets=onsets
     )
-    return rec, _concept_meta(labels, cfg.n_subjects)
+    return rec, meta
 
 
 def save_epochs(path, epochs: EpochSet) -> None:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import eegb
 from .autodiff import Parameter, Tensor, constant, no_grad, ops
+from .data import N_CHANNELS, N_SAMPLES
 from .errors import DataError, MetaMismatchError, UsageError, check_fields
 
 N_CLASSES = 2
@@ -112,8 +113,8 @@ class Model:
         seed: int = 0,
         dropout: float | None = None,
         n_classes: int = N_CLASSES,
-        n_channels: int = 63,
-        n_samples: int = 50,
+        n_channels: int = N_CHANNELS,
+        n_samples: int = N_SAMPLES,
     ):
         if size not in SIZES:
             raise UsageError(f"unknown size {size!r}; choose from {SIZES}")

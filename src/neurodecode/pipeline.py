@@ -25,6 +25,7 @@ from .errors import DataError, NumericError, UsageError
 BUTTER_ORDER = 4  # applied forward-backward: effective order 8
 BASELINE_MS = 200.0  # pre-stimulus baseline, ending at onset
 CROP_MS = 500.0  # post-stimulus crop, starting at onset
+TARGET_RATE = 100  # Hz: the default rate of the epochs, and of the synthetic ones
 ZSCORE_EPS = 1e-8
 
 
@@ -69,7 +70,7 @@ class RawRecording:
 class PipelineConfig:
     ref_channel: str = "Cz"
     band: tuple[float, float] = (1.0, 40.0)
-    target_rate: int = 100
+    target_rate: int = TARGET_RATE
 
     def __post_init__(self):
         low, high = self.band
@@ -160,7 +161,9 @@ def baseline_correct(windows: np.ndarray, t0: int) -> np.ndarray:
     return out
 
 
-def crop_and_zscore(windows: np.ndarray, t0: int, n_keep: int = 50) -> np.ndarray:
+def crop_and_zscore(
+    windows: np.ndarray, t0: int, n_keep: int = _samples(CROP_MS, TARGET_RATE)
+) -> np.ndarray:
     """Keep ``n_keep`` samples from onset ``t0`` and z-score each channel.
 
     Constant channels map to all zeros through the ``ZSCORE_EPS`` guard.

@@ -21,6 +21,12 @@ def param(values, name="p"):
     return Parameter(np.asarray(values, dtype=np.float64), name=name)
 
 
+def backward_from(out, g):
+    """Reverse sweep from ``out`` under the upstream gradient ``g``: a scalar
+    probe node, seeded with one by ``backward``, hands ``g`` to ``out``."""
+    make(np.zeros(()), (out,), lambda _: out.accumulate(np.asarray(g)), "probe").backward()
+
+
 class TestForwardOracles:
     def test_add_broadcast_values(self):
         a = param([[1.0, 2.0], [3.0, 4.0]])
@@ -98,7 +104,7 @@ class TestForwardOracles:
         w, b = param(rng.standard_normal((4, 6))), param(rng.standard_normal(6))
         g = rng.standard_normal((*x_data.shape[:-1], 6))
         out = ops.dense(x, w, b)
-        out.backward(g)
+        backward_from(out, g)
         rows, g_rows = x_data.reshape(-1, 4), g.reshape(-1, 6)
         products = [
             (r[None] @ w.data, gr[None] @ w.data.T, r[:, None] @ gr[None])
@@ -425,7 +431,7 @@ class TestNormReferences:
         xt = Parameter(x)
         params = [Parameter(gamma), Parameter(beta)] if affine else [None, None]
         out = ops.batch_norm(xt, *params, rm, rv, training=training)
-        out.backward(g)
+        backward_from(out, g)
         got = [out.data, xt.grad] + ([p.grad for p in params] if affine else [])
         for name, w, v in zip(("out", "grad x", "grad gamma", "grad beta"), want, got):
             assert v.dtype == dtype, name
@@ -443,7 +449,7 @@ class TestNormReferences:
         want = layer_norm_reference(x, gamma, beta, g)
         params = [Parameter(a) for a in (x, gamma, beta)]
         out = ops.layer_norm(*params)
-        out.backward(g)
+        backward_from(out, g)
         for name, w, v in zip(("out", "grad x", "grad gamma", "grad beta"),
                               want, [out.data] + [p.grad for p in params]):
             assert v.dtype == dtype, name
@@ -506,7 +512,7 @@ def _conv_with_grads(op, x, w, out_shape, rng):
     xp, wp = Parameter(x), Parameter(w)
     out = op(xp, wp)
     g = rng.standard_normal(out_shape).astype(x.dtype)
-    out.backward(g)
+    backward_from(out, g)
     return g, (out.data, xp.grad, wp.grad)
 
 
@@ -547,7 +553,7 @@ class TestConvReferences:
         xp = Parameter(x)
         out = ops.avg_pool_time(xp, 4)
         g = rng.standard_normal((3, 2, 2, 2)).astype(dtype)
-        out.backward(g)
+        backward_from(out, g)
         # the trailing remainder (3 samples) is dropped and gets no gradient
         expected = x[..., :8].reshape(3, 2, 2, 2, 4).mean(axis=-1)
         expected_grad = np.concatenate([np.repeat(g / 4, 4, axis=-1), np.zeros_like(x[..., 8:])], -1)
@@ -625,7 +631,7 @@ class TestLstmReference:
         for layer in (lstm_layer_composed, ops.lstm_layer):
             params = [Parameter(a.astype(dtype)) for a in arrays_in]
             out = layer(*params)
-            out.backward(g)
+            backward_from(out, g)
             results.append([out.data] + [p.grad for p in params])
         names = ("out", "grad x", "grad w_ih", "grad w_hh", "grad b")
         for name, want, got in zip(names, *results):

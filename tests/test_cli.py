@@ -74,6 +74,17 @@ class TestPreprocess:
         assert es.tensor.shape[1:] == (63, 50)
         assert np.isfinite(es.tensor).all()
 
+    def test_raw_xor_to_epochs_keeps_the_parity_labels(self, tmp_path):
+        raw = tmp_path / "raw.eegb"
+        out = tmp_path / "prep.eegb"
+        synth = ["synth", "--mode", "xor", "--n-trials", "12", "--seed", "3", "--raw"]
+        assert run(synth + ["--out", str(raw)]) == 0
+        assert run(["preprocess", "--raw", str(raw), "--out", str(out)]) == 0
+        from neurodecode.data import SynthConfig, generate_synthetic, load_epochs
+
+        want = generate_synthetic(SynthConfig(mode="xor", n_trials=12, seed=3)).labels
+        assert load_epochs(out).labels.tolist() == want.tolist()
+
     def test_epoch_input_rejected(self, tmp_path, epochs_file):
         code = run(["preprocess", "--raw", str(epochs_file), "--out", str(tmp_path / "o.eegb")])
         assert code == 2

@@ -1,6 +1,7 @@
 """Synthetic generator, category table, splits."""
 
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -128,6 +129,31 @@ class TestSynthetic:
             tracemalloc.stop()
         assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"
 
+    def test_golden_digests(self):
+        # any byte change in either generator fails here and has to be declared;
+        # 1030 synthetic trials cross one noise-chunk boundary.  Recorded with
+        # numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64: the raw stream's background
+        # is a BLAS product, which another build may round differently
+        def sha(*parts):
+            h = hashlib.sha256()
+            for p in parts:
+                h.update(p.tobytes() if isinstance(p, np.ndarray) else json.dumps(p).encode())
+            return h.hexdigest()
+
+        want = {
+            "linear": "7efe27fa6f45b762e4a58650c93898ab2cc2f2680e7c763477a88cc6b4fe5373",
+            "xor": "96dc7d32a8c76c5552c7a329a15354024cd803710766e2d1e9ba1466d3d7385a",
+            "subject_signature": "4afae2a90ead07f03e4a471408fc61ac3aef7da94186f24b84914b34f61ccd17",
+        }
+        for mode, digest in want.items():
+            es = generate_synthetic(SynthConfig(mode=mode, n_trials=1030, seed=0))
+            assert sha(es.tensor, [m.to_dict() for m in es.meta]) == digest, mode
+        cfg = SynthConfig(mode="linear", n_trials=50, seed=5)
+        rec, meta = data.generate_raw(cfg, lead_in_ms=0.0)
+        assert sha(rec.data, rec.event_onsets, [m.to_dict() for m in meta]) == (
+            "f9ce9567c356fbeb6a265306d16b3105e5a58ee33e7b1c6c4e7db7f1b02d8e4b"
+        )
+
     def test_seeds_differ(self):
         a = generate_synthetic(SynthConfig(mode="linear", n_trials=32, seed=0))
         b = generate_synthetic(SynthConfig(mode="linear", n_trials=32, seed=1))
@@ -230,9 +256,11 @@ class TestRawRoundTrip:
         with pytest.raises(DataError, match="sample_rate"):
             data.load_raw(p)
 
-    def test_raw_only_linear(self):
-        with pytest.raises(DataError):
-            data.generate_raw(SynthConfig(mode="xor", n_trials=6, seed=0))
+    @pytest.mark.parametrize("mode", ["linear", "xor", "subject_signature"])
+    def test_raw_meta_matches_synthetic(self, mode):
+        cfg = SynthConfig(mode=mode, n_trials=10, n_subjects=3, seed=4)
+        _, meta = data.generate_raw(cfg)
+        assert meta == generate_synthetic(cfg).meta
 
     def test_raw_structure(self):
         cfg = SynthConfig(mode="linear", n_trials=6, seed=0)
