@@ -8,15 +8,22 @@ gradients, and audit parameter budgets.
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
 (missing or malformed files), 3 numeric failure (non-finite values,
 failed checks).  A closed stdout (``neurodecode gradcheck | head -1``)
-exits 1 without a traceback.  The seed is ``--seed``, else (``train``)
-the config file's, else the ``NEURODECODE_SEED`` environment variable,
-else 0.
+exits 1 without a traceback.
 
-Config files are plain JSON objects whose keys are the dataclass field
-names (``TrainConfig`` for ``train``; for ``preprocess``, the three of
-``PipelineConfig``: ``ref_channel``, ``band``, ``target_rate``); explicit
-flags override file values.  A value of the wrong JSON type for its
-field's default (an ``epochs`` of ``1.5`` or ``true``) is a usage error.
+Each setting has one source.  The train/test split is drawn once, by
+the command that writes the epoch file (``synth``, ``preprocess``, from
+``--test-frac`` and ``--seed``); ``train``, ``baseline`` and ``eval``
+read it, and ``eval`` scores the file's test split.  An epoch file
+with a trial that has no split is a data error.  The seed is ``--seed``, else (for
+``train``) the config file's, else 0.
+
+The flags of ``train`` and ``preprocess`` are the fields of
+``TrainConfig`` and ``PipelineConfig``, one each, with ``_`` written
+``-``; a tuple field takes its items (``--band LOW HIGH``).  Config
+files are plain JSON objects with the same field names as keys, and
+explicit flags override file values.  A value of the wrong JSON type
+for its field's default (an ``epochs`` of ``1.5`` or ``true``) is a
+usage error.
 """
 
 from __future__ import annotations
@@ -50,16 +57,9 @@ def _subject(value: str) -> int | str:
         raise argparse.ArgumentTypeError(f"expected a subject id or 'all', got {value!r}") from None
 
 
-def resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("NEURODECODE_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"NEURODECODE_SEED must be an integer, got {env!r}") from None
+def _kind(f: dataclasses.Field):
+    """A field's JSON kind, its default's type; a tuple field is a list of its items' type."""
+    return [type(f.default[0])] if type(f.default) is tuple else type(f.default)
 
 
 def _load_config_dict(path: str | None, cls) -> dict:
@@ -72,11 +72,7 @@ def _load_config_dict(path: str | None, cls) -> dict:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {p} is not valid JSON: {exc}") from exc
-    # a field's JSON kind is its default's type, as for its flag (a tuple: a list of its items')
-    kinds = {
-        f.name: [type(f.default[0])] if type(f.default) is tuple else type(f.default)
-        for f in dataclasses.fields(cls)
-    }
+    kinds = {f.name: _kind(f) for f in dataclasses.fields(cls)}
     check_fields(raw, kinds, f"config file {p}", UsageError, required=())
     unknown = sorted(set(raw) - kinds.keys())
     if unknown:
@@ -86,34 +82,38 @@ def _load_config_dict(path: str | None, cls) -> dict:
     return raw
 
 
-def _merged_config(cls, config_path: str | None, overrides: dict):
-    base = _load_config_dict(config_path, cls)
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    if "seed" in overrides and base.get("seed") is None:  # flag, then file, then NEURODECODE_SEED
-        base["seed"] = resolve_seed(None)
+def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
+    """``--config`` and one flag per field of ``cls``; an unset flag is None."""
+    p.add_argument("--config", default=None, help=f"JSON with {cls.__name__} fields")
+    for f in dataclasses.fields(cls):
+        kind = _kind(f)  # a list kind is one flag taking every item
+        nargs = len(f.default) if type(kind) is list else None
+        flag = "--" + f.name.replace("_", "-")
+        p.add_argument(flag, type=kind[0] if nargs else kind, nargs=nargs, default=None)
+
+
+def _merged_config(cls, args):
+    """The ``--config`` file's fields, each overridden by its flag when given."""
+    base = _load_config_dict(args.config, cls)
+    for f in dataclasses.fields(cls):
+        if getattr(args, f.name) is not None:
+            base[f.name] = getattr(args, f.name)
     try:
         return cls(**base)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad {cls.__name__}: {exc}") from exc
 
 
-def _ensure_split(epochs: data.EpochSet, test_frac: float, seed: int) -> data.EpochSet:
-    if all(m.split in ("train", "test") for m in epochs.meta):
-        return epochs
-    return data.split(epochs, test_frac, seed)
-
-
 # ------------------------------------------------------------------ commands
 
 
 def cmd_synth(args) -> int:
-    seed = resolve_seed(args.seed)
     cfg = data.SynthConfig(
         mode=args.mode,
         n_trials=args.n_trials,
         n_subjects=args.n_subjects,
         snr=args.snr,
-        seed=seed,
+        seed=args.seed,
     )
     if args.raw:
         rec, meta = data.generate_raw(cfg, lead_in_ms=args.lead_in_ms)
@@ -123,28 +123,18 @@ def cmd_synth(args) -> int:
             f"at {rec.sample_rate} Hz, {len(rec.event_onsets)} events -> {args.out}"
         )
         return 0
-    epochs = data.generate_synthetic(cfg)
-    epochs = data.split(epochs, args.test_frac, seed)
+    epochs = data.split(data.generate_synthetic(cfg), args.test_frac, cfg.seed)
     data.save_epochs(args.out, epochs)
     n_test = sum(1 for m in epochs.meta if m.split == "test")
     print(
-        f"wrote {len(epochs)} epochs ({cfg.mode}, snr {cfg.effective_snr}, seed {seed}), "
+        f"wrote {len(epochs)} epochs ({cfg.mode}, snr {cfg.effective_snr}, seed {cfg.seed}), "
         f"{len(epochs) - n_test} train / {n_test} test -> {args.out}"
     )
     return 0
 
 
 def cmd_preprocess(args) -> int:
-    seed = resolve_seed(args.seed)
-    overrides = {
-        "ref_channel": args.ref_channel,
-        "target_rate": args.target_rate,
-    }
-    if args.band_low is not None or args.band_high is not None:
-        if args.band_low is None or args.band_high is None:
-            raise UsageError("give both --band-low and --band-high or neither")
-        overrides["band"] = (args.band_low, args.band_high)
-    cfg = _merged_config(pipeline.PipelineConfig, args.config, overrides)
+    cfg = _merged_config(pipeline.PipelineConfig, args)
     rec, meta = data.load_raw(args.raw)
     tensor, trial_ids, skipped = pipeline.run_pipeline(rec, cfg)
     for trial_id, reason in skipped:
@@ -152,9 +142,8 @@ def cmd_preprocess(args) -> int:
     if skipped:
         print(f"skipped {len(skipped)} of {len(rec.event_onsets)} trials", file=sys.stderr)
     by_id = {m.trial_id: m for m in meta}
-    kept_meta = [by_id[t] for t in trial_ids]
-    epochs = data.EpochSet(tensor, kept_meta)
-    epochs = data.split(epochs, args.test_frac, seed)
+    epochs = data.EpochSet(tensor, [by_id[t] for t in trial_ids])
+    epochs = data.split(epochs, args.test_frac, args.seed)
     data.save_epochs(args.out, epochs)
     print(
         f"preprocessed {len(epochs)} epochs "
@@ -164,10 +153,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # build_parser gives every TrainConfig field a flag of the same name; unset flags are None
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(training.TrainConfig)}
-    cfg = _merged_config(training.TrainConfig, args.config, overrides)
-
+    cfg = _merged_config(training.TrainConfig, args)
     epochs = data.load_epochs(args.data)
     if args.subject == "all":
         subjects = sorted({m.subject for m in epochs.meta})
@@ -176,7 +162,7 @@ def cmd_train(args) -> int:
     run_root = Path(args.run_dir)
     for subject in subjects:
         run_dir = run_root / f"sub{subject:02d}" if len(subjects) > 1 else run_root
-        task = _ensure_split(data.build_task(epochs, subject), args.test_frac, cfg.seed)
+        task = data.build_task(epochs, subject)
         n_classes = int(task.labels.max()) + 1
         _, n_channels, n_samples = task.tensor.shape
         model = models.build_model(
@@ -200,10 +186,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    seed = resolve_seed(args.seed)
-    epochs = data.load_epochs(args.data)
-    task = data.build_task(epochs, args.subject)
-    task = _ensure_split(task, args.test_frac, seed)
+    task = data.build_task(data.load_epochs(args.data), args.subject)
     train_set = task.split_view("train")
     test_set = task.split_view("test")
     model = baseline.fit_csp_lda(train_set.tensor, train_set.labels)
@@ -223,10 +206,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_eval(args) -> int:
     model = models.load_model(Path(args.run_dir) / "model.ckpt")
-    epochs = data.load_epochs(args.data)
-    task = data.build_task(epochs, args.subject)
-    if any(m.split == "test" for m in task.meta):
-        task = task.split_view("test")
+    task = data.build_task(data.load_epochs(args.data), args.subject).split_view("test")
     result = training.evaluate(model, task.tensor, task.labels)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0
@@ -287,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-trials", type=int, default=2000)
     p.add_argument("--n-subjects", type=int, default=4)
     p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test-frac", type=float, default=0.2)
     p.add_argument("--raw", action="store_true", help="write a continuous 1 kHz recording")
     p.add_argument("--lead-in-ms", type=float, default=1000.0)
@@ -297,13 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="raw recording -> preprocessed epochs")
     p.add_argument("--raw", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None, help="JSON with PipelineConfig fields")
-    p.add_argument("--ref-channel", default=None)
-    p.add_argument("--band-low", type=float, default=None)
-    p.add_argument("--band-high", type=float, default=None)
-    p.add_argument("--target-rate", type=int, default=None)
+    _add_config_flags(p, pipeline.PipelineConfig)
     p.add_argument("--test-frac", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a decoder on an epoch file")
@@ -312,18 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", default="small", choices=list(models.SIZES))
     p.add_argument("--run-dir", required=True)
     p.add_argument("--subject", type=_subject, help="subject id, or 'all' for one run each")
-    p.add_argument("--config", default=None, help="JSON with TrainConfig fields")
-    for f in dataclasses.fields(training.TrainConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
+    _add_config_flags(p, training.TrainConfig)
     p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--test-frac", type=float, default=0.2)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("baseline", help="CSP + LDA reference decoder")
     p.add_argument("--data", required=True)
     p.add_argument("--subject", type=int, default=None)
-    p.add_argument("--test-frac", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_baseline)
 

@@ -158,6 +158,10 @@ class EpochSet:
         return EpochSet(self.tensor, meta)
 
     def split_view(self, which: str) -> "EpochSet":
+        """The trials of split ``which``; every trial must have one, so none is left out silently."""
+        unsplit = sum(m.split is None for m in self.meta)
+        if unsplit:
+            raise DataError(f"{unsplit} of {len(self)} trials have no train/test split")
         idx = [i for i, m in enumerate(self.meta) if m.split == which]
         if not idx:
             raise DataError(f"no trials assigned to split {which!r}")
@@ -269,11 +273,18 @@ def _pink_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return out / (rms + 1e-12)
 
 
-def _background(rng: np.random.Generator, n: int, mixing: np.ndarray) -> np.ndarray:
-    """Per-channel pink noise plus a spatially correlated pink component, n epochs."""
-    own = _pink_noise(rng, (n, N_CHANNELS, N_SAMPLES))
-    sources = _pink_noise(rng, (n, mixing.shape[1], N_SAMPLES))
-    mixed = np.einsum("cs,nst->nct", mixing, sources)
+def _background(
+    rng: np.random.Generator, lead: tuple[int, ...], length: int, mixing: np.ndarray
+) -> np.ndarray:
+    """Per-channel pink noise plus a spatially correlated pink component,
+    shape ``lead + (N_CHANNELS, length)``.
+
+    The sources are mixed by ``einsum``, not a BLAS product, whose bits
+    would depend on the BLAS thread count.
+    """
+    own = _pink_noise(rng, (*lead, N_CHANNELS, length))
+    sources = _pink_noise(rng, (*lead, mixing.shape[1], length))
+    mixed = np.einsum("cs,...st->...ct", mixing, sources)
     return (own + mixed) / np.sqrt(2.0)
 
 
@@ -371,7 +382,7 @@ def generate_synthetic(cfg: SynthConfig) -> EpochSet:
     tensor = np.empty((n, N_CHANNELS, N_SAMPLES), dtype=np.float32)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        trials = _background(rng_noise, stop - start, mixing)
+        trials = _background(rng_noise, (stop - start,), N_SAMPLES, mixing)
         trials += cfg.effective_snr * signal(slice(start, stop), w1, w2, TARGET_RATE)
         tensor[start:stop] = crop_and_zscore(trials, 0, n_keep=N_SAMPLES)
     return EpochSet(tensor, meta)
@@ -409,13 +420,9 @@ def generate_raw(
     interval = _samples(RAW_INTERVAL_MS, sample_rate)
     total = lead_in + (n - 1) * interval + trial_len + sample_rate
 
-    own = _pink_noise(rng_noise, (N_CHANNELS, total))
-    sources = _pink_noise(rng_noise, (16, total))
-    common = _pink_noise(rng_noise, (1, total))[0]
-    noise = (own + mixing @ sources) / np.sqrt(2.0)
-
     data = np.zeros((N_CHANNELS + 1, total), dtype=np.float64)
-    data[1:] = noise
+    data[1:] = _background(rng_noise, (), total, mixing)
+    common = _pink_noise(rng_noise, (1, total))[0]
     line = 0.3 * np.sin(2 * np.pi * 50.0 * np.arange(total) / sample_rate)
     data += common + line  # common mode on every channel, reference included
 

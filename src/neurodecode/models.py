@@ -570,13 +570,15 @@ def format_audit(rows: list[AuditRow]) -> str:
     return "\n".join(lines)
 
 
+def _state(model: Model) -> dict[str, np.ndarray]:
+    """The checkpoint's tensor map: every parameter, then every buffer, by prefixed name."""
+    state = {f"param:{name}": p.data for name, p in model.named_params()}
+    state.update({f"buffer:{name}": buf for name, buf in model.named_buffers()})
+    return state
+
+
 def save_model(path, model: Model) -> None:
-    tensors: dict[str, np.ndarray] = {}
-    for name, p in model.named_params():
-        tensors[f"param:{name}"] = p.data
-    for name, buf in model.named_buffers():
-        tensors[f"buffer:{name}"] = buf
-    eegb.save_checkpoint(path, model.descriptor(), tensors)
+    eegb.save_checkpoint(path, model.descriptor(), _state(model))
 
 
 def load_model(path) -> Model:
@@ -588,28 +590,19 @@ def load_model(path) -> Model:
         model = build_model(**fields)
     except UsageError as exc:
         raise MetaMismatchError(f"{path}: checkpoint describes no buildable model: {exc}") from exc
-    expected = {f"param:{name}" for name, _ in model.named_params()}
-    expected |= {f"buffer:{name}" for name, _ in model.named_buffers()}
-    if expected != set(tensors):
-        missing = sorted(expected - set(tensors))[:5]
-        extra = sorted(set(tensors) - expected)[:5]
+    state = _state(model)
+    if state.keys() != tensors.keys():
+        missing = sorted(state.keys() - tensors.keys())[:5]
+        extra = sorted(tensors.keys() - state.keys())[:5]
         raise MetaMismatchError(
             f"{path}: checkpoint tensors do not match the described model "
             f"(missing {missing}, unexpected {extra})"
         )
-    for name, p in model.named_params():
-        arr = tensors[f"param:{name}"]
-        if arr.shape != p.data.shape:
+    for name, arr in state.items():
+        stored = tensors[name]
+        if stored.shape != arr.shape:
             raise MetaMismatchError(
-                f"{path}: tensor {name!r} has shape {arr.shape}, model expects {p.data.shape}"
+                f"{path}: tensor {name!r} has shape {stored.shape}, model expects {arr.shape}"
             )
-        p.data = arr.astype(np.float32)
-        p.momentum = np.zeros_like(p.data)
-    for name, buf in model.named_buffers():
-        arr = tensors[f"buffer:{name}"]
-        if arr.shape != buf.shape:
-            raise MetaMismatchError(
-                f"{path}: buffer {name!r} has shape {arr.shape}, model expects {buf.shape}"
-            )
-        buf[...] = arr
+        arr[...] = stored  # a fresh model: every momentum is still zero
     return model

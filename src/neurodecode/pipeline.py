@@ -120,18 +120,16 @@ def _samples(ms: float, rate: int) -> int:
     return int(round(ms / 1000.0 * rate))
 
 
-def extract_epochs(
-    rec: RawRecording, pre_ms: float = BASELINE_MS, post_ms: float = CROP_MS
-) -> tuple[list[int], np.ndarray, list[tuple[int, str]]]:
-    """Cut one window per event over [-pre_ms, +post_ms).
+def extract_epochs(rec: RawRecording) -> tuple[list[int], np.ndarray, list[tuple[int, str]]]:
+    """Cut one window per event over [-``BASELINE_MS``, +``CROP_MS``).
 
     Returns (trial_ids, windows, skipped): windows is the C-contiguous
     n_kept x channels x samples stack, row i cut for trial_ids[i];
     skipped pairs (trial_id, reason) for onsets too close to a recording
     edge.  Nothing is dropped silently.
     """
-    pre = _samples(pre_ms, rec.sample_rate)
-    post = _samples(post_ms, rec.sample_rate)
+    pre = _samples(BASELINE_MS, rec.sample_rate)
+    post = _samples(CROP_MS, rec.sample_rate)
     trial_ids: list[int] = []
     starts: list[int] = []
     skipped: list[tuple[int, str]] = []
@@ -161,9 +159,7 @@ def baseline_correct(windows: np.ndarray, t0: int) -> np.ndarray:
     return out
 
 
-def crop_and_zscore(
-    windows: np.ndarray, t0: int, n_keep: int = _samples(CROP_MS, TARGET_RATE)
-) -> np.ndarray:
+def crop_and_zscore(windows: np.ndarray, t0: int, n_keep: int) -> np.ndarray:
     """Keep ``n_keep`` samples from onset ``t0`` and z-score each channel.
 
     Constant channels map to all zeros through the ``ZSCORE_EPS`` guard.

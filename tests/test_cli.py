@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -13,7 +15,9 @@ import pytest
 
 import neurodecode
 from neurodecode import eegb
-from neurodecode.cli import main
+from neurodecode.cli import build_parser, main
+from neurodecode.data import SynthConfig, generate_synthetic, load_epochs, save_epochs, split
+from neurodecode.pipeline import PipelineConfig
 from neurodecode.training import TrainConfig
 
 
@@ -228,28 +232,13 @@ class TestTrainEvalAnalyze:
         )
         assert code == 2
 
-    def test_env_seed_fallback(self, tmp_path, epochs_file, monkeypatch):
+    def test_env_seed_is_ignored(self, tmp_path, epochs_file, monkeypatch):
+        # the seed is --seed, then the config file's, then 0: no environment variable
         monkeypatch.setenv("NEURODECODE_SEED", "7")
         rd = tmp_path / "run"
-        code = run(
-            [
-                "train",
-                "--data",
-                str(epochs_file),
-                "--arch",
-                "eegnet",
-                "--size",
-                "small",
-                "--epochs",
-                "1",
-                "--batch-size",
-                "16",
-                "--run-dir",
-                str(rd),
-            ]
-        )
-        assert code == 0
-        assert json.loads((rd / "config.json").read_text())["train"]["seed"] == 7
+        argv = ["train", "--data", str(epochs_file), "--arch", "eegnet", "--epochs", "1"]
+        assert run([*argv, "--batch-size", "16", "--run-dir", str(rd)]) == 0
+        assert json.loads((rd / "config.json").read_text())["train"]["seed"] == 0
 
     def test_flag_overrides_env_seed(self, tmp_path, epochs_file, monkeypatch):
         monkeypatch.setenv("NEURODECODE_SEED", "7")
@@ -373,6 +362,81 @@ class TestBaseline:
         assert "test_acc" in j
         assert 0.0 <= j["test_acc"] <= 1.0
         assert j["n_train"] + j["n_test"] == 64
+
+
+class TestSplitFromTheFile:
+    """train, baseline and eval read the split that synth or preprocess drew."""
+
+    @pytest.fixture(scope="class", params=[16, 4])
+    def unsplit_file(self, request, tmp_path_factory):
+        """16 trials, the first ``param`` of them without a split."""
+        out = tmp_path_factory.mktemp("unsplit") / "unsplit.eegb"
+        epochs = split(generate_synthetic(SynthConfig(n_trials=16, seed=0)), 0.25, 0)
+        for m in epochs.meta[: request.param]:
+            m.split = None
+        save_epochs(out, epochs)
+        return out
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{data}", "--arch", "eegnet", "--epochs", "1", "--run-dir", "{tmp}/r"],
+        ["baseline", "--data", "{data}"],
+        ["eval", "--run-dir", "{run}", "--data", "{data}"],
+    ])
+    def test_file_without_a_split_is_a_data_error(
+        self, tmp_path, capsys, unsplit_file, trained_run, argv
+    ):
+        paths = {"{data}": str(unsplit_file), "{tmp}": str(tmp_path), "{run}": str(trained_run)}
+        for key, value in paths.items():
+            argv = [a.replace(key, value) for a in argv]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "trials have no train/test split" in err
+
+    def test_eval_scores_the_test_split(self, capsys, trained_run, epochs_file):
+        capsys.readouterr()
+        assert run(["eval", "--run-dir", str(trained_run), "--data", str(epochs_file)]) == 0
+        n_test = sum(1 for m in load_epochs(epochs_file).meta if m.split == "test")
+        per_class = json.loads(capsys.readouterr().out)["per_class"]
+        assert sum(c["support"] for c in per_class) == n_test < 64
+
+
+class TestPipelineFlags:
+    @pytest.fixture(scope="class")
+    def raw_file(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("band") / "raw.eegb"
+        assert run(["synth", "--n-trials", "8", "--raw", "--out", str(out)]) == 0
+        return out
+
+    def test_band_flag_takes_both_edges(self, tmp_path, raw_file):
+        files = []
+        for name, extra in (("default", []), ("band", ["--band", "1", "40"])):
+            out = tmp_path / f"{name}.eegb"
+            assert run(["preprocess", "--raw", str(raw_file), "--out", str(out), *extra]) == 0
+            files.append(out.read_bytes() + (tmp_path / f"{name}.eegb.jsonl").read_bytes())
+        assert files[0] == files[1]
+
+    def test_band_with_one_edge_is_a_usage_error(self, tmp_path, capsys, raw_file):
+        argv = ["preprocess", "--raw", str(raw_file), "--out", str(tmp_path / "o.eegb")]
+        assert run([*argv, "--band", "1"]) == 1
+        assert "--band: expected 2 arguments" in capsys.readouterr().err
+
+    def test_help_lists_one_flag_per_pipeline_field(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["preprocess", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(f"--{f.name.replace('_', '-')} " in out for f in fields(PipelineConfig))
+
+
+def test_readme_command_lines_parse():
+    """Every ``neurodecode`` line of the README's bash blocks is a valid command."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```bash\n(.*?)```", readme.read_text(), flags=re.S)
+    lines = [ln.strip() for ln in "".join(blocks).replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(ln, comments=True) for ln in lines if ln.startswith("neurodecode ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 class TestChecks:

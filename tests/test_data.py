@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,8 +136,8 @@ class TestSynthetic:
     def test_golden_digests(self):
         # any byte change in either generator fails here and has to be declared;
         # 1030 synthetic trials cross one noise-chunk boundary.  Recorded with
-        # numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64: the raw stream's background
-        # is a BLAS product, which another build may round differently
+        # numpy 2.4.6 on x86-64; both generators mix the background by einsum,
+        # so no BLAS product enters these bytes
         def sha(*parts):
             h = hashlib.sha256()
             for p in parts:
@@ -151,8 +155,29 @@ class TestSynthetic:
         cfg = SynthConfig(mode="linear", n_trials=50, seed=5)
         rec, meta = data.generate_raw(cfg, lead_in_ms=0.0)
         assert sha(rec.data, rec.event_onsets, [m.to_dict() for m in meta]) == (
-            "f9ce9567c356fbeb6a265306d16b3105e5a58ee33e7b1c6c4e7db7f1b02d8e4b"
+            "e91e45216b9c70d82db82703b3c79d0333e255dafc6f10e0291a7df262418984"
         )
+
+    def test_raw_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # n = 12 at a 300 ms lead-in is a size where a (63, 16) @ (16, 2900)
+        # OpenBLAS product rounds differently at one and two threads
+        code = (
+            "import hashlib; from neurodecode import data; "
+            "cfg = data.SynthConfig(mode='linear', n_trials=12, seed=0); "
+            "rec, _ = data.generate_raw(cfg, lead_in_ms=300.0); "
+            "print(hashlib.sha256(rec.data.tobytes()).hexdigest())"
+        )
+        src = str(Path(data.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1, digests
 
     def test_seeds_differ(self):
         a = generate_synthetic(SynthConfig(mode="linear", n_trials=32, seed=0))

@@ -159,6 +159,18 @@ class TestCheckpoints:
         with pytest.raises(MetaMismatchError, match="not_a_real_parameter"):
             models.load_model(p)
 
+    @pytest.mark.parametrize("name", ["param:temporal.w", "buffer:bn1.running_mean"])
+    def test_wrongly_shaped_tensor_rejected(self, tmp_path, name):
+        from neurodecode import eegb
+
+        p = tmp_path / "m.ckpt"
+        models.save_model(p, build_model("eegnet", "small", seed=0))
+        desc, tensors = eegb.load_checkpoint(p)
+        tensors[name] = np.concatenate([tensors[name].ravel(), tensors[name].ravel()[:1]])
+        eegb.save_checkpoint(p, desc, tensors)
+        with pytest.raises(MetaMismatchError, match=f"tensor '{name}' has shape"):
+            models.load_model(p)
+
     @pytest.mark.parametrize("field", models.Model.DESCRIPTOR_FIELDS)
     def test_descriptor_missing_field_rejected(self, tmp_path, field):
         from neurodecode import eegb

@@ -127,7 +127,7 @@ class TestEpochs:
         # onset 5 leaves no room for the 20-sample pre-window; onset 190
         # leaves no room for the 50-sample post-window
         rec = _rec(arr, rate=100, names=("a",), onsets=((5, 0), (100, 1), (190, 2)))
-        trial_ids, windows, skipped = extract_epochs(rec, pre_ms=200, post_ms=500)
+        trial_ids, windows, skipped = extract_epochs(rec)
         assert trial_ids == [1]
         assert sorted(t for t, _ in skipped) == [0, 2]
         for _, reason in skipped:
@@ -139,7 +139,7 @@ class TestEpochs:
     def test_rows_follow_kept_trials(self):
         arr = np.arange(600, dtype=np.float64).reshape(2, 300)
         rec = _rec(arr, rate=100, names=("a", "b"), onsets=((250, 7), (30, 4), (280, 9)))
-        trial_ids, windows, skipped = extract_epochs(rec, pre_ms=200, post_ms=500)
+        trial_ids, windows, skipped = extract_epochs(rec)
         assert trial_ids == [7, 4] and [t for t, _ in skipped] == [9]
         np.testing.assert_array_equal(windows[0], arr[:, 230:300])
         np.testing.assert_array_equal(windows[1], arr[:, 10:80])
@@ -228,7 +228,7 @@ class TestFullPipeline:
         # the float64 stack before the cast, bit for bit: row reductions
         # over the stack must sum in the per-trial order
         _, windows, _ = extract_epochs(down)
-        assert crop_and_zscore(baseline_correct(windows, 20), 20).tobytes() == ref.tobytes()
+        assert crop_and_zscore(baseline_correct(windows, 20), 20, 50).tobytes() == ref.tobytes()
 
     def test_recording_shorter_than_a_window(self):
         cfg = data.SynthConfig(mode="linear", n_trials=2, seed=0)
@@ -264,8 +264,8 @@ def test_zscore_scale_shift_invariance(scale, shift, seed):
     """Per-channel z-scoring is invariant to affine rescaling (up to eps)."""
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((3, 4, 70))
-    za = crop_and_zscore(base, t0=20)
-    zb = crop_and_zscore(base * scale + shift, t0=20)
+    za = crop_and_zscore(base, t0=20, n_keep=50)
+    zb = crop_and_zscore(base * scale + shift, t0=20, n_keep=50)
     np.testing.assert_allclose(za, zb, atol=1e-4)
 
 
