@@ -35,7 +35,7 @@ from neurodecode import baseline, data, models, training
 
 def csp_accuracy(mode: str, snr: float, n_trials: int, seed: int) -> float:
     cfg = data.SynthConfig(mode=mode, n_trials=n_trials, snr=snr, seed=seed)
-    epochs = data.split(data.generate_synthetic(cfg), 0.2, seed)
+    epochs = data.split(data.generate_synthetic(cfg), data.TEST_FRAC, seed)
     tr, te = epochs.split_view("train"), epochs.split_view("test")
     model = baseline.fit_csp_lda(tr.tensor, tr.labels)
     return float(np.mean(model.predict(te.tensor) == te.labels))
@@ -43,7 +43,7 @@ def csp_accuracy(mode: str, snr: float, n_trials: int, seed: int) -> float:
 
 def decoder_accuracy(mode: str, snr: float, n_trials: int, seed: int, epochs_n: int) -> float:
     cfg = data.SynthConfig(mode=mode, n_trials=n_trials, snr=snr, seed=seed)
-    epochs = data.split(data.generate_synthetic(cfg), 0.2, seed)
+    epochs = data.split(data.generate_synthetic(cfg), data.TEST_FRAC, seed)
     n_classes = int(epochs.labels.max()) + 1
     model = models.build_model("eegnet", "small", seed=seed, n_classes=n_classes)
     cfg_t = training.TrainConfig(epochs=epochs_n, seed=seed)

@@ -48,7 +48,7 @@ def main() -> None:
     datasets = {}
     for mode in ("linear", "xor"):
         cfg = data.SynthConfig(mode=mode, n_trials=args.n_trials, seed=0)
-        datasets[mode] = data.split(data.generate_synthetic(cfg), 0.2, 0)
+        datasets[mode] = data.split(data.generate_synthetic(cfg), data.TEST_FRAC, 0)
 
     print("== CSP + LDA baseline ==")
     base_report = {}

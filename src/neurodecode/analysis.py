@@ -31,20 +31,12 @@ from .errors import DataError, check_fields
 PEAK_WINDOW = 5
 
 
-@dataclass
-class PeakMetric:
-    kind: str
-    value: float
-    window_means: list[float]
-    windows: list[tuple[int, int]]
-
-
 def peak_windows(cycle_ends: list[int]) -> list[range]:
     """The epochs of each cycle's last-5 window, the epochs a peak metric reads."""
     return [range(max(1, end - PEAK_WINDOW + 1), end + 1) for end in cycle_ends]
 
 
-def peak_metric(history: list[dict], cycle_ends: list[int], kind: str = "max_last5") -> PeakMetric:
+def peak_metric(history: list[dict], cycle_ends: list[int], kind: str) -> float:
     """Peak test accuracy over the last-5 windows of each restart cycle.
 
     ``history`` holds ``history.jsonl`` records, as ``Run.history`` does.
@@ -54,18 +46,14 @@ def peak_metric(history: list[dict], cycle_ends: list[int], kind: str = "max_las
     by_epoch = {r["epoch"]: r["test_acc"] for r in history}
     if not by_epoch:
         raise DataError("empty history")
-    windows = []
     means = []
     for window in peak_windows(cycle_ends):
-        span = [e for e in window if e in by_epoch]
-        if not span:
-            continue
-        windows.append((span[0], span[-1]))
-        means.append(float(np.mean([by_epoch[e] for e in span])))
+        span = [by_epoch[e] for e in window if e in by_epoch]
+        if span:
+            means.append(float(np.mean(span)))
     if not means:
         raise DataError(f"no history epochs fall inside windows of cycle ends {cycle_ends}")
-    value = max(means) if kind == "max_last5" else float(np.mean(means))
-    return PeakMetric(kind=kind, value=value, window_means=means, windows=windows)
+    return max(means) if kind == "max_last5" else float(np.mean(means))
 
 
 @dataclass
@@ -273,7 +261,7 @@ class Run:
         return self.path.name
 
     def peak(self, kind: str) -> float:
-        return peak_metric(self.history, self.manifest["cycle_ends"], kind).value
+        return peak_metric(self.history, self.manifest["cycle_ends"], kind)
 
 
 def _read_run(rd: Path) -> Run:

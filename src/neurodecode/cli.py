@@ -11,11 +11,11 @@ failed checks).  A closed stdout (``neurodecode gradcheck | head -1``)
 exits 1 without a traceback.
 
 Each setting has one source.  The train/test split is drawn once, by
-the command that writes the epoch file (``synth``, ``preprocess``, from
-``--test-frac`` and ``--seed``); ``train``, ``baseline`` and ``eval``
-read it, and ``eval`` scores the file's test split.  An epoch file
-with a trial that has no split is a data error.  The seed is ``--seed``, else (for
-``train``) the config file's, else 0.
+the command that writes the epoch file (``synth``, ``preprocess``, at
+``data.TEST_FRAC`` from ``--seed``); ``train``, ``baseline`` and
+``eval`` read it, and ``eval`` scores the file's test split.  An epoch
+file with a trial that has no split is a data error.  The seed is
+``--seed``, else (for ``train``) the config file's, else 0.
 
 The flags of ``train`` and ``preprocess`` are the fields of
 ``TrainConfig`` and ``PipelineConfig``, one each, with ``_`` written
@@ -23,7 +23,8 @@ The flags of ``train`` and ``preprocess`` are the fields of
 files are plain JSON objects with the same field names as keys, and
 explicit flags override file values.  A value of the wrong JSON type
 for its field's default (an ``epochs`` of ``1.5`` or ``true``) is a
-usage error.
+usage error.  The optimizer and schedule are constants of
+``training.py``, and a model's dropout is that of its size.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def cmd_synth(args) -> int:
             f"at {rec.sample_rate} Hz, {len(rec.event_onsets)} events -> {args.out}"
         )
         return 0
-    epochs = data.split(data.generate_synthetic(cfg), args.test_frac, cfg.seed)
+    epochs = data.split(data.generate_synthetic(cfg), data.TEST_FRAC, cfg.seed)
     data.save_epochs(args.out, epochs)
     n_test = sum(1 for m in epochs.meta if m.split == "test")
     print(
@@ -143,7 +144,7 @@ def cmd_preprocess(args) -> int:
         print(f"skipped {len(skipped)} of {len(rec.event_onsets)} trials", file=sys.stderr)
     by_id = {m.trial_id: m for m in meta}
     epochs = data.EpochSet(tensor, [by_id[t] for t in trial_ids])
-    epochs = data.split(epochs, args.test_frac, args.seed)
+    epochs = data.split(epochs, data.TEST_FRAC, args.seed)
     data.save_epochs(args.out, epochs)
     print(
         f"preprocessed {len(epochs)} epochs "
@@ -169,7 +170,6 @@ def cmd_train(args) -> int:
             args.arch,
             args.size,
             seed=cfg.seed,
-            dropout=args.dropout,
             n_classes=max(n_classes, 2),
             n_channels=n_channels,
             n_samples=n_samples,
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-subjects", type=int, default=4)
     p.add_argument("--snr", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-frac", type=float, default=0.2)
     p.add_argument("--raw", action="store_true", help="write a continuous 1 kHz recording")
     p.add_argument("--lead-in-ms", type=float, default=1000.0)
     p.add_argument("--out", required=True)
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p, pipeline.PipelineConfig)
-    p.add_argument("--test-frac", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_preprocess)
 
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True)
     p.add_argument("--subject", type=_subject, help="subject id, or 'all' for one run each")
     _add_config_flags(p, training.TrainConfig)
-    p.add_argument("--dropout", type=float, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("baseline", help="CSP + LDA reference decoder")

@@ -61,6 +61,7 @@ N_SAMPLES = _samples(CROP_MS, TARGET_RATE)  # 50: the post-onset crop at the epo
 # the raw recording: a 1 kHz stream with one stimulus every 100 ms
 RAW_RATE = 1000
 RAW_INTERVAL_MS = 100.0
+TEST_FRAC = 0.2  # the share of test trials in the split that synth and preprocess draw
 
 # Per-mode signal-to-noise defaults, fixed by the pilot sweep in
 # scripts/pilot_snr.py (see its header for the recorded accuracies).
@@ -157,11 +158,14 @@ class EpochSet:
         meta = [replace(m, split=s) for m, s in zip(self.meta, assignment)]
         return EpochSet(self.tensor, meta)
 
-    def split_view(self, which: str) -> "EpochSet":
-        """The trials of split ``which``; every trial must have one, so none is left out silently."""
+    def _require_split(self, where: str = "") -> None:
         unsplit = sum(m.split is None for m in self.meta)
         if unsplit:
-            raise DataError(f"{unsplit} of {len(self)} trials have no train/test split")
+            raise DataError(f"{where}{unsplit} of {len(self)} trials have no train/test split")
+
+    def split_view(self, which: str) -> "EpochSet":
+        """The trials of split ``which``; every trial must have one, so none is left out silently."""
+        self._require_split()
         idx = [i for i, m in enumerate(self.meta) if m.split == which]
         if not idx:
             raise DataError(f"no trials assigned to split {which!r}")
@@ -444,9 +448,12 @@ def save_epochs(path, epochs: EpochSet) -> None:
 
 
 def load_epochs(path) -> EpochSet:
+    """An epoch file's trials; each must carry the train/test split its writer drew."""
     tensor, lines = eegb.read_tensor_file(path)
     eegb.check_meta_length(path, tensor.shape[0], len(lines))
-    return EpochSet(tensor, [TrialMeta.from_dict(d, path) for d in lines])
+    epochs = EpochSet(tensor, [TrialMeta.from_dict(d, path) for d in lines])
+    epochs._require_split(f"{path}: ")
+    return epochs
 
 
 def save_raw(path, rec: RawRecording, meta: list[TrialMeta]) -> None:

@@ -1,12 +1,12 @@
 """Training protocol: SGD with momentum and warm cosine restarts.
 
-One schedule, one optimizer, shared by every architecture.  The
-learning rate follows an epoch-level cosine annealing between lr_max
-and lr_min within cycles of length T0, 2*T0, 4*T0, ...; a cycle end
-snaps the rate back to lr_max.  Weight decay couples into the gradient
-(L2 on every parameter, normalization affines included).  Epochs are
-1-based everywhere: in the schedule, the history rows, and the restart
-ledger.
+One schedule, one optimizer, fixed for every architecture.  The
+learning rate follows an epoch-level cosine annealing between LR_MAX
+and LR_MIN within cycles of RESTART_T0, RESTART_MULT * RESTART_T0, ...
+epochs; a cycle end snaps it back to LR_MAX.  Weight decay couples into
+the gradient (L2 on every parameter, normalization affines included).
+Epochs are 1-based everywhere: in the schedule, the history rows, and
+the restart ledger.
 
 A training run is deterministic for a fixed config: batch shuffling
 derives from the config seed, dropout masks from the model seed, and
@@ -32,16 +32,18 @@ from .errors import DataError, NumericError, UsageError
 from .models import EVAL_BATCH, Model, eval_logits, save_model
 
 
+LR_MAX = 0.05
+LR_MIN = 1e-6
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-3
+RESTART_T0 = 15
+RESTART_MULT = 2
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 45
     batch_size: int = 128
-    lr_max: float = 0.05
-    lr_min: float = 1e-6
-    momentum: float = 0.9
-    weight_decay: float = 1e-3
-    restart_t0: int = 15
-    restart_mult: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -49,24 +51,16 @@ class TrainConfig:
             raise UsageError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.lr_min <= self.lr_max:
-            raise UsageError(f"need 0 < lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
-        if not 0 <= self.momentum < 1:
-            raise UsageError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise UsageError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.restart_t0 < 1 or self.restart_mult < 1:
-            raise UsageError("restart_t0 and restart_mult must be >= 1")
 
 
-def restart_epochs(t0: int, mult: int, total: int) -> list[int]:
+def restart_epochs(total: int) -> list[int]:
     """1-based epochs at which each cosine cycle ends.
 
     The last cycle is truncated at ``total`` when the budget runs out
     mid-cycle, and that truncated end is included.
     """
     ends = []
-    start, period = 1, t0
+    start, period = 1, RESTART_T0
     while start <= total:
         end = start + period - 1
         if end >= total:
@@ -74,34 +68,30 @@ def restart_epochs(t0: int, mult: int, total: int) -> list[int]:
             break
         ends.append(end)
         start = end + 1
-        period *= mult
+        period *= RESTART_MULT
     return ends
 
 
-def lr_at(epoch: int, cfg: TrainConfig) -> float:
+def lr_at(epoch: int) -> float:
     """Cosine-annealed learning rate for a 1-based epoch index."""
     if epoch < 1:
         raise UsageError(f"epochs are 1-based, got {epoch}")
-    start, period = 1, cfg.restart_t0
+    start, period = 1, RESTART_T0
     while epoch > start + period - 1:
         start += period
-        period *= cfg.restart_mult
+        period *= RESTART_MULT
     t_cur = epoch - start
-    return cfg.lr_min + 0.5 * (cfg.lr_max - cfg.lr_min) * (1.0 + np.cos(np.pi * t_cur / period))
+    return LR_MIN + 0.5 * (LR_MAX - LR_MIN) * (1.0 + np.cos(np.pi * t_cur / period))
 
 
-def sgd_step(
-    params: list[Parameter], lr: float, momentum: float, weight_decay: float
-) -> None:
+def sgd_step(params: list[Parameter], lr: float) -> None:
     """One momentum-SGD update with coupled L2 on every parameter."""
     for p in params:
         if p.grad is None:
             raise NumericError(f"parameter {p.name!r} received no gradient")
-        g = p.grad
-        if weight_decay:
-            g = g + weight_decay * p.data
+        g = p.grad + WEIGHT_DECAY * p.data
         check_finite(g, f"gradient of {p.name or 'parameter'}")
-        p.momentum *= momentum
+        p.momentum *= MOMENTUM
         p.momentum += g
         p.data -= lr * p.momentum
 
@@ -195,7 +185,7 @@ def train(
     (shuffle_ss,) = np.random.SeedSequence(cfg.seed).spawn(1)
     shuffle_rng = np.random.default_rng(shuffle_ss)
 
-    cycle_ends = restart_epochs(cfg.restart_t0, cfg.restart_mult, cfg.epochs)
+    cycle_ends = restart_epochs(cfg.epochs)
     windowed = {e for window in peak_windows(cycle_ends) for e in window}
 
     started = datetime.datetime.now(datetime.timezone.utc)
@@ -203,7 +193,7 @@ def train(
     best_epoch, best_acc = 0, -1.0
     best_preds = np.zeros(len(y_test), dtype=np.int64)
     for epoch in range(1, cfg.epochs + 1):
-        lr = lr_at(epoch, cfg)
+        lr = lr_at(epoch)
         perm = shuffle_rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -211,7 +201,7 @@ def train(
             model.zero_grad()
             loss = model.loss(x_train[idx], y_train[idx], training=True)
             loss.backward()
-            sgd_step(model.params(), lr, cfg.momentum, cfg.weight_decay)
+            sgd_step(model.params(), lr)
             loss_sum += float(loss.data) * len(idx)
         test_eval = evaluate(model, x_test, y_test)
         history.append(

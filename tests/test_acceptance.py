@@ -142,14 +142,14 @@ def test_06_subject_signatures_decodable():
 
 def test_07_protocol_oracles():
     sched_ok = (
-        training.restart_epochs(15, 2, 945) == [15, 45, 105, 225, 465, 945]
-        and training.restart_epochs(15, 2, 460) == [15, 45, 105, 225, 460]
+        training.restart_epochs(945) == [15, 45, 105, 225, 465, 945]
+        and training.restart_epochs(460) == [15, 45, 105, 225, 460]
     )
-    cfg = TrainConfig()
+    lr_max, lr_min = training.LR_MAX, training.LR_MIN
     lr_ok = (
-        training.lr_at(1, cfg) == cfg.lr_max
-        and training.lr_at(16, cfg) == cfg.lr_max
-        and cfg.lr_min <= training.lr_at(15, cfg) < cfg.lr_min + 0.03 * (cfg.lr_max - cfg.lr_min)
+        training.lr_at(1) == lr_max
+        and training.lr_at(16) == lr_max
+        and lr_min <= training.lr_at(15) < lr_min + 0.03 * (lr_max - lr_min)
     )
     r1 = analysis.paired_ttest([0.0, 2.0], [0.0, 0.0])
     r2 = analysis.paired_ttest(

@@ -27,31 +27,33 @@ def rows_for(accs):
 
 class TestPeakMetric:
     def test_window_means(self):
-        # cycle ends 5 and 10: windows are epochs 1-5 and 6-10
+        # cycle ends 5 and 10: windows are epochs 1-5 and 6-10, means 0.3 and 0.8
         accs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-        m = peak_metric(rows_for(accs), [5, 10], "max_last5")
-        np.testing.assert_allclose(m.window_means, [0.3, 0.8])
-        assert m.windows == [(1, 5), (6, 10)]
-        np.testing.assert_allclose(m.value, 0.8)
+        assert analysis.peak_windows([5, 10]) == [range(1, 6), range(6, 11)]
+        np.testing.assert_allclose(peak_metric(rows_for(accs), [5, 10], "max_last5"), 0.8)
+        np.testing.assert_allclose(peak_metric(rows_for(accs), [5, 10], "mean_last5"), 0.55)
 
     def test_mean_vs_max(self):
         accs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
         mx = peak_metric(rows_for(accs), [5, 10], "max_last5")
         mn = peak_metric(rows_for(accs), [5, 10], "mean_last5")
-        np.testing.assert_allclose(mx.value, 0.8)
-        np.testing.assert_allclose(mn.value, 0.55)
+        assert type(mx) is float and type(mn) is float
+        np.testing.assert_allclose(mx, 0.8)
+        np.testing.assert_allclose(mn, 0.55)
 
     def test_partial_first_window(self):
         # a cycle ending at epoch 3 only has 3 epochs to average
         accs = [0.2, 0.4, 0.6]
-        m = peak_metric(rows_for(accs), [3], "max_last5")
-        assert m.windows == [(1, 3)]
-        np.testing.assert_allclose(m.value, 0.4)
+        assert analysis.peak_windows([3]) == [range(1, 4)]
+        np.testing.assert_allclose(peak_metric(rows_for(accs), [3], "max_last5"), 0.4)
+        np.testing.assert_allclose(peak_metric(rows_for(accs), [3], "mean_last5"), 0.4)
 
     def test_truncated_final_cycle(self):
-        accs = [0.5] * 20
-        m = peak_metric(rows_for(accs), [15, 20], "max_last5")
-        assert m.windows == [(11, 15), (16, 20)]
+        # a 20-epoch budget cuts the second cycle at 20: windows 11-15 and 16-20
+        accs = [0.5] * 15 + [0.7] * 5
+        assert analysis.peak_windows([15, 20]) == [range(11, 16), range(16, 21)]
+        np.testing.assert_allclose(peak_metric(rows_for(accs), [15, 20], "max_last5"), 0.7)
+        np.testing.assert_allclose(peak_metric(rows_for(accs), [15, 20], "mean_last5"), 0.6)
 
     def test_bad_kind_and_empty(self):
         with pytest.raises(DataError, match="peak metric"):

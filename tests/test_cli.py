@@ -1,5 +1,6 @@
 """Command-line interface, end to end at desk scale."""
 
+import argparse
 import json
 import os
 import re
@@ -19,6 +20,19 @@ from neurodecode.cli import build_parser, main
 from neurodecode.data import SynthConfig, generate_synthetic, load_epochs, save_epochs, split
 from neurodecode.pipeline import PipelineConfig
 from neurodecode.training import TrainConfig
+
+
+# every subcommand's flags; change this table only with the parser, and say so in CHANGES.md
+FLAGS = {
+    "synth": "--mode --n-trials --n-subjects --snr --seed --raw --lead-in-ms --out",
+    "preprocess": "--raw --out --config --ref-channel --band --target-rate --seed",
+    "train": "--data --arch --size --run-dir --subject --config --epochs --batch-size --seed",
+    "baseline": "--data --subject --out",
+    "eval": "--run-dir --data --subject",
+    "analyze": "--runs --out --headline",
+    "gradcheck": "--scope --arch --size",
+    "audit-params": "--strict",
+}
 
 
 def run(argv):
@@ -391,6 +405,7 @@ class TestSplitFromTheFile:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "trials have no train/test split" in err
+        assert f"{unsplit_file}: " in err
 
     def test_eval_scores_the_test_split(self, capsys, trained_run, epochs_file):
         capsys.readouterr()
@@ -437,6 +452,16 @@ def test_readme_command_lines_parse():
     assert len(commands) >= 10
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+def test_flag_census():
+    """Every subcommand's flags, pinned: a flag added or left over fails here."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    census = {
+        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in commands.choices.items()
+    }
+    assert census == {name: sorted(flags.split()) for name, flags in FLAGS.items()}
 
 
 class TestChecks:
@@ -505,6 +530,16 @@ class TestBadInputs:
         (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb",
           "--config", "{tmp}/ref_number.json"], 1,
          "error: config file {tmp}/ref_number.json: field 'ref_channel' must be str, got 5"),
+        # the training protocol, dropout and test fraction are constants, not settings
+        (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
+          "--config", "{tmp}/lr_max.json"], 1,
+         "error: config file {tmp}/lr_max.json has unknown TrainConfig fields ['lr_max']"),
+        (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
+          "--dropout", "0.1"], 1, "error: neurodecode: unrecognized arguments: --dropout 0.1"),
+        (["synth", "--test-frac", "0.3", "--out", "{tmp}/x.eegb"], 1,
+         "error: neurodecode: unrecognized arguments: --test-frac 0.3"),
+        (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb",
+          "--test-frac", "0.3"], 1, "error: neurodecode: unrecognized arguments: --test-frac 0.3"),
         # right types, but values no trial or model takes
         (["baseline", "--data", "{corrupt}/subject0.eegb"], 2,
          "data error: {corrupt}/subject0.eegb: subject ids are 1-based, got 0"),
@@ -522,6 +557,7 @@ class TestBadInputs:
             "batch_float": {"batch_size": 16.5},
             "rate_float": {"target_rate": 100.0},
             "ref_number": {"ref_channel": 5},
+            "lr_max": {"lr_max": 0.1},
         }
         for name, config in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(config))

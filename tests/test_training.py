@@ -1,6 +1,7 @@
 """Training loop: optimizer, schedule, metrics, determinism."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,66 +11,64 @@ from neurodecode.autodiff.core import Parameter
 from neurodecode.data import SynthConfig, generate_synthetic, split
 from neurodecode.errors import UsageError
 from neurodecode.models import build_model
-from neurodecode.training import TrainConfig, evaluate, lr_at, restart_epochs, sgd_step
+from neurodecode.training import LR_MAX, LR_MIN, TrainConfig, evaluate, lr_at, restart_epochs, sgd_step
 
 
 class TestSgd:
     def test_momentum_hand_values(self):
-        # v <- 0.9 v + g, p <- p - lr v; (g=1, lr=1): p goes -1, then -2.9
+        # g <- g + 1e-3 p, v <- 0.9 v + g, p <- p - lr v; (g=1, lr=1):
+        # v = 1, p = -1; then g = 0.999, v = 1.899, p = -2.899
         p = Parameter(np.array([0.0]), name="p")
         p.grad = np.array([1.0])
-        sgd_step([p], lr=1.0, momentum=0.9, weight_decay=0.0)
+        sgd_step([p], lr=1.0)
         np.testing.assert_allclose(p.data, [-1.0])
         p.grad = np.array([1.0])
-        sgd_step([p], lr=1.0, momentum=0.9, weight_decay=0.0)
-        np.testing.assert_allclose(p.data, [-2.9])
+        sgd_step([p], lr=1.0)
+        np.testing.assert_allclose(p.data, [-2.899])
 
     def test_weight_decay_coupled(self):
         p = Parameter(np.array([2.0]), name="p")
         p.grad = np.array([0.0])
-        sgd_step([p], lr=0.1, momentum=0.0, weight_decay=0.5)
-        # effective gradient 0 + 0.5*2 = 1
-        np.testing.assert_allclose(p.data, [1.9])
+        sgd_step([p], lr=0.1)
+        # effective gradient 0 + 1e-3*2 = 0.002 on a zero momentum buffer
+        np.testing.assert_allclose(p.data, [1.9998])
 
     def test_missing_grad_raises(self):
         p = Parameter(np.array([0.0]), name="w")
         with pytest.raises(training.NumericError, match="w"):
-            sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0)
+            sgd_step([p], lr=0.1)
 
 
 class TestSchedule:
     def test_restart_epochs_geometric(self):
-        assert restart_epochs(15, 2, 945) == [15, 45, 105, 225, 465, 945]
+        assert restart_epochs(945) == [15, 45, 105, 225, 465, 945]
 
     def test_restart_epochs_truncated(self):
-        assert restart_epochs(15, 2, 460) == [15, 45, 105, 225, 460]
+        assert restart_epochs(460) == [15, 45, 105, 225, 460]
 
     def test_restart_epochs_short_budget(self):
-        assert restart_epochs(15, 2, 45) == [15, 45]
-        assert restart_epochs(15, 2, 10) == [10]
+        assert restart_epochs(45) == [15, 45]
+        assert restart_epochs(10) == [10]
 
     def test_lr_peaks_and_restarts(self):
-        cfg = TrainConfig(epochs=45)
-        assert lr_at(1, cfg) == cfg.lr_max
-        assert lr_at(16, cfg) == cfg.lr_max  # fresh cycle after epoch 15
-        # near-minimum at cycle end, never below lr_min
-        end = lr_at(15, cfg)
-        assert cfg.lr_min <= end < cfg.lr_min + 0.03 * (cfg.lr_max - cfg.lr_min)
+        assert lr_at(1) == LR_MAX
+        assert lr_at(16) == LR_MAX  # fresh cycle after epoch 15
+        # near-minimum at cycle end, never below LR_MIN
+        end = lr_at(15)
+        assert LR_MIN <= end < LR_MIN + 0.03 * (LR_MAX - LR_MIN)
 
     def test_lr_monotone_within_cycle(self):
-        cfg = TrainConfig(epochs=45)
-        vals = [lr_at(e, cfg) for e in range(1, 16)]
+        vals = [lr_at(e) for e in range(1, 16)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_second_cycle_twice_as_long(self):
-        cfg = TrainConfig(epochs=45)
         # epochs 16..45 form one 30-epoch cycle; midpoint halves the range
-        mid = lr_at(31, cfg)
-        np.testing.assert_allclose(mid, cfg.lr_min + 0.5 * (cfg.lr_max - cfg.lr_min))
+        mid = lr_at(31)
+        np.testing.assert_allclose(mid, LR_MIN + 0.5 * (LR_MAX - LR_MIN))
 
     def test_epoch_is_one_based(self):
         with pytest.raises(UsageError):
-            lr_at(0, TrainConfig())
+            lr_at(0)
 
 
 class TestEvaluate:
@@ -127,26 +126,16 @@ class TestEvaluate:
 
 class TestConfig:
     def test_rejects_bad_fields(self):
-        for kw in (
-            dict(epochs=0),
-            dict(batch_size=0),
-            dict(lr_min=0.0),
-            dict(lr_min=0.1, lr_max=0.01),
-            dict(momentum=1.0),
-            dict(momentum=-0.1),
-            dict(weight_decay=-1e-3),
-            dict(restart_t0=0),
-            dict(restart_mult=0),
-        ):
+        for kw in (dict(epochs=0), dict(batch_size=0)):
             with pytest.raises(UsageError):
                 TrainConfig(**kw)
 
     def test_defaults_match_protocol(self):
-        cfg = TrainConfig()
-        assert cfg.batch_size == 128
-        assert cfg.momentum == 0.9
-        assert cfg.restart_t0 == 15
-        assert cfg.restart_mult == 2
+        assert [f.name for f in fields(TrainConfig)] == ["epochs", "batch_size", "seed"]
+        assert TrainConfig().batch_size == 128
+        assert (training.LR_MAX, training.LR_MIN) == (0.05, 1e-6)
+        assert (training.MOMENTUM, training.WEIGHT_DECAY) == (0.9, 1e-3)
+        assert (training.RESTART_T0, training.RESTART_MULT) == (15, 2)
 
 
 class TestTrainLoop:
@@ -216,8 +205,8 @@ class TestTrainLoop:
         assert manifest["blas_threads"] == run.manifest["blas_threads"] == threads
 
     def test_run_record_round_trip(self, tmp_path):
-        # windows 4-8 and 12-16: epochs 1-3 and 9-11 lie outside both
-        cfg = TrainConfig(epochs=16, batch_size=16, restart_t0=8, restart_mult=1, seed=0)
+        # cycle ends 15 and 16, windows 11-15 and 12-16: epochs 1-10 lie outside both
+        cfg = TrainConfig(epochs=16, batch_size=16, seed=0)
         trained = training.train(
             build_model("eegnet", "small", seed=0), self._dataset(), cfg, run_dir=tmp_path / "run"
         )
