@@ -13,8 +13,8 @@ that made it rather than surfacing later as a corrupted update.  The
 pure views (``VIEW_OPS``) are not checked: they hold exactly the values
 of their input, which were checked when made.  Leaves are not checked
 either, so a non-finite model input is first reported by the first op
-that computes on it (in eegnet the ``matmul`` of the temporal
-convolution, not the ``transpose`` before it).
+that computes on it (in eegnet and conformer the ``matmul`` of the
+spatial convolution).
 """
 
 from __future__ import annotations

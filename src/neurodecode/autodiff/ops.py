@@ -12,9 +12,12 @@ Along time (temporal and depthwise temporal convolution, average
 pooling) it multiplies by a (T, T') matrix: a banded Toeplitz matrix
 built from the kernel, or a fixed pooling matrix.  Across features
 (pointwise and spatial convolution) the weight multiplies the feature
-axis and broadcasts over the batch.  Of the linear maps only ``dense``
-keeps a backward of its own: it folds the leading axes, so its forward
-and both gradients are each one 2-d GEMM, not one per batch row.
+axis and broadcasts over the batch.  ``banded`` builds the band matrices
+from kernels; the eegnet and conformer front ends in ``models`` call it
+directly, to run the temporal band after their spatial mix.  Of the
+linear maps only ``dense`` keeps a backward of its own: it folds the
+leading axes, so its forward and both gradients are each one 2-d GEMM,
+not one per batch row.
 
 Layout conventions: convolutional feature maps are (batch, features,
 channels, time); sequence models take (batch, time, channels); graph
@@ -262,7 +265,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------- convolutions
 
 
-def _banded(w: Tensor, T: int) -> Tensor:
+def banded(w: Tensor, T: int) -> Tensor:
     """Kernels (..., k) -> same-padded band matrices (..., T, T) with
     M[..., s, t] = w[..., s - t + (k - 1) // 2], so ``x @ M`` convolves x
     along time.  One product with a constant 0/1 tap tensor."""
@@ -281,7 +284,7 @@ def conv_temporal(x: Tensor, w: Tensor) -> Tensor:
     if Cin_w != Cin:
         raise NumericError(f"conv_temporal: {Cin} input features vs kernel {Cin_w}")
     rows = reshape(transpose(x, (0, 2, 1, 3)), (B, 1, H, Cin * T))
-    return matmul(rows, reshape(_banded(w, T), (Cout, Cin * T, T)))
+    return matmul(rows, reshape(banded(w, T), (Cout, Cin * T, T)))
 
 
 def conv_spatial_depthwise(x: Tensor, w: Tensor) -> Tensor:
@@ -304,7 +307,7 @@ def depthwise_conv_time(x: Tensor, w: Tensor) -> Tensor:
     Cw = w.data.shape[0]
     if Cw != x.data.shape[1]:
         raise NumericError(f"depthwise kernel for {Cw} features applied to {x.data.shape[1]}")
-    return matmul(x, _banded(w, x.data.shape[-1]))
+    return matmul(x, banded(w, x.data.shape[-1]))
 
 
 def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
@@ -340,6 +343,17 @@ def _mean_square(centered: np.ndarray, axes) -> np.ndarray:
     return total
 
 
+def fold_running_stats(
+    running_mean: np.ndarray, running_var: np.ndarray, mean: np.ndarray, var: np.ndarray
+) -> None:
+    """Fold one batch's per-feature mean and variance into the running
+    buffers, in place, with momentum ``BN_MOMENTUM``."""
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean.reshape(-1)
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var.reshape(-1)
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor | None,
@@ -370,10 +384,7 @@ def batch_norm(
         mean = x.data.mean(axis=axes, keepdims=True)
         centered = x.data - mean
         var = _mean_square(centered, axes)
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean.reshape(-1)
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var.reshape(-1)
+        fold_running_stats(running_mean, running_var, mean, var)
     else:
         centered = x.data - running_mean.reshape(bshape).astype(x.data.dtype)
         var = running_var.reshape(bshape).astype(x.data.dtype)

@@ -153,25 +153,36 @@ def check_meta_length(path: str | Path, n_trials: int, n_meta: int) -> None:
 
 
 def save_checkpoint(path: str | Path, descriptor: dict, tensors: dict[str, np.ndarray]) -> None:
-    """Write an EEGC checkpoint: a JSON descriptor plus named tensors."""
+    """Write an EEGC checkpoint: a JSON descriptor plus named tensors.
+
+    The bytes go to ``<path>.tmp`` in the same directory, which is renamed
+    over ``path`` once complete, so ``path`` is never left half written; a
+    write that fails removes the temp file and leaves ``path`` as it was.
+    """
     blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<2I", FORMAT_VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr)
-            if arr.dtype not in _DTYPE_OF:
-                raise DataError(f"checkpoint tensor {name!r} has unsupported dtype {arr.dtype}")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<2I", _DTYPE_OF[arr.dtype], arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<2I", FORMAT_VERSION, len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<I", len(tensors)))
+            for name, arr in tensors.items():
+                arr = np.ascontiguousarray(arr)
+                if arr.dtype not in _DTYPE_OF:
+                    raise DataError(f"checkpoint tensor {name!r} has unsupported dtype {arr.dtype}")
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<2I", _DTYPE_OF[arr.dtype], arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -288,7 +288,13 @@ class _EncoderBlock:
 
 class EEGNet(Model):
     """Compact convolutional decoder: temporal filters, spatial filters,
-    separable temporal refinement, two pooling stages."""
+    separable temporal refinement, two pooling stages.
+
+    The first two stages run in the other order (see ``_front``): the
+    spatial filters mix the input's channels, then the temporal filters
+    run on the few mixed maps, so the (B, f1, C, T) map of the temporal
+    filters over every channel is never built.
+    """
 
     arch = "eegnet"
     TEMPORAL_KERNEL = 25
@@ -306,7 +312,8 @@ class EEGNet(Model):
         k = self.TEMPORAL_KERNEL
         self.w_temporal = self._uniform("temporal.w", (f1, 1, k), k)
         # bn1 -> spatial conv -> bn2 is a linear sandwich: bn2 undoes
-        # any affine bn1 could apply, so bn1 runs without one
+        # any affine bn1 could apply, so bn1 runs without one.  Only its
+        # buffers are used: _front computes its statistics from the input
         self.bn1 = _BatchNorm(self, f1, "bn1", affine=False)
         self.w_spatial = self._uniform("spatial.w", (f1, depth, self.n_channels), self.n_channels)
         self.bn2 = _BatchNorm(self, f1 * depth, "bn2")
@@ -318,13 +325,55 @@ class EEGNet(Model):
         self.w_head = self._uniform("head.w", (flat, self.n_classes), flat)
         self.b_head = self._uniform("head.b", (self.n_classes,), flat)
 
+    def _front(self, x: np.ndarray, training: bool) -> Tensor:
+        """Temporal conv -> bn1 -> depthwise spatial conv, (B, C, T) ->
+        (B, f1 * depth, 1, T), without the (B, f1, C, T) temporal map.
+
+        Both convolutions are linear, on different axes, so they commute:
+        the spatial filters mix the input's channels first, and each
+        temporal band M_f then runs on its f's depth mixed maps.  bn1
+        normalizes the temporal map h = X M_f (X the B * C input rows)
+        per feature f, so its batch statistics come from the input.  With
+        x the mean row and Z = X - x, the row mean of h is a_f = x M_f, so
+        mean_f is the mean of a_f over time and var_f =
+        sum((Z'Z M_f) * M_f) / n + the variance of a_f over time, with
+        n = B * C * T: two sums of squares, so no difference of large
+        terms cancels.  Centering h by mean_f shifts each spatial output
+        by mean_f * sum_c w_spatial[f, d, c].
+        """
+        f1, depth, C, T = self.f1, self.depth, self.n_channels, self.n_samples
+        B = x.shape[0]
+        # one (f1 * depth, C) @ (C, B * T) product; its rows are (f, d), its columns (b, t)
+        by_channel = constant(np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(C, B * T))
+        mixed = ops.matmul(ops.reshape(self.w_spatial, (f1 * depth, C)), by_channel)
+        bands = ops.banded(ops.reshape(self.w_temporal, (f1, self.TEMPORAL_KERNEL)), T)
+        h = ops.reshape(ops.matmul(ops.reshape(mixed, (f1, depth * B, T)), bands), (f1, depth, B * T))
+        if training:
+            rows = x.reshape(B * C, T)
+            row_mean = rows.mean(axis=0)
+            centered = rows - row_mean
+            a = ops.reshape(ops.matmul(constant(row_mean[None, :]), bands), (f1, T))
+            mean = ops.mean_axis(a, 1)
+            dev = ops.sub(a, ops.reshape(mean, (f1, 1)))
+            square = ops.mul(ops.matmul(constant(centered.T @ centered), bands), bands)
+            var = ops.add(
+                ops.scale(ops.sum_axis(ops.reshape(square, (f1, T * T)), 1), 1.0 / (B * C * T)),
+                ops.mean_axis(ops.mul(dev, dev), 1),
+            )
+            mean, var = ops.reshape(mean, (f1, 1, 1)), ops.reshape(var, (f1, 1, 1))
+            inv = ops.powc(ops.add(var, constant(np.array(ops.NORM_EPS, dtype=x.dtype))), -0.5)
+            ops.fold_running_stats(self.bn1.running_mean, self.bn1.running_var, mean.data, var.data)
+        else:
+            mean = constant(self.bn1.running_mean.reshape(f1, 1, 1), x.dtype)
+            inv = constant(1.0 / np.sqrt(self.bn1.running_var.reshape(f1, 1, 1) + ops.NORM_EPS), x.dtype)
+        shift = ops.mul(mean, ops.reshape(ops.sum_axis(self.w_spatial, 2), (f1, depth, 1)))
+        h = ops.mul(ops.sub(h, shift), inv)
+        h = ops.transpose(ops.reshape(h, (f1 * depth, B, T)), (1, 0, 2))
+        return ops.reshape(h, (B, f1 * depth, 1, T))
+
     def forward(self, x, training):
         x = self._input(x)
-        h = constant(x[:, None, :, :])
-        h = ops.conv_temporal(h, self.w_temporal)
-        h = self.bn1(h, training)
-        h = ops.conv_spatial_depthwise(h, self.w_spatial)
-        h = self.bn2(h, training)
+        h = self.bn2(self._front(x, training), training)
         h = ops.elu(h)
         h = ops.avg_pool_time(h, 4)
         h = self._drop(h, training)
@@ -454,7 +503,8 @@ class Conformer(Model):
 
     The temporal/spatial convolutions tokenize the epoch into 25 tokens
     of width F; the flattened encoder output passes through one hidden
-    head layer.
+    head layer.  The two convolutions run in the other order (see
+    ``_front``), so the (B, F, C, T) temporal map is never built.
     """
 
     arch = "conformer"
@@ -488,15 +538,25 @@ class Conformer(Model):
         self.w_h2 = self._uniform("head.w2", (self.head_hidden, self.n_classes), self.head_hidden)
         self.b_h2 = self._uniform("head.b2", (self.n_classes,), self.head_hidden)
 
+    def _front(self, x: np.ndarray) -> Tensor:
+        """Temporal conv -> full spatial conv, (B, C, T) -> (B, f, 1, T),
+        without the (B, f, C, T) temporal map.
+
+        Both convolutions are linear, on different axes, so they commute.
+        The spatial weight w[o, g * C + c] first mixes the input's
+        channels for every (o, g); the temporal band M_g of feature g then
+        runs on those maps, and the sum over g is the one product below.
+        """
+        B, f, T = x.shape[0], self.f, self.n_samples
+        mixed = ops.matmul(ops.reshape(self.w_spatial, (f * f, self.n_channels)), constant(x))
+        bands = ops.banded(ops.reshape(self.w_temporal, (f, self.TEMPORAL_KERNEL)), T)
+        h = ops.matmul(ops.reshape(mixed, (B * f, f * T)), ops.reshape(bands, (f * T, T)))
+        return ops.reshape(h, (B, f, 1, T))
+
     def forward(self, x, training):
         x = self._input(x)
         B = x.shape[0]
-        h = constant(x[:, None, :, :])
-        h = ops.conv_temporal(h, self.w_temporal)
-        # full spatial convolution: flatten (feature, channel) and mix as 1x1
-        h = ops.reshape(h, (B, self.f * self.n_channels, 1, self.n_samples))
-        h = ops.pointwise_conv(h, self.w_spatial)
-        h = self.bn(h, training)
+        h = self.bn(self._front(x), training)
         h = ops.elu(h)
         h = ops.avg_pool_time(h, self.POOL)
         h = self._drop(h, training)

@@ -228,7 +228,8 @@ def train(
         "best_epoch": best_epoch,
         "best_windowed_test_acc": best_acc,
         "n_params": model.n_params,
-        # the bytes of some cells' gradients depend on the BLAS thread count
+        # eegnet-large's and every conformer's gradient bytes differ between
+        # one and two BLAS threads (batch 128); the other cells' do not
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     predictions = [

@@ -191,3 +191,20 @@ class TestCheckpoint:
         eegb.save_checkpoint(path, {}, tensors)
         _, back = eegb.load_checkpoint(path)
         assert list(back) == list(tensors)
+
+    def test_write_that_fails_partway_leaves_no_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        # the second tensor's dtype is rejected after the first has been written
+        tensors = {"param:w": _tensor(), "param:n": np.arange(3)}
+        with pytest.raises(DataError, match="param:n"):
+            eegb.save_checkpoint(path, {}, tensors)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_that_fails_partway_keeps_the_old_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        eegb.save_checkpoint(path, {"seed": 1}, {"param:w": _tensor()})
+        before = path.read_bytes()
+        with pytest.raises(DataError):
+            eegb.save_checkpoint(path, {"seed": 2}, {"param:w": _tensor(), "param:n": np.arange(3)})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from neurodecode import models
-from neurodecode.autodiff import Tensor, ops
-from neurodecode.errors import MetaMismatchError, UsageError
+from neurodecode.autodiff import Tensor, constant, ops
+from neurodecode.errors import MetaMismatchError, NumericError, UsageError
 from neurodecode.models import ARCHITECTURES, PARAM_TOLERANCE, SIZES, build_model
 
 
@@ -119,6 +119,99 @@ class TestDtypeContract:
         assert loss.data.dtype == np.float32
         assert seen == {np.dtype(np.float32)}
         assert all(p.grad.dtype == np.float32 for p in m.params())
+
+
+# The front ends as first written: the temporal convolution builds the
+# (B, F, C, T) map, which the spatial convolution then collapses.  Kept
+# as the float64 oracle for the commuted fronts in models.py.
+def eegnet_front_oracle(model, x, training):
+    h = ops.conv_temporal(constant(x[:, None]), model.w_temporal)
+    h = model.bn1(h, training)
+    return ops.conv_spatial_depthwise(h, model.w_spatial)
+
+
+def conformer_front_oracle(model, x):
+    h = ops.conv_temporal(constant(x[:, None]), model.w_temporal)
+    h = ops.reshape(h, (len(x), model.f * model.n_channels, 1, model.n_samples))
+    return ops.pointwise_conv(h, model.w_spatial)
+
+
+def with_oracle_front(model):
+    """The model, its front end replaced by the oracle composition."""
+    if model.arch == "eegnet":
+        model._front = lambda x, training: eegnet_front_oracle(model, x, training)
+    else:
+        model._front = lambda x: conformer_front_oracle(model, x)
+    return model
+
+
+class TestFrontEquivalence:
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("arch", ["eegnet", "conformer"])
+    def test_loss_gradients_and_buffers_match_the_oracle(self, arch, size):
+        pair = [build_model(arch, size, seed=1), with_oracle_front(build_model(arch, size, seed=1))]
+        for m in pair:
+            m.to_float64()
+        x = small_batch(3, seed=4).astype(np.float64)
+        y = np.array([0, 1, 1])
+        # two training passes move the buffers twice; evaluation then reads them
+        for training in (True, True, False):
+            losses = []
+            for m in pair:
+                m.zero_grad()
+                loss = m.loss(x, y, training=training)
+                loss.backward()
+                losses.append(loss.data)
+            new, old = pair
+            np.testing.assert_allclose(losses[0], losses[1], rtol=1e-10)
+            for (name, p), (_, q) in zip(new.named_params(), old.named_params()):
+                np.testing.assert_allclose(p.grad, q.grad, rtol=1e-10, atol=1e-14, err_msg=name)
+            for (name, a), (_, b) in zip(new.named_buffers(), old.named_buffers()):
+                np.testing.assert_allclose(a, b, rtol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("arch", ["eegnet", "conformer"])
+    def test_checkpoint_from_before_a_step_predicts_as_the_oracle(self, tmp_path, arch):
+        from neurodecode.training import sgd_step
+
+        m = build_model(arch, "small", seed=2)
+        x, y = small_batch(8, seed=5), np.array([0, 1] * 4)
+        m.forward(x, training=True)  # moves the buffers off their initial values
+        p = tmp_path / "m.ckpt"
+        models.save_model(p, m)
+        expected = m.forward(x, training=False).data
+        m.loss(x, y, training=True).backward()
+        sgd_step(m.params(), 0.05)
+        back = models.load_model(p)
+        oracle = with_oracle_front(models.load_model(p))
+        logits = back.forward(x, training=False).data
+        np.testing.assert_array_equal(logits, expected)
+        np.testing.assert_allclose(logits, oracle.forward(x, training=False).data, rtol=1e-4, atol=1e-5)
+        np.testing.assert_array_equal(back.predict(x), oracle.predict(x))
+
+    def test_bn1_statistics_survive_a_large_offset_in_float32(self):
+        # a centre-tap kernel passes an offset input's mean through unchanged,
+        # so var_f is tiny beside mean_f^2: E[h^2] - mean^2 would cancel to
+        # noise, where a sum of squared deviations (the oracle's) does not
+        new = build_model("eegnet", "small", seed=1)
+        old = with_oracle_front(build_model("eegnet", "small", seed=1))
+        x = small_batch(8, seed=6) + np.float32(1e3)
+        for m in (new, old):
+            m.w_temporal.data[...] = 0.0
+            m.w_temporal.data[:, 0, models.EEGNet.TEMPORAL_KERNEL // 2] = 1.0
+            m.forward(x, training=True)
+        for (name, a), (_, b) in zip(new.named_buffers(), old.named_buffers()):
+            if name.startswith("bn1."):
+                np.testing.assert_allclose(a, b, rtol=1e-3, err_msg=name)
+
+    def test_non_finite_input_raises_at_the_spatial_matmul_before_bn1_moves(self):
+        m = build_model("eegnet", "small", seed=0)
+        before = [b.copy() for _, b in m.named_buffers()]
+        x = small_batch(4)
+        x[2, 7, 11] = np.nan
+        with pytest.raises(NumericError, match="'matmul'"):
+            m.loss(x, np.array([0, 1, 1, 0]), training=True)
+        for (name, b), old in zip(m.named_buffers(), before):
+            assert np.array_equal(b, old), name
 
 
 class TestCheckpoints:
