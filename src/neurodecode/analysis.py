@@ -23,7 +23,6 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
-from scipy.special import stdtr
 
 from .data import ALIVE_CATEGORIES, NONLIVING_CATEGORIES, category_to_label
 from .errors import DataError, check_fields
@@ -88,6 +87,7 @@ def paired_ttest(a, b) -> TTestResult:
             return TTestResult(t=0.0, df=df, p=1.0, mean_diff=0.0, degenerate=True)
         t = math.inf if mean > 0 else -math.inf
         return TTestResult(t=t, df=df, p=0.0, mean_diff=mean, degenerate=True)
+    from scipy.special import stdtr  # loaded here: only the t-tests need it
     t = mean / (sd / math.sqrt(n))
     p = 2.0 * float(stdtr(df, -abs(t)))
     return TTestResult(t=t, df=df, p=p, mean_diff=mean)

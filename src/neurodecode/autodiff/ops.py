@@ -26,6 +26,7 @@ convolutions take (batch, nodes, features).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -45,6 +46,37 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if s == 1 and g.shape[i] != 1:
             g = g.sum(axis=i, keepdims=True)
     return g
+
+
+# ------------------------------------------------------------------ constants
+# built once per shape and dtype, then shared read-only by every forward
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=32)
+def _tap_select(k: int, T: int, dtype: np.dtype) -> np.ndarray:
+    """(k, T·T) 0/1 tensor: row j marks the band entries that take tap j."""
+    taps = np.arange(T)[:, None] - np.arange(T) + (k - 1) // 2
+    return _frozen((taps.reshape(1, T * T) == np.arange(k)[:, None]).astype(dtype))
+
+
+@functools.lru_cache(maxsize=32)
+def _pool_matrix(T: int, k: int, dtype: np.dtype) -> np.ndarray:
+    return _frozen(((np.arange(T)[:, None] // k == np.arange(T // k)) / k).astype(dtype))
+
+
+@functools.lru_cache(maxsize=32)
+def _position_table(n_positions: int, d_model: int, dtype: np.dtype) -> np.ndarray:
+    position = np.arange(n_positions, dtype=np.float64)[:, None]
+    div = np.exp(np.arange(0, d_model, 2, dtype=np.float64) * (-np.log(10000.0) / d_model))
+    pe = np.zeros((n_positions, d_model), dtype=np.float64)
+    pe[:, 0::2] = np.sin(position * div)
+    pe[:, 1::2] = np.cos(position * div[: (d_model // 2)])
+    return _frozen(pe.astype(dtype))
 
 
 # ---------------------------------------------------------------- elementwise
@@ -241,7 +273,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, n_out)
-        x.accumulate((g2 @ w.data.T).reshape(x.data.shape))
+        if x.requires_grad:
+            x.accumulate((g2 @ w.data.T).reshape(x.data.shape))
         w.accumulate(x2.T @ g2)
         if b is not None:
             b.accumulate(g2.sum(axis=0))
@@ -270,8 +303,7 @@ def banded(w: Tensor, T: int) -> Tensor:
     M[..., s, t] = w[..., s - t + (k - 1) // 2], so ``x @ M`` convolves x
     along time.  One product with a constant 0/1 tap tensor."""
     *lead, k = w.data.shape
-    taps = np.arange(T)[:, None] - np.arange(T) + (k - 1) // 2
-    select = constant((taps.reshape(1, T * T) == np.arange(k)[:, None]).astype(w.data.dtype))
+    select = constant(_tap_select(k, T, w.data.dtype))
     return reshape(matmul(reshape(w, (-1, k)), select), (*lead, T, T))
 
 
@@ -326,8 +358,7 @@ def avg_pool_time(x: Tensor, k: int) -> Tensor:
     T = x.data.shape[-1]
     if T // k == 0:
         raise NumericError(f"avg_pool_time: window {k} longer than time axis {T}")
-    pool = (np.arange(T)[:, None] // k == np.arange(T // k)) / k
-    return matmul(x, constant(pool, x.data.dtype))
+    return matmul(x, constant(_pool_matrix(T, k, x.data.dtype)))
 
 
 # ------------------------------------------------------------- normalization
@@ -453,12 +484,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 def sinusoidal_positions(n_positions: int, d_model: int, dtype=np.float32) -> Tensor:
     """Fixed sine/cosine position table, (n_positions, d_model), no gradient."""
-    position = np.arange(n_positions, dtype=np.float64)[:, None]
-    div = np.exp(np.arange(0, d_model, 2, dtype=np.float64) * (-np.log(10000.0) / d_model))
-    pe = np.zeros((n_positions, d_model), dtype=np.float64)
-    pe[:, 0::2] = np.sin(position * div)
-    pe[:, 1::2] = np.cos(position * div[: (d_model // 2)])
-    return constant(pe.astype(dtype))
+    return constant(_position_table(n_positions, d_model, np.dtype(dtype)))
 
 
 def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor) -> Tensor:

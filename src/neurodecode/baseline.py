@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError, NumericError
 
@@ -75,11 +74,12 @@ def _class_covariances(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def fit_csp(x: np.ndarray, y: np.ndarray, n_pairs: int = N_FILTER_PAIRS) -> CspModel:
     """Fit CSP filters from labeled epochs (trials x channels x samples)."""
+    import scipy.linalg  # loaded here: only the CSP baseline needs it
     sigma0, sigma1 = _class_covariances(x, y)
     composite = sigma0 + sigma1
     try:
         eigvals, eigvecs = scipy.linalg.eigh(sigma1, composite)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # the class scipy.linalg re-exports
         raise NumericError(f"generalized eigendecomposition failed: {exc}") from exc
     n = eigvals.size
     if 2 * n_pairs > n:

@@ -43,15 +43,14 @@ def op_check_cases() -> list[tuple[str, object, list[tuple[str, Parameter]]]]:
     def case(name, params, fn):
         cases.append((name, fn, [(f"{name}.{i}", p) for i, p in enumerate(params)]))
 
-    def weighted_sq(t, seed=101):
+    def weighted_sq(shape, seed=101):
         # batch norm maps any input to zero mean and unit variance per
         # channel, so a loss built from per-channel statistics of the
         # output (a plain mean, a mean of squares) is *constant* in x
         # and its true gradient is exactly zero; fixed random weights
-        # varying within each channel break that invariance
-        w = np.random.default_rng(seed).uniform(0.5, 1.5, t.data.shape)
-        sq = ops.mul(ops.mul(t, t), constant(w))
-        return _mean_all(sq)
+        # varying within each channel break that invariance; drawn once per case
+        w = constant(np.random.default_rng(seed).uniform(0.5, 1.5, shape))
+        return lambda t: _mean_all(ops.mul(ops.mul(t, t), w))
 
     a, b = _p(rng, 3, 4), _p(rng, 4)
     case("add_broadcast", [a, b], lambda: _mean_all(ops.mul(ops.add(a, b), ops.add(a, b))))
@@ -108,10 +107,11 @@ def op_check_cases() -> list[tuple[str, object, list[tuple[str, Parameter]]]]:
 
     s_x, s_g, s_b = _p(rng, 4, 3, 2, 5), Parameter(np.random.default_rng(8).uniform(0.5, 1.5, 3)), _p(rng, 3)
     s_rm, s_rv = np.zeros(3), np.ones(3)
+    s_loss = weighted_sq(s_x.data.shape)
     case(
         "batch_norm_train",
         [s_x, s_g, s_b],
-        lambda: weighted_sq(ops.batch_norm(s_x, s_g, s_b, s_rm, s_rv, training=True)),
+        lambda: s_loss(ops.batch_norm(s_x, s_g, s_b, s_rm, s_rv, training=True)),
     )
     t_x, t_g, t_b = _p(rng, 4, 3, 2, 5), _p(rng, 3), _p(rng, 3)
     t_rm = np.random.default_rng(9).standard_normal(3)
@@ -140,10 +140,11 @@ def op_check_cases() -> list[tuple[str, object, list[tuple[str, Parameter]]]]:
     w_mat = lambda: Parameter(rng.standard_normal((6, 6)) * 0.4)
     w_vec = lambda: _p(rng, 6)
     w_params = [w_mat(), w_vec(), w_mat(), w_mat(), w_vec(), w_mat(), w_vec()]
+    w_loss = weighted_sq(w_x.data.shape)
     case(
         "multi_head_attention",
         [w_x] + w_params,
-        lambda: weighted_sq(ops.multi_head_attention(w_x, *w_params, n_heads=2)),
+        lambda: w_loss(ops.multi_head_attention(w_x, *w_params, n_heads=2)),
     )
 
     ch_rng = np.random.default_rng(11)

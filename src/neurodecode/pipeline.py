@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
 
 from .errors import DataError, NumericError, UsageError
 
@@ -94,12 +93,13 @@ def bandpass(rec: RawRecording, low: float, high: float) -> RawRecording:
     nyq = rec.sample_rate / 2
     if not 0 < low < high < nyq:
         raise DataError(f"band ({low}, {high}) Hz outside (0, {nyq}) Hz at {rec.sample_rate} Hz")
-    # second-order sections: the flat polynomial form of an 8-pole
-    # bandpass with a 1 Hz corner at 1 kHz amplifies round-off by ~1e10
-    sos = butter(BUTTER_ORDER, [low, high], btype="bandpass", output="sos", fs=rec.sample_rate)
     padlen = 3 * (2 * BUTTER_ORDER)
     if rec.n_samples <= padlen:
         raise DataError(f"recording too short to filter: {rec.n_samples} <= pad {padlen}")
+    from scipy.signal import butter, sosfiltfilt  # loaded here: only the band-pass needs it
+    # second-order sections: the flat polynomial form of an 8-pole
+    # bandpass with a 1 Hz corner at 1 kHz amplifies round-off by ~1e10
+    sos = butter(BUTTER_ORDER, [low, high], btype="bandpass", output="sos", fs=rec.sample_rate)
     data = sosfiltfilt(sos, rec.data, axis=1, padtype="odd", padlen=padlen)
     return replace(rec, data=data)
 

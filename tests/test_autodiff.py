@@ -577,6 +577,46 @@ class TestConvReferences:
         # each weight sees 2 * 24 ones out of 96 outputs, summed over the batch
         np.testing.assert_array_equal(w.grad, np.full((2, 1), 0.5))
 
+    def test_dense_skips_an_input_without_grad(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 5, 3))
+        w, b = rng.standard_normal((3, 4)), rng.standard_normal(4)
+        g = rng.standard_normal((2, 5, 4))
+        grads = {}
+        for kind, xt in (("constant", constant(x)), ("leaf", Parameter(x))):
+            wp, bp = Parameter(w), Parameter(b)
+            backward_from(ops.dense(xt, wp, bp), g)
+            grads[kind] = (xt.grad, wp.grad.tobytes(), bp.grad.tobytes())
+        assert grads["constant"][0] is None and grads["leaf"][0] is not None
+        assert grads["constant"][1:] == grads["leaf"][1:]
+
+
+class TestCachedConstants:
+    """The constants that depend only on shape and dtype are built once per
+    process, read-only, with the bytes of the inline expressions they replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_only_and_equal_to_the_inline_expression(self, dtype):
+        k, T, n, d = 7, 13, 9, 6
+        taps = np.arange(T)[:, None] - np.arange(T) + (k - 1) // 2
+        position = np.arange(n, dtype=np.float64)[:, None]
+        div = np.exp(np.arange(0, d, 2, dtype=np.float64) * (-np.log(10000.0) / d))
+        pe = np.zeros((n, d), dtype=np.float64)
+        pe[:, 0::2] = np.sin(position * div)
+        pe[:, 1::2] = np.cos(position * div[: (d // 2)])
+        dt = np.dtype(dtype)
+        cases = [
+            (ops._tap_select(k, T, dt), (taps.reshape(1, T * T) == np.arange(k)[:, None]).astype(dtype)),
+            (ops._pool_matrix(T, 4, dt), ((np.arange(T)[:, None] // 4 == np.arange(T // 4)) / 4).astype(dtype)),
+            (ops.sinusoidal_positions(n, d, dtype=dtype).data, pe.astype(dtype)),
+        ]
+        for got, want in cases:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 1.0
+        assert ops._tap_select(k, T, dt) is ops._tap_select(k, T, dt)
+
 
 def lstm_layer_composed(x, w_ih, w_hh, b):
     """The LSTM layer as the primitive-op loop the fused node replaced."""

@@ -69,6 +69,14 @@ class TestCsp:
         with pytest.raises((DataError, baseline.NumericError)):
             fit_csp_lda(x, y)
 
+    def test_copied_channels_fail_the_eigendecomposition(self):
+        # every channel carries one signal: each trial covariance has rank 1
+        # and a positive trace, so the composite reaches eigh singular
+        x = np.repeat(np.random.default_rng(0).standard_normal((10, 1, 50)), 8, axis=1)
+        y = np.repeat([0, 1], 5)
+        with pytest.raises(baseline.NumericError, match="generalized eigendecomposition failed"):
+            fit_csp_lda(x, y)
+
     def test_deterministic(self):
         x, y = variance_contrast_trials(n=80, seed=2)
         a = fit_csp_lda(x, y)

@@ -454,6 +454,19 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(argv[1:])
 
 
+def test_cold_start_loads_no_scipy():
+    """Only band-pass, CSP and the t-tests import scipy, inside those functions."""
+    code = (
+        "import sys, neurodecode, neurodecode.cli; neurodecode.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(neurodecode.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_flag_census():
     """Every subcommand's flags, pinned: a flag added or left over fails here."""
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

@@ -214,6 +214,31 @@ class TestFrontEquivalence:
             assert np.array_equal(b, old), name
 
 
+class TestConstantInput:
+    # each of these models feeds its input straight into a ``dense``
+    @pytest.mark.parametrize("arch", ["lstm", "transformer", "dgcnn"])
+    def test_input_gets_no_gradient_and_parameter_gradients_keep_their_bytes(self, arch, monkeypatch):
+        x, y = small_batch(4), np.array([0, 1, 1, 0])
+
+        def grads():
+            model = build_model(arch, "small", seed=0)
+            model.loss(x, y, training=True).backward()
+            return [p.grad.tobytes() for _, p in model.named_params()]
+
+        inputs = []
+
+        def recorded_constant(data):
+            inputs.append(constant(data))
+            return inputs[-1]
+
+        monkeypatch.setattr(models, "constant", recorded_constant)
+        as_constant = grads()
+        assert len(inputs) == 1 and inputs[0].grad is None
+        # the same input as a leaf that takes a gradient
+        monkeypatch.setattr(models, "constant", lambda data: Tensor(data, requires_grad=True))
+        assert grads() == as_constant
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_round_trip_bitwise(self, tmp_path, arch):

@@ -1,5 +1,7 @@
 """Preprocessing pipeline: oracles and invariants."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,9 +100,11 @@ class TestBandpass:
         assert np.abs(out[2, mid]).max() < 0.01
         assert 0.9 < np.abs(out[3, mid]).max() < 1.1
 
-    def test_too_short_signal(self):
+    def test_too_short_signal(self, monkeypatch):
+        # rejected before scipy loads: a None entry makes its import raise ImportError
+        monkeypatch.setitem(sys.modules, "scipy.signal", None)
         rec = _rec(np.zeros((1, 10)), names=("a",))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="too short"):
             bandpass(rec, 1.0, 40.0)
 
 
