@@ -4,7 +4,8 @@ A ``Tensor`` records its parents and a backward closure when gradients
 are enabled; ``backward()`` walks the tape in reverse topological order
 with a deterministic accumulation order, so two identical runs produce
 bitwise-identical gradients.  An op output drops its gradient once its
-closure has passed it on; only leaves keep theirs.
+closure has passed it on; only leaves keep theirs, and a constant
+(``requires_grad`` False) never gets one.
 
 Every computing op's output is checked for finiteness at creation, in
 its own dtype, so a large but finite float32 or float64 value never
@@ -75,6 +76,8 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, dtype={self.data.dtype})"
 
     def accumulate(self, g: np.ndarray) -> None:
+        if not self.requires_grad:  # nothing reads a constant's gradient
+            return
         if g.dtype != self.data.dtype:
             g = g.astype(self.data.dtype)
         if self.grad is None:

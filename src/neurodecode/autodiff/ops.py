@@ -387,8 +387,8 @@ def fold_running_stats(
 
 def batch_norm(
     x: Tensor,
-    gamma: Tensor | None,
-    beta: Tensor | None,
+    gamma: Tensor,
+    beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
@@ -400,17 +400,9 @@ def batch_norm(
     repeated training-mode forwards of one batch give one output.
     Evaluation mode uses the running buffers as constants and writes
     nothing.
-
-    Pass ``gamma=None, beta=None`` for a norm with no affine stage.  A
-    norm whose output reaches another norm through purely linear ops
-    must run affine-free: the downstream normalization would undo the
-    shift exactly and the scale up to eps, leaving parameters that can
-    never train.
     """
     axes = tuple(i for i in range(x.data.ndim) if i != 1)
     bshape = tuple(1 if i != 1 else -1 for i in range(x.data.ndim))
-    if (gamma is None) != (beta is None):
-        raise NumericError("batch_norm needs both gamma and beta, or neither")
     if training:
         mean = x.data.mean(axis=axes, keepdims=True)
         centered = x.data - mean
@@ -421,22 +413,13 @@ def batch_norm(
         var = running_var.reshape(bshape).astype(x.data.dtype)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = np.multiply(centered, inv, out=centered)
-    if gamma is None:
-        out = xhat
-        gb = None
-        parents = (x,)
-    else:
-        gb = gamma.data.reshape(bshape)
-        out = gb * xhat + beta.data.reshape(bshape)
-        parents = (x, gamma, beta)
+    gb = gamma.data.reshape(bshape)
+    out = gb * xhat + beta.data.reshape(bshape)
 
     def backward(g):
-        if gamma is None:
-            dxhat = g
-        else:
-            gamma.accumulate(np.sum(g * xhat, axis=axes))
-            beta.accumulate(np.sum(g, axis=axes))
-            dxhat = g * gb
+        gamma.accumulate(np.sum(g * xhat, axis=axes))
+        beta.accumulate(np.sum(g, axis=axes))
+        dxhat = g * gb
         if training:
             m1 = dxhat.mean(axis=axes, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
@@ -444,7 +427,7 @@ def batch_norm(
         else:
             x.accumulate(dxhat * inv)
 
-    return make(out, parents, backward, "batch_norm")
+    return make(out, (x, gamma, beta), backward, "batch_norm")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -4,8 +4,8 @@ The reference linear decoder.  CSP finds spatial filters extremizing
 the variance ratio between the two classes via the generalized
 eigenproblem ``sigma_1 w = lambda (sigma_0 + sigma_1) w`` on
 trace-normalized average covariance matrices; log-variance features of
-the top and bottom ``m`` filters feed a two-class LDA whose pooled
-covariance gets a small diagonal shrinkage.
+the top and bottom ``N_FILTER_PAIRS`` filters feed a two-class LDA whose
+pooled covariance gets a small diagonal shrinkage.
 
 Anything this model can exploit lives in second-order statistics; a
 task whose classes share their covariance (the parity construction)
@@ -72,8 +72,9 @@ def _class_covariances(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
     return sums[0] / counts[0], sums[1] / counts[1]
 
 
-def fit_csp(x: np.ndarray, y: np.ndarray, n_pairs: int = N_FILTER_PAIRS) -> CspModel:
-    """Fit CSP filters from labeled epochs (trials x channels x samples)."""
+def fit_csp(x: np.ndarray, y: np.ndarray) -> CspModel:
+    """Fit ``N_FILTER_PAIRS`` pairs of CSP filters from labeled epochs
+    (trials x channels x samples)."""
     import scipy.linalg  # loaded here: only the CSP baseline needs it
     sigma0, sigma1 = _class_covariances(x, y)
     composite = sigma0 + sigma1
@@ -81,11 +82,11 @@ def fit_csp(x: np.ndarray, y: np.ndarray, n_pairs: int = N_FILTER_PAIRS) -> CspM
         eigvals, eigvecs = scipy.linalg.eigh(sigma1, composite)
     except np.linalg.LinAlgError as exc:  # the class scipy.linalg re-exports
         raise NumericError(f"generalized eigendecomposition failed: {exc}") from exc
-    n = eigvals.size
-    if 2 * n_pairs > n:
-        raise DataError(f"{n_pairs} filter pairs need >= {2 * n_pairs} channels, have {n}")
+    n, m = eigvals.size, N_FILTER_PAIRS
+    if 2 * m > n:
+        raise DataError(f"{m} filter pairs need >= {2 * m} channels, have {n}")
     # eigh returns ascending eigenvalues; big ones favor class 1
-    order = list(range(n - 1, n - 1 - n_pairs, -1)) + list(range(n_pairs))
+    order = list(range(n - 1, n - 1 - m, -1)) + list(range(m))
     filters = eigvecs[:, order].T
     return CspModel(filters=filters, eigenvalues=eigvals[order])
 

@@ -182,7 +182,8 @@ def check_op_gradients() -> list[tuple[str, GradCheckReport]]:
 def check_model_gradients(arch: str, size: str, seed: int = 0) -> GradCheckReport:
     """Gradient check of one architecture at one size, ``MODEL_CHECK_SAMPLE``
     entries per parameter tensor."""
-    model = build_model(arch, size, seed=seed, dropout=0.0)
+    model = build_model(arch, size, seed=seed)
+    model.dropout = 0.0
     model.to_float64()
     rng = np.random.default_rng(seed + 17)
     x = rng.standard_normal((MODEL_CHECK_BATCH, model.n_channels, model.n_samples))

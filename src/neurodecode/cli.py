@@ -5,26 +5,24 @@ data, preprocess a raw recording, train a decoder, run the covariance
 baseline, evaluate a checkpoint, aggregate runs into a report, verify
 gradients, and audit parameter budgets.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error
-(missing or malformed files), 3 numeric failure (non-finite values,
-failed checks).  A closed stdout (``neurodecode gradcheck | head -1``)
-exits 1 without a traceback.
+Exit codes: 0 success, 1 usage error (a bad flag or flag value), 2
+data error (missing or malformed files), 3 numeric failure (non-finite
+values, failed checks).  A closed stdout (``neurodecode gradcheck |
+head -1``) exits 1 without a traceback.
 
 Each setting has one source.  The train/test split is drawn once, by
 the command that writes the epoch file (``synth``, ``preprocess``, at
 ``data.TEST_FRAC`` from ``--seed``); ``train``, ``baseline`` and
 ``eval`` read it, and ``eval`` scores the file's test split.  An epoch
 file with a trial that has no split is a data error.  The seed is
-``--seed``, else (for ``train``) the config file's, else 0.
+``--seed``, else 0.
 
 The flags of ``train`` and ``preprocess`` are the fields of
 ``TrainConfig`` and ``PipelineConfig``, one each, with ``_`` written
-``-``; a tuple field takes its items (``--band LOW HIGH``).  Config
-files are plain JSON objects with the same field names as keys, and
-explicit flags override file values.  A value of the wrong JSON type
-for its field's default (an ``epochs`` of ``1.5`` or ``true``) is a
-usage error.  The optimizer and schedule are constants of
-``training.py``, and a model's dropout is that of its size.
+``-``; a tuple field takes its items (``--band LOW HIGH``).  A field
+comes from its flag, else from the dataclass default.  The optimizer
+and schedule are constants of ``training.py``, and a model's dropout is
+that of its size.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, baseline, checks, data, models, pipeline, training
-from .errors import DataError, NumericError, UsageError, check_fields
+from .errors import DataError, NumericError, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,51 +56,16 @@ def _subject(value: str) -> int | str:
         raise argparse.ArgumentTypeError(f"expected a subject id or 'all', got {value!r}") from None
 
 
-def _kind(f: dataclasses.Field):
-    """A field's JSON kind, its default's type; a tuple field is a list of its items' type."""
-    return [type(f.default[0])] if type(f.default) is tuple else type(f.default)
-
-
-def _load_config_dict(path: str | None, cls) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"config file not found: {p}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {p} is not valid JSON: {exc}") from exc
-    kinds = {f.name: _kind(f) for f in dataclasses.fields(cls)}
-    check_fields(raw, kinds, f"config file {p}", UsageError, required=())
-    unknown = sorted(set(raw) - kinds.keys())
-    if unknown:
-        raise UsageError(
-            f"config file {p} has unknown {cls.__name__} fields {unknown}; known: {sorted(kinds)}"
-        )
-    return raw
-
-
 def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
-    """``--config`` and one flag per field of ``cls``; an unset flag is None."""
-    p.add_argument("--config", default=None, help=f"JSON with {cls.__name__} fields")
+    """One flag per field of ``cls``, defaulting to the field's default."""
     for f in dataclasses.fields(cls):
-        kind = _kind(f)  # a list kind is one flag taking every item
-        nargs = len(f.default) if type(kind) is list else None
-        flag = "--" + f.name.replace("_", "-")
-        p.add_argument(flag, type=kind[0] if nargs else kind, nargs=nargs, default=None)
+        nargs = len(f.default) if type(f.default) is tuple else None
+        kind = type(f.default[0]) if nargs else type(f.default)
+        p.add_argument("--" + f.name.replace("_", "-"), type=kind, nargs=nargs, default=f.default)
 
 
-def _merged_config(cls, args):
-    """The ``--config`` file's fields, each overridden by its flag when given."""
-    base = _load_config_dict(args.config, cls)
-    for f in dataclasses.fields(cls):
-        if getattr(args, f.name) is not None:
-            base[f.name] = getattr(args, f.name)
-    try:
-        return cls(**base)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad {cls.__name__}: {exc}") from exc
+def _config(cls, args):
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 # ------------------------------------------------------------------ commands
@@ -135,7 +98,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _merged_config(pipeline.PipelineConfig, args)
+    cfg = _config(pipeline.PipelineConfig, args)
     rec, meta = data.load_raw(args.raw)
     tensor, trial_ids, skipped = pipeline.run_pipeline(rec, cfg)
     for trial_id, reason in skipped:
@@ -154,7 +117,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _merged_config(training.TrainConfig, args)
+    cfg = _config(training.TrainConfig, args)
     epochs = data.load_epochs(args.data)
     if args.subject == "all":
         subjects = sorted({m.subject for m in epochs.meta})

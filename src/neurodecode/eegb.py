@@ -36,6 +36,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +81,29 @@ def _json_object(text: str | bytes, what: str) -> dict:
     return obj
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A binary handle on ``<path>.tmp``, renamed over ``path`` once the block
+    completes, so ``path`` is never left half written; a block that raises
+    removes the temp file and leaves ``path`` as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tensor_file(path: str | Path, tensor: np.ndarray, meta_lines: list[dict]) -> None:
     """Write an EEGB tensor plus its JSON-lines sidecar.
 
     ``tensor`` must be 3-d (trials x channels x samples), float32 or
     float64; the dtype is recorded in the header and survives the round
-    trip bit for bit.
+    trip bit for bit.  The old tensor is removed first and the new one
+    renamed into place last, after its sidecar, so a write that fails
+    partway leaves no tensor whose sidecar belongs to another write.
     """
     tensor = np.ascontiguousarray(tensor)
     if tensor.ndim != 3:
@@ -96,12 +114,13 @@ def write_tensor_file(path: str | Path, tensor: np.ndarray, meta_lines: list[dic
     header = EPOCH_MAGIC + struct.pack("<5I", FORMAT_VERSION, *tensor.shape, code)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    path.unlink(missing_ok=True)
+    with _replacing(sidecar_path(path)) as fh:
+        for line in meta_lines:
+            fh.write((json.dumps(line, sort_keys=True) + "\n").encode("utf-8"))
+    with _replacing(path) as fh:
         fh.write(header)
         fh.write(tensor.tobytes())
-    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-        for line in meta_lines:
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 def read_tensor_file(path: str | Path) -> tuple[np.ndarray, list[dict]]:
@@ -155,34 +174,27 @@ def check_meta_length(path: str | Path, n_trials: int, n_meta: int) -> None:
 def save_checkpoint(path: str | Path, descriptor: dict, tensors: dict[str, np.ndarray]) -> None:
     """Write an EEGC checkpoint: a JSON descriptor plus named tensors.
 
-    The bytes go to ``<path>.tmp`` in the same directory, which is renamed
-    over ``path`` once complete, so ``path`` is never left half written; a
-    write that fails removes the temp file and leaves ``path`` as it was.
+    The bytes go to ``<path>.tmp`` and replace ``path`` only once complete
+    (see ``_replacing``).
     """
     blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(struct.pack("<2I", FORMAT_VERSION, len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", len(tensors)))
-            for name, arr in tensors.items():
-                arr = np.ascontiguousarray(arr)
-                if arr.dtype not in _DTYPE_OF:
-                    raise DataError(f"checkpoint tensor {name!r} has unsupported dtype {arr.dtype}")
-                nb = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack("<2I", _DTYPE_OF[arr.dtype], arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing(path) as fh:
+        fh.write(CKPT_MAGIC)
+        fh.write(struct.pack("<2I", FORMAT_VERSION, len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<I", len(tensors)))
+        for name, arr in tensors.items():
+            arr = np.ascontiguousarray(arr)
+            if arr.dtype not in _DTYPE_OF:
+                raise DataError(f"checkpoint tensor {name!r} has unsupported dtype {arr.dtype}")
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(nb)))
+            fh.write(nb)
+            fh.write(struct.pack("<2I", _DTYPE_OF[arr.dtype], arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -103,7 +103,7 @@ class Model:
     # what a checkpoint records to rebuild the model: its class and constructor
     # fields, each with the JSON kind it holds (see errors.check_fields)
     DESCRIPTOR_FIELDS = {
-        "arch": str, "size": str, "seed": int, "dropout": (float, None),
+        "arch": str, "size": str, "seed": int,
         "n_classes": int, "n_channels": int, "n_samples": int,
     }
 
@@ -111,7 +111,6 @@ class Model:
         self,
         size: str,
         seed: int = 0,
-        dropout: float | None = None,
         n_classes: int = N_CLASSES,
         n_channels: int = N_CHANNELS,
         n_samples: int = N_SAMPLES,
@@ -120,9 +119,7 @@ class Model:
             raise UsageError(f"unknown size {size!r}; choose from {SIZES}")
         self.size = size
         self.seed = seed
-        self.dropout = DROPOUT_BY_SIZE[size] if dropout is None else float(dropout)
-        if not 0.0 <= self.dropout < 1.0:
-            raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
+        self.dropout = DROPOUT_BY_SIZE[size]
         shape = {"n_classes": n_classes, "n_channels": n_channels, "n_samples": n_samples}
         for name, value in shape.items():
             if value < 1:
@@ -211,20 +208,11 @@ class Model:
 
 
 class _BatchNorm:
-    """Parameter pair plus float64 running buffers, registered on a model.
+    """Parameter pair plus float64 running buffers, registered on a model."""
 
-    ``affine=False`` registers no parameters; required when the norm's
-    output reaches another norm through purely linear ops, where the
-    affine pair could never train.
-    """
-
-    def __init__(self, model: Model, n: int, name: str, affine: bool = True):
-        if affine:
-            self.gamma = model._register(f"{name}.gamma", np.ones(n))
-            self.beta = model._register(f"{name}.beta", np.zeros(n))
-        else:
-            self.gamma = None
-            self.beta = None
+    def __init__(self, model: Model, n: int, name: str):
+        self.gamma = model._register(f"{name}.gamma", np.ones(n))
+        self.beta = model._register(f"{name}.beta", np.zeros(n))
         self.running_mean = model._buffer(f"{name}.running_mean", np.zeros(n, dtype=np.float64))
         self.running_var = model._buffer(f"{name}.running_var", np.ones(n, dtype=np.float64))
 
@@ -312,9 +300,10 @@ class EEGNet(Model):
         k = self.TEMPORAL_KERNEL
         self.w_temporal = self._uniform("temporal.w", (f1, 1, k), k)
         # bn1 -> spatial conv -> bn2 is a linear sandwich: bn2 undoes
-        # any affine bn1 could apply, so bn1 runs without one.  Only its
-        # buffers are used: _front computes its statistics from the input
-        self.bn1 = _BatchNorm(self, f1, "bn1", affine=False)
+        # any affine bn1 could apply, so bn1 has none, only the float64
+        # running buffers; _front computes its statistics from the input
+        self.bn1_mean = self._buffer("bn1.running_mean", np.zeros(f1, dtype=np.float64))
+        self.bn1_var = self._buffer("bn1.running_var", np.ones(f1, dtype=np.float64))
         self.w_spatial = self._uniform("spatial.w", (f1, depth, self.n_channels), self.n_channels)
         self.bn2 = _BatchNorm(self, f1 * depth, "bn2")
         ks = self.SEPARABLE_KERNEL
@@ -362,10 +351,10 @@ class EEGNet(Model):
             )
             mean, var = ops.reshape(mean, (f1, 1, 1)), ops.reshape(var, (f1, 1, 1))
             inv = ops.powc(ops.add(var, constant(np.array(ops.NORM_EPS, dtype=x.dtype))), -0.5)
-            ops.fold_running_stats(self.bn1.running_mean, self.bn1.running_var, mean.data, var.data)
+            ops.fold_running_stats(self.bn1_mean, self.bn1_var, mean.data, var.data)
         else:
-            mean = constant(self.bn1.running_mean.reshape(f1, 1, 1), x.dtype)
-            inv = constant(1.0 / np.sqrt(self.bn1.running_var.reshape(f1, 1, 1) + ops.NORM_EPS), x.dtype)
+            mean = constant(self.bn1_mean.reshape(f1, 1, 1), x.dtype)
+            inv = constant(1.0 / np.sqrt(self.bn1_var.reshape(f1, 1, 1) + ops.NORM_EPS), x.dtype)
         shift = ops.mul(mean, ops.reshape(ops.sum_axis(self.w_spatial, 2), (f1, depth, 1)))
         h = ops.mul(ops.sub(h, shift), inv)
         h = ops.transpose(ops.reshape(h, (f1 * depth, B, T)), (1, 0, 2))

@@ -244,12 +244,15 @@ def train(
 
 def write_run_dir(run_dir: Path, model: Model, cfg: TrainConfig, run: Run) -> None:
     """Persist one training run: config, history, checkpoint, predictions,
-    and last the manifest, whose presence marks a complete run.
+    and last the manifest, whose presence marks a complete run.  An old
+    manifest is removed before anything else is written, so a rewrite that
+    fails partway leaves a directory that reads as incomplete.
 
     Every file but ``manifest.json`` is deterministic given the config;
     wall-clock timestamps live only in the manifest.
     """
     run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "manifest.json").unlink(missing_ok=True)
     config = {"model": model.descriptor(), "train": asdict(cfg)}
     (run_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
     (run_dir / "history.jsonl").write_text(

@@ -65,6 +65,14 @@ class TestForwardOracles:
         assert hidden.grad is None and loss.grad is None
         np.testing.assert_array_equal(p.grad, 4.0 * p.data / 3.0)
 
+    @pytest.mark.parametrize("op", [ops.add, ops.sub, ops.mul])
+    def test_constant_operand_keeps_no_gradient(self, op):
+        p = param([[1.0, 2.0], [3.0, 4.0]])
+        c = constant(np.array([0.5, -1.5]))
+        ops.mean_axis(ops.reshape(op(p, c), (4,)), 0).backward()
+        assert c.grad is None
+        assert p.grad is not None
+
     def test_second_backward_adds_the_same_leaf_gradient(self):
         p = param([1.0, 2.0, 3.0])
         loss = ops.mean_axis(ops.mul(ops.scale(p, 2.0), p), 0)
@@ -341,15 +349,20 @@ class TestModelGradients:
         assert rep.passed is True, rep.summary()
 
 
+def unit_affine(n, dtype=np.float64):
+    """Constant unit gamma and zero beta: batch norm's plain normalization."""
+    return constant(np.ones(n, dtype=dtype)), constant(np.zeros(n, dtype=dtype))
+
+
 class TestBatchNormBuffers:
     def test_training_folds_batch_statistics_into_the_buffers(self):
         x = constant(np.random.default_rng(0).standard_normal((4, 3, 2, 5)))
         rm, rv = np.full(3, 0.5), np.full(3, 2.0)
-        out = ops.batch_norm(x, None, None, rm, rv, training=True)
+        out = ops.batch_norm(x, *unit_affine(3), rm, rv, training=True)
         np.testing.assert_allclose(rm, 0.9 * 0.5 + 0.1 * x.data.mean(axis=(0, 2, 3)))
         np.testing.assert_allclose(rv, 0.9 * 2.0 + 0.1 * x.data.var(axis=(0, 2, 3)))
         # written, never read: other buffer values give the same output
-        again = ops.batch_norm(x, None, None, np.zeros(3), np.ones(3), training=True)
+        again = ops.batch_norm(x, *unit_affine(3), np.zeros(3), np.ones(3), training=True)
         assert np.array_equal(out.data, again.data)
 
     def test_eval_reads_the_buffers_and_writes_nothing(self):
@@ -357,7 +370,7 @@ class TestBatchNormBuffers:
         x = constant(rng.standard_normal((4, 3, 2, 5)))
         rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
         rm0, rv0 = rm.copy(), rv.copy()
-        out = ops.batch_norm(x, None, None, rm, rv, training=False)
+        out = ops.batch_norm(x, *unit_affine(3), rm, rv, training=False)
         assert np.array_equal(rm, rm0) and np.array_equal(rv, rv0)
         expected = (x.data - rm0[:, None, None]) / np.sqrt(rv0[:, None, None] + 1e-5)
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
@@ -365,7 +378,7 @@ class TestBatchNormBuffers:
 
 def batch_norm_reference(x, gamma, beta, running_mean, running_var, training, g):
     """The two-pass batch norm (``x.mean``, ``x.var``, ``(x - mean) * inv``):
-    output, input gradient and, when affine, the gamma and beta gradients."""
+    output, input gradient, and the gamma and beta gradients."""
     axes = tuple(i for i in range(x.ndim) if i != 1)
     bshape = tuple(1 if i != 1 else -1 for i in range(x.ndim))
     if training:
@@ -380,20 +393,16 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, training, g)
         var = running_var.reshape(bshape).astype(x.dtype)
     inv = 1.0 / np.sqrt(var + ops.NORM_EPS)
     xhat = (x - mean) * inv
-    if gamma is None:
-        out, dxhat, grads = xhat, g, []
-    else:
-        gb = gamma.reshape(bshape)
-        out = gb * xhat + beta.reshape(bshape)
-        dxhat = g * gb
-        grads = [np.sum(g * xhat, axis=axes), np.sum(g, axis=axes)]
+    gb = gamma.reshape(bshape)
+    out = gb * xhat + beta.reshape(bshape)
+    dxhat = g * gb
     if training:
         m1 = dxhat.mean(axis=axes, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
         dx = (dxhat - m1 - xhat * m2) * inv
     else:
         dx = dxhat * inv
-    return [out, dx, *grads]
+    return [out, dx, np.sum(g * xhat, axis=axes), np.sum(g, axis=axes)]
 
 
 def layer_norm_reference(x, gamma, beta, g):
@@ -415,24 +424,34 @@ class TestNormReferences:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("affine", [True, False])
+    # trained: a parameter pair; else constant unit gamma and zero beta,
+    # which keep no gradient
+    @pytest.mark.parametrize("trained", [True, False])
     @pytest.mark.parametrize("shape", [(37, 6), (16, 8, 5, 50), (3, 4, 1, 7)])
-    def test_batch_norm_matches_two_pass_formula(self, dtype, training, affine, shape):
+    def test_batch_norm_matches_two_pass_formula(self, dtype, training, trained, shape):
         rng = np.random.default_rng(sum(shape))
         x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
         g = rng.standard_normal(shape).astype(dtype)
         C = shape[1]
-        gamma = rng.uniform(0.5, 1.5, C).astype(dtype) if affine else None
-        beta = rng.standard_normal(C).astype(dtype) if affine else None
+        if trained:
+            gamma = rng.uniform(0.5, 1.5, C).astype(dtype)
+            beta = rng.standard_normal(C).astype(dtype)
+            params = [Parameter(gamma), Parameter(beta)]
+        else:
+            params = unit_affine(C, dtype)
+            gamma, beta = (p.data for p in params)
         buffers = rng.standard_normal(C), rng.uniform(0.5, 2.0, C)
         ref_rm, ref_rv = (b.copy() for b in buffers)
         want = batch_norm_reference(x, gamma, beta, ref_rm, ref_rv, training, g)
         rm, rv = (b.copy() for b in buffers)
         xt = Parameter(x)
-        params = [Parameter(gamma), Parameter(beta)] if affine else [None, None]
         out = ops.batch_norm(xt, *params, rm, rv, training=training)
         backward_from(out, g)
-        got = [out.data, xt.grad] + ([p.grad for p in params] if affine else [])
+        got = [out.data, xt.grad]
+        if trained:
+            got += [p.grad for p in params]
+        else:
+            assert all(p.grad is None for p in params)
         for name, w, v in zip(("out", "grad x", "grad gamma", "grad beta"), want, got):
             assert v.dtype == dtype, name
             assert np.array_equal(v, w), name

@@ -26,26 +26,31 @@ def variance_contrast_trials(n=200, c=8, t=400, seed=0):
 class TestCsp:
     def test_filters_find_planted_axes(self):
         x, y = variance_contrast_trials()
-        model = fit_csp(x, y, n_pairs=1)
-        assert model.filters.shape == (2, 8)
-        # first filter extremizes class-1 variance: mass on channel 0
+        model = fit_csp(x, y)
+        m = baseline.N_FILTER_PAIRS
+        assert model.filters.shape == (2 * m, 8)
+        # the first filter of each half extremizes its class's variance:
+        # mass on channel 0 for class 1, on channel 1 for class 0
         top = np.abs(model.filters[0]) / np.linalg.norm(model.filters[0])
-        bot = np.abs(model.filters[1]) / np.linalg.norm(model.filters[1])
+        bot = np.abs(model.filters[m]) / np.linalg.norm(model.filters[m])
         assert top[0] > 0.95
         assert bot[1] > 0.95
 
     def test_eigenvalue_order(self):
         x, y = variance_contrast_trials()
-        model = fit_csp(x, y, n_pairs=2)
+        model = fit_csp(x, y)
+        m = baseline.N_FILTER_PAIRS
         # eigenvalues of sigma_1 w = lam (sigma_0+sigma_1) w live in (0,1),
-        # stored extremes-first: [largest m, smallest m]
-        assert model.eigenvalues.shape == (4,)
-        assert (model.eigenvalues > 0).all() and (model.eigenvalues < 1).all()
-        assert model.eigenvalues[0] > 0.5 > model.eigenvalues[-1]
+        # stored extremes-first: [largest m, descending; smallest m, ascending]
+        ev = model.eigenvalues
+        assert ev.shape == (2 * m,)
+        assert (ev > 0).all() and (ev < 1).all()
+        assert (np.diff(ev[:m]) <= 0).all() and (np.diff(ev[m:]) >= 0).all()
+        assert ev[0] > 0.5 > ev[m]
 
     def test_feature_shape_and_finiteness(self):
         x, y = variance_contrast_trials(n=60)
-        model = fit_csp(x, y, n_pairs=3)
+        model = fit_csp(x, y)
         feats = csp_features(model, x)
         assert feats.shape == (60, 6)
         assert np.isfinite(feats).all()
@@ -62,6 +67,11 @@ class TestCsp:
             fit_csp(x, np.zeros_like(y))
         with pytest.raises(DataError, match="classes"):
             fit_csp(x, y + 1)
+
+    def test_too_few_channels_rejected(self):
+        x, y = variance_contrast_trials(n=40, c=2 * baseline.N_FILTER_PAIRS - 1)
+        with pytest.raises(DataError, match="filter pairs need"):
+            fit_csp(x, y)
 
     def test_bad_rank_rejected(self):
         x = np.zeros((10, 3, 50))

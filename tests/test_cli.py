@@ -25,8 +25,8 @@ from neurodecode.training import TrainConfig
 # every subcommand's flags; change this table only with the parser, and say so in CHANGES.md
 FLAGS = {
     "synth": "--mode --n-trials --n-subjects --snr --seed --raw --lead-in-ms --out",
-    "preprocess": "--raw --out --config --ref-channel --band --target-rate --seed",
-    "train": "--data --arch --size --run-dir --subject --config --epochs --batch-size --seed",
+    "preprocess": "--raw --out --ref-channel --band --target-rate --seed",
+    "train": "--data --arch --size --run-dir --subject --epochs --batch-size --seed",
     "baseline": "--data --subject --out",
     "eval": "--run-dir --data --subject",
     "analyze": "--runs --out --headline",
@@ -184,50 +184,6 @@ class TestTrainEvalAnalyze:
             assert line.startswith(f"dgcnn-small subject {subject}: mean_last5 = ")
             assert line.endswith(str(rd / f"sub{subject:02d}"))
 
-    def test_config_file_merging(self, tmp_path, epochs_file):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 1, "batch_size": 16}))
-        rd = tmp_path / "run"
-        code = run(
-            [
-                "train",
-                "--data",
-                str(epochs_file),
-                "--arch",
-                "eegnet",
-                "--size",
-                "small",
-                "--config",
-                str(cfg),
-                "--run-dir",
-                str(rd),
-            ]
-        )
-        assert code == 0
-        stored = json.loads((rd / "config.json").read_text())
-        assert stored["train"]["epochs"] == 1
-        assert stored["train"]["batch_size"] == 16
-
-    def test_unknown_config_field_usage_error(self, tmp_path, epochs_file):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epoch": 1}))
-        code = run(
-            [
-                "train",
-                "--data",
-                str(epochs_file),
-                "--arch",
-                "eegnet",
-                "--size",
-                "small",
-                "--config",
-                str(cfg),
-                "--run-dir",
-                str(tmp_path / "r"),
-            ]
-        )
-        assert code == 1
-
     def test_missing_data_file(self, tmp_path):
         code = run(
             [
@@ -247,7 +203,7 @@ class TestTrainEvalAnalyze:
         assert code == 2
 
     def test_env_seed_is_ignored(self, tmp_path, epochs_file, monkeypatch):
-        # the seed is --seed, then the config file's, then 0: no environment variable
+        # the seed is --seed, else 0: no environment variable
         monkeypatch.setenv("NEURODECODE_SEED", "7")
         rd = tmp_path / "run"
         argv = ["train", "--data", str(epochs_file), "--arch", "eegnet", "--epochs", "1"]
@@ -277,20 +233,6 @@ class TestTrainEvalAnalyze:
             ]
         )
         assert json.loads((rd / "config.json").read_text())["train"]["seed"] == 3
-
-    @pytest.mark.parametrize("env_seed", [None, "7"])
-    def test_config_file_seed_beats_env_seed(self, tmp_path, epochs_file, monkeypatch, env_seed):
-        if env_seed is None:
-            monkeypatch.delenv("NEURODECODE_SEED", raising=False)
-        else:
-            monkeypatch.setenv("NEURODECODE_SEED", env_seed)
-        cfg = tmp_path / "train.json"
-        cfg.write_text(json.dumps({"seed": 5, "epochs": 1, "batch_size": 16}))
-        rd = tmp_path / "run"
-        argv = ["train", "--data", str(epochs_file), "--arch", "eegnet", "--config", str(cfg)]
-        assert run([*argv, "--run-dir", str(rd)]) == 0
-        train_cfg = json.loads((rd / "config.json").read_text())["train"]
-        assert (train_cfg["seed"], train_cfg["epochs"]) == (5, 1)
 
 
 @pytest.fixture(scope="module")
@@ -507,7 +449,7 @@ class TestBadInputs:
         (["train", "--data", "{tmp}/x.eegb", "--arch", "eegnet", "--run-dir", "{tmp}/run",
           "--subject", "abc"], 1, "error: neurodecode train: argument --subject: expected"),
         (["preprocess", "--raw", "{tmp}/raw.eegb", "--out", "{tmp}/o.eegb",
-          "--config", "{tmp}/band.json"], 1, "error: bad PipelineConfig:"),
+          "--band", "40", "1"], 1, "error: band [40.0, 1.0] not inside (0, 50.0) Hz"),
         (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "-5", "--out", "{tmp}/raw.eegb"], 2,
          "data error: lead_in_ms must be finite and not negative"),
         (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "nan", "--out", "{tmp}/raw.eegb"], 2,
@@ -524,29 +466,9 @@ class TestBadInputs:
          "data error: {corrupt}/run/model.ckpt: field 'n_classes' must be int, got '2'"),
         (["preprocess", "--raw", "{corrupt}/names.eegb", "--out", "{tmp}/o.eegb"], 2,
          "data error: {corrupt}/names.eegb: field 'channel_names' must be list of str, got 5"),
-        # config values of the wrong JSON type
-        (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
-          "--config", "{tmp}/epochs_float.json"], 1,
-         "error: config file {tmp}/epochs_float.json: field 'epochs' must be int, got 1.5"),
-        (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
-          "--config", "{tmp}/epochs_true.json"], 1,
-         "error: config file {tmp}/epochs_true.json: field 'epochs' must be int, got True"),
-        (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
-          "--config", "{tmp}/seed_text.json"], 1,
-         "error: config file {tmp}/seed_text.json: field 'seed' must be int, got '5'"),
-        (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
-          "--config", "{tmp}/batch_float.json"], 1,
-         "error: config file {tmp}/batch_float.json: field 'batch_size' must be int, got 16.5"),
-        (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb",
-          "--config", "{tmp}/rate_float.json"], 1,
-         "error: config file {tmp}/rate_float.json: field 'target_rate' must be int, got 100.0"),
-        (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb",
-          "--config", "{tmp}/ref_number.json"], 1,
-         "error: config file {tmp}/ref_number.json: field 'ref_channel' must be str, got 5"),
         # the training protocol, dropout and test fraction are constants, not settings
         (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
-          "--config", "{tmp}/lr_max.json"], 1,
-         "error: config file {tmp}/lr_max.json has unknown TrainConfig fields ['lr_max']"),
+          "--lr-max", "0.1"], 1, "error: neurodecode: unrecognized arguments: --lr-max 0.1"),
         (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
           "--dropout", "0.1"], 1, "error: neurodecode: unrecognized arguments: --dropout 0.1"),
         (["synth", "--test-frac", "0.3", "--out", "{tmp}/x.eegb"], 1,
@@ -562,18 +484,6 @@ class TestBadInputs:
     def test_exit_code_and_message(
         self, tmp_path, capsys, trained_run, signature_file, corrupt_dir, argv, code, prefix
     ):
-        configs = {
-            "band": {"band": [1]},
-            "epochs_float": {"epochs": 1.5},
-            "epochs_true": {"epochs": True},
-            "seed_text": {"seed": "5"},
-            "batch_float": {"batch_size": 16.5},
-            "rate_float": {"target_rate": 100.0},
-            "ref_number": {"ref_channel": 5},
-            "lr_max": {"lr_max": 0.1},
-        }
-        for name, config in configs.items():
-            (tmp_path / f"{name}.json").write_text(json.dumps(config))
         paths = {
             "{tmp}": str(tmp_path),
             "{run}": str(trained_run),

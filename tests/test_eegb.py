@@ -42,6 +42,43 @@ class TestEpochFile:
         assert back.dtype == np.float64
         assert np.array_equal(back, t)
 
+    def test_rewrite_that_fails_in_the_sidecar_leaves_no_valid_pair(self, tmp_path):
+        path = tmp_path / "epochs.eegb"
+        eegb.write_tensor_file(path, _tensor(), _meta(5))
+        # the third line cannot be encoded, after two have been written
+        bad = _meta(5)
+        bad[2]["label"] = object()
+        with pytest.raises(TypeError):
+            eegb.write_tensor_file(path, _tensor(1), bad)
+        with pytest.raises(DataError, match="no such file"):
+            eegb.read_tensor_file(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["epochs.eegb.jsonl"]
+
+    def test_rewrite_that_fails_in_the_tensor_leaves_no_valid_pair(self, tmp_path, monkeypatch):
+        path = tmp_path / "epochs.eegb"
+        eegb.write_tensor_file(path, _tensor(), _meta(5))
+        replace = eegb.os.replace
+
+        def fail_on_the_tensor(src, dst):
+            if dst == path:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(eegb.os, "replace", fail_on_the_tensor)
+        with pytest.raises(OSError, match="disk full"):
+            eegb.write_tensor_file(path, _tensor(1), _meta(4))
+        with pytest.raises(DataError, match="no such file"):
+            eegb.read_tensor_file(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["epochs.eegb.jsonl"]
+
+    def test_rewrite_replaces_both_files(self, tmp_path):
+        path = tmp_path / "epochs.eegb"
+        eegb.write_tensor_file(path, _tensor(), _meta(5))
+        eegb.write_tensor_file(path, _tensor(1, (4, 3, 4)), _meta(4))
+        back, meta = eegb.read_tensor_file(path)
+        assert np.array_equal(back, _tensor(1, (4, 3, 4))) and meta == _meta(4)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["epochs.eegb", "epochs.eegb.jsonl"]
+
     def test_sidecar_lives_next_to_payload(self, tmp_path):
         path = tmp_path / "epochs.eegb"
         eegb.write_tensor_file(path, _tensor(), _meta(5))

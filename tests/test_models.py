@@ -1,5 +1,7 @@
 """Decoder architectures: budgets, shapes, checkpoints."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,8 @@ class TestForward:
     def test_dropout_active_only_in_training(self):
         # dropout masks make repeated training-mode forwards differ;
         # eval mode must be mask-free
-        m = build_model("eegnet", "small", seed=0, dropout=0.5)
+        m = build_model("eegnet", "small", seed=0)
+        assert m.dropout == models.DROPOUT_BY_SIZE["small"]
         x = small_batch(8)
         t1 = m.forward(x, training=True).data
         t2 = m.forward(x, training=True).data
@@ -126,7 +129,9 @@ class TestDtypeContract:
 # as the float64 oracle for the commuted fronts in models.py.
 def eegnet_front_oracle(model, x, training):
     h = ops.conv_temporal(constant(x[:, None]), model.w_temporal)
-    h = model.bn1(h, training)
+    # bn1 has no affine pair: unit gamma and zero beta, as constants
+    unit = [constant(np.full(model.f1, v, dtype=model.dtype)) for v in (1.0, 0.0)]
+    h = ops.batch_norm(h, *unit, model.bn1_mean, model.bn1_var, training=training)
     return ops.conv_spatial_depthwise(h, model.w_spatial)
 
 
@@ -304,7 +309,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize("arch, field, value", [
         ("eegnet", "arch", "cnn"),
         ("eegnet", "size", "huge"),
-        ("eegnet", "dropout", 1.5),
+        ("eegnet", "n_classes", 0),
         ("eegnet", "n_channels", -1),
         ("eegnet", "n_samples", 0),
         ("conformer", "n_samples", 1),
@@ -319,6 +324,23 @@ class TestCheckpoints:
         with pytest.raises(MetaMismatchError, match="describes no buildable model"):
             models.load_model(p)
 
+    @pytest.mark.parametrize("dropout", [0.25, 0.1])
+    def test_descriptor_with_the_old_dropout_key_loads(self, tmp_path, dropout):
+        # checkpoints written before dropout was fixed by size carry the key;
+        # it is ignored, and the model keeps its size's dropout
+        from neurodecode import eegb
+
+        p = tmp_path / "m.ckpt"
+        m = build_model("conformer", "small", seed=3)
+        models.save_model(p, m)
+        desc, tensors = eegb.load_checkpoint(p)
+        eegb.save_checkpoint(p, {**desc, "dropout": dropout}, tensors)
+        back = models.load_model(p)
+        assert back.dropout == models.DROPOUT_BY_SIZE["small"]
+        x = small_batch(4, seed=5)
+        logits = [model.forward(x, training=False).data for model in (back, m)]
+        np.testing.assert_array_equal(*logits)
+
     def test_param_order_preserved(self, tmp_path):
         m = build_model("conformer", "small", seed=0)
         p = tmp_path / "m.ckpt"
@@ -328,8 +350,14 @@ class TestCheckpoints:
 
 
 class TestRegistry:
+    def test_constructor_and_descriptor_census(self):
+        # a model's settings; change these only with Model, and say so in CHANGES.md
+        keywords = ["size", "seed", "n_classes", "n_channels", "n_samples"]
+        assert list(inspect.signature(models.Model.__init__).parameters)[1:] == keywords
+        assert list(models.Model.DESCRIPTOR_FIELDS) == ["arch", *keywords]
+
     def test_build_model_forwards_every_descriptor_field(self):
-        fields = dict(seed=2, dropout=0.1, n_classes=3, n_channels=8, n_samples=40)
+        fields = dict(seed=2, n_classes=3, n_channels=8, n_samples=40)
         m = build_model("eegnet", "medium", **fields)
         assert m.descriptor() == dict(arch="eegnet", size="medium", **fields)
 

@@ -9,7 +9,7 @@ import pytest
 from neurodecode import analysis, training
 from neurodecode.autodiff.core import Parameter
 from neurodecode.data import SynthConfig, generate_synthetic, split
-from neurodecode.errors import UsageError
+from neurodecode.errors import DataError, UsageError
 from neurodecode.models import build_model
 from neurodecode.training import LR_MAX, LR_MIN, TrainConfig, evaluate, lr_at, restart_epochs, sgd_step
 
@@ -190,6 +190,23 @@ class TestTrainLoop:
         assert "best_windowed_test_acc" in manifest
         header = (run / "predictions.csv").read_text().splitlines()[0]
         assert header == "trial_id,subject,concept_id,concept_name,category,label,pred"
+
+    def test_rewrite_that_fails_partway_leaves_no_complete_run(self, tmp_path, monkeypatch):
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+        model, run_dir = build_model("eegnet", "small", seed=0), tmp_path / "run"
+        run = training.train(model, self._dataset(), cfg, run_dir=run_dir)
+        analysis.collect_runs([run_dir])
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        # config.json and history.jsonl are rewritten, then the checkpoint fails
+        monkeypatch.setattr(training, "save_model", fail)
+        with pytest.raises(OSError, match="disk full"):
+            training.write_run_dir(run_dir, model, cfg, run)
+        assert not (run_dir / "manifest.json").exists()
+        with pytest.raises(DataError, match="manifest.json"):
+            analysis.collect_runs([run_dir])
 
     @pytest.mark.parametrize("threads", ["1", None])
     def test_manifest_records_the_blas_thread_count(self, tmp_path, monkeypatch, threads):
