@@ -65,7 +65,9 @@ def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
 
 
 def _config(cls, args):
-    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+    """``cls`` from its flags; a tuple field gets a tuple, not argparse's list."""
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 # ------------------------------------------------------------------ commands

@@ -264,32 +264,55 @@ def _patterns(rng: np.random.Generator, count: int) -> np.ndarray:
     return (q * np.sqrt(N_CHANNELS)).T.copy()
 
 
-def _pink_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """1/f-amplitude noise along the last axis, unit RMS per row."""
-    white = rng.standard_normal(shape)
+def _shape_pink(white: np.ndarray) -> np.ndarray:
+    """White noise shaped to 1/f amplitude along the last axis, unit RMS per row.
+
+    Every step acts on one row at a time, so a block of rows gets the
+    same bytes as the whole array it was cut from.
+    """
+    length = white.shape[-1]
     spec = np.fft.rfft(white, axis=-1)
-    freqs = np.fft.rfftfreq(shape[-1])
+    freqs = np.fft.rfftfreq(length)
     scale = np.zeros_like(freqs)
     scale[1:] = 1.0 / np.sqrt(freqs[1:])
     spec *= scale
-    out = np.fft.irfft(spec, n=shape[-1], axis=-1)
+    out = np.fft.irfft(spec, n=length, axis=-1)
     rms = np.sqrt(np.mean(out**2, axis=-1, keepdims=True))
     return out / (rms + 1e-12)
 
 
-def _background(
-    rng: np.random.Generator, lead: tuple[int, ...], length: int, mixing: np.ndarray
-) -> np.ndarray:
-    """Per-channel pink noise plus a spatially correlated pink component,
-    shape ``lead + (N_CHANNELS, length)``.
+def _pink_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """1/f-amplitude noise along the last axis, unit RMS per row."""
+    return _shape_pink(rng.standard_normal(shape))
+
+
+def _background(own: np.ndarray, sources: np.ndarray, mixing: np.ndarray) -> np.ndarray:
+    """Per-channel pink noise ``own`` (``... x N_CHANNELS x T``) plus the
+    spatially correlated component that ``mixing`` makes of the pink ``sources``.
 
     The sources are mixed by ``einsum``, not a BLAS product, whose bits
     would depend on the BLAS thread count.
     """
-    own = _pink_noise(rng, (*lead, N_CHANNELS, length))
-    sources = _pink_noise(rng, (*lead, mixing.shape[1], length))
     mixed = np.einsum("cs,...st->...ct", mixing, sources)
     return (own + mixed) / np.sqrt(2.0)
+
+
+def _fast_len(n: int) -> int:
+    """The smallest length >= ``n`` whose prime factors are all <= 11.
+
+    The rule of ``scipy.fft.next_fast_len``: numpy's FFT has radix passes
+    for these primes and falls back to Bluestein's algorithm, about 4x
+    slower on a recording, for any other factor.
+    """
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 def _concept_meta(labels: np.ndarray, n_subjects: int) -> list[TrialMeta]:
@@ -371,24 +394,51 @@ def _design(cfg: SynthConfig):
     return rng_noise, mixing, _concept_meta(labels, cfg.n_subjects), signal
 
 
-_CHUNK = 1024
+_CHUNK = 1024  # trials of white noise drawn at a time
+# trials a worker shapes, mixes and z-scores at a time, and generate_raw's signal batch
+_BLOCK = 32
+_WORKERS = 2
 
 
 def generate_synthetic(cfg: SynthConfig) -> EpochSet:
     """Seeded synthetic epochs at 100 Hz, already z-scored, float32.
 
-    Regenerating with the same config is bitwise reproducible.
+    Regenerating with the same config is bitwise reproducible.  The
+    calling thread draws all the noise, a ``_CHUNK`` of trials at a
+    time and in a fixed order; ``_WORKERS`` threads draw nothing.  They
+    shape, mix, add the signal and z-score ``_BLOCK``-trial slices of a
+    chunk while the next chunk is drawn.  Every step acts per row or per
+    element, so the bytes do not depend on the blocks or the threads.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loaded here: only synthesis uses threads
+
     rng_noise, mixing, meta, signal = _design(cfg)
     n = cfg.n_trials
     w1, w2 = _envelopes()
-    # the clean trials are built one chunk at a time: no whole-run float64 signal is held
+    snr = cfg.effective_snr
     tensor = np.empty((n, N_CHANNELS, N_SAMPLES), dtype=np.float32)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        trials = _background(rng_noise, (stop - start,), N_SAMPLES, mixing)
-        trials += cfg.effective_snr * signal(slice(start, stop), w1, w2, TARGET_RATE)
-        tensor[start:stop] = crop_and_zscore(trials, 0, n_keep=N_SAMPLES)
+
+    def fill(own, sources, start):
+        # the trials from ``start`` on, one block; writes a slice no other block touches
+        trials = _background(_shape_pink(own), _shape_pink(sources), mixing)
+        s = slice(start, start + len(own))
+        trials += snr * signal(s, w1, w2, TARGET_RATE)
+        tensor[s] = crop_and_zscore(trials, 0, n_keep=N_SAMPLES)
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        running = []
+        for start in range(0, n, _CHUNK):
+            m = min(_CHUNK, n - start)
+            own = rng_noise.standard_normal((m, N_CHANNELS, N_SAMPLES))
+            sources = rng_noise.standard_normal((m, mixing.shape[1], N_SAMPLES))
+            for job in running:  # at most one drawn chunk waits for the workers
+                job.result()
+            running = [
+                pool.submit(fill, own[b : b + _BLOCK], sources[b : b + _BLOCK], start + b)
+                for b in range(0, m, _BLOCK)
+            ]
+        for job in running:
+            job.result()
     return EpochSet(tensor, meta)
 
 
@@ -403,14 +453,17 @@ def generate_raw(
     the clean per-channel signal.  Stimuli arrive every 100 ms after a
     ``lead_in_ms`` quiet period; a short lead-in leaves early trials too
     close to the edge so they surface through the skip report rather
-    than silently.
+    than silently.  At least 1 s of noise follows the last trial: the
+    length is rounded up to the next one whose prime factors are all
+    <= 11 (``_fast_len``), so the noise FFTs never fall back to
+    Bluestein's algorithm.
 
     This is a rapid stream, not a set of separate epochs: a trial's
     signal lasts 500 ms, so each epoch cut from the stream also carries
     the tails of the four trials before it.  The recording tests the
     preprocessing chain; its epochs are a harder task than
     ``generate_synthetic``'s (linear mode, seed 0: CSP+LDA scores 0.57
-    test accuracy at 1000 trials and 0.68 at 2000, against 1.000 on the
+    test accuracy at 1000 trials and 0.665 at 2000, against 1.000 on the
     synthetic epochs of the same configs).
     """
     if not 0 <= lead_in_ms < np.inf:
@@ -422,19 +475,25 @@ def generate_raw(
     trial_len = w1.size
     lead_in = _samples(lead_in_ms, sample_rate)
     interval = _samples(RAW_INTERVAL_MS, sample_rate)
-    total = lead_in + (n - 1) * interval + trial_len + sample_rate
+    # at least 1 s after the last trial ends, rounded up to a length the FFT factors
+    total = _fast_len(lead_in + (n - 1) * interval + trial_len + sample_rate)
 
     data = np.zeros((N_CHANNELS + 1, total), dtype=np.float64)
-    data[1:] = _background(rng_noise, (), total, mixing)
+    data[1:] = _background(
+        _pink_noise(rng_noise, (N_CHANNELS, total)),
+        _pink_noise(rng_noise, (mixing.shape[1], total)),
+        mixing,
+    )
     common = _pink_noise(rng_noise, (1, total))[0]
     line = 0.3 * np.sin(2 * np.pi * 50.0 * np.arange(total) / sample_rate)
     data += common + line  # common mode on every channel, reference included
 
-    # trials overlap in time, so they are placed one at a time
+    # trials overlap in time, so they are added one at a time, in trial order
     onsets = tuple((lead_in + i * interval, i) for i in range(n))
-    for onset, i in onsets:
-        seg = signal(slice(i, i + 1), w1, w2, sample_rate)[0]
-        data[1:, onset : onset + trial_len] += cfg.effective_snr * seg
+    for start in range(0, n, _BLOCK):
+        block = signal(slice(start, start + _BLOCK), w1, w2, sample_rate)
+        for (onset, _), seg in zip(onsets[start : start + _BLOCK], block):
+            data[1:, onset : onset + trial_len] += cfg.effective_snr * seg
 
     names = ("Cz",) + tuple(f"E{i:02d}" for i in range(1, N_CHANNELS + 1))
     rec = RawRecording(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -159,12 +160,13 @@ class TestSynthetic:
         )
 
     def test_raw_bytes_do_not_depend_on_the_blas_thread_count(self):
-        # n = 12 at a 300 ms lead-in is a size where a (63, 16) @ (16, 2900)
-        # OpenBLAS product rounds differently at one and two threads
+        # n = 12 at a 316 ms lead-in gives 2916 samples, a size where a
+        # (63, 16) @ (16, 2916) OpenBLAS product rounds differently at one
+        # and two threads
         code = (
             "import hashlib; from neurodecode import data; "
             "cfg = data.SynthConfig(mode='linear', n_trials=12, seed=0); "
-            "rec, _ = data.generate_raw(cfg, lead_in_ms=300.0); "
+            "rec, _ = data.generate_raw(cfg, lead_in_ms=316.0); "
             "print(hashlib.sha256(rec.data.tobytes()).hexdigest())"
         )
         src = str(Path(data.__file__).resolve().parent.parent)
@@ -297,6 +299,49 @@ class TestRawRoundTrip:
         onsets = [o for o, _ in rec.event_onsets]
         assert onsets[0] == 1000  # default lead-in
         assert all(b - a == 100 for a, b in zip(onsets, onsets[1:]))
+        # at least 1 s of noise after the last 500 ms trial, at a length the FFT factors
+        assert rec.n_samples >= onsets[-1] + 500 + 1000
+        assert _largest_prime_factor(rec.n_samples) <= 11
+
+
+def _largest_prime_factor(n: int) -> int:
+    p, largest = 2, 1
+    while n > 1:
+        while n % p == 0:
+            n, largest = n // p, p
+        p += 1
+    return largest
+
+
+def test_fast_len_is_the_next_11_smooth_length():
+    smooth = [m for m in range(1, 3200) if _largest_prime_factor(m) <= 11]
+    for n in range(1, 3001):
+        assert data._fast_len(n) == min(m for m in smooth if m >= n), n
+    assert all(data._fast_len(m) == m for m in smooth)
+
+
+def test_synthetic_bytes_do_not_depend_on_blocks_or_threads(monkeypatch):
+    # one worker on whole chunks is the serial order; eight workers on 7-trial
+    # blocks, switching threads every microsecond, must write the same bytes
+    cfg = SynthConfig(mode="linear", n_trials=1030, seed=1)
+    monkeypatch.setattr(data, "_WORKERS", 1)
+    monkeypatch.setattr(data, "_BLOCK", data._CHUNK)
+    serial = generate_synthetic(cfg).tensor
+    monkeypatch.setattr(data, "_WORKERS", 8)
+    monkeypatch.setattr(data, "_BLOCK", 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = generate_synthetic(cfg).tensor
+    finally:
+        sys.setswitchinterval(interval)
+    assert stressed.tobytes() == serial.tobytes()
+
+
+def test_generate_synthetic_leaves_no_thread_behind():
+    before = threading.active_count()
+    generate_synthetic(SynthConfig(mode="xor", n_trials=100, seed=0))
+    assert threading.active_count() == before
 
 
 @settings(max_examples=20, deadline=None)
