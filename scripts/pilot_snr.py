@@ -28,17 +28,13 @@ from __future__ import annotations
 import argparse
 import time
 
-import numpy as np
-
 from neurodecode import baseline, data, models, training
 
 
 def csp_accuracy(mode: str, snr: float, n_trials: int, seed: int) -> float:
     cfg = data.SynthConfig(mode=mode, n_trials=n_trials, snr=snr, seed=seed)
     epochs = data.split(data.generate_synthetic(cfg), data.TEST_FRAC, seed)
-    tr, te = epochs.split_view("train"), epochs.split_view("test")
-    model = baseline.fit_csp_lda(tr.tensor, tr.labels)
-    return float(np.mean(model.predict(te.tensor) == te.labels))
+    return baseline.baseline(epochs)["test_acc"]
 
 
 def decoder_accuracy(mode: str, snr: float, n_trials: int, seed: int, epochs_n: int) -> float:

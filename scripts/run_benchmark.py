@@ -18,18 +18,7 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
 from neurodecode import analysis, baseline, data, models, training
-
-
-def run_baseline(epochs: data.EpochSet) -> dict:
-    tr, te = epochs.split_view("train"), epochs.split_view("test")
-    model = baseline.fit_csp_lda(tr.tensor, tr.labels)
-    return {
-        "train_acc": float(np.mean(model.predict(tr.tensor) == tr.labels)),
-        "test_acc": float(np.mean(model.predict(te.tensor) == te.labels)),
-    }
 
 
 def main() -> None:
@@ -53,7 +42,7 @@ def main() -> None:
     print("== CSP + LDA baseline ==")
     base_report = {}
     for mode, epochs in datasets.items():
-        base_report[mode] = run_baseline(epochs)
+        base_report[mode] = baseline.baseline(epochs)
         print(f"  {mode:<8} train {base_report[mode]['train_acc']:.4f} "
               f"test {base_report[mode]['test_acc']:.4f}")
     (out / "baseline.json").write_text(json.dumps(base_report, indent=2, sort_keys=True) + "\n")

@@ -228,7 +228,10 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
 _RUN_FILES = {
     "manifest.json": (
         lambda fh: [json.load(fh)],
-        {"arch": str, "size": str, "seed": int, "best_epoch": int, "cycle_ends": [int]},
+        {
+            "arch": str, "size": str, "seed": int, "subject": (int, None),
+            "best_epoch": int, "cycle_ends": [int],
+        },
     ),
     "history.jsonl": (
         lambda fh: [json.loads(line) for line in fh if line.strip()],
@@ -258,7 +261,8 @@ class Run:
 
     @property
     def name(self) -> str:
-        return self.path.name
+        """The run directory as given, so runs in same-named folders stay apart."""
+        return str(self.path)
 
     def peak(self, kind: str) -> float:
         return peak_metric(self.history, self.manifest["cycle_ends"], kind)
@@ -290,30 +294,25 @@ def collect_runs(run_dirs: list[str | Path]) -> list[Run]:
 
 
 def pair_by_seed(runs: list[Run], kind: str) -> dict[str, list[float]] | None:
-    """Peak metrics per ``arch-size`` cell in seed order, or None when the
-    runs do not pair: that needs at least two cells that share one set of
-    at least two seeds.  Two runs of one cell and seed are a DataError."""
-    by_cell: dict[str, dict[int, Run]] = {}
+    """Peak metrics per ``arch-size`` cell in (subject, seed) order, or None
+    when the runs do not pair: that needs at least two cells that share one
+    set of at least two (subject, seed) keys.  A cross-subject run has
+    subject None.  Two runs of one cell, subject and seed are a DataError."""
+    by_cell: dict[str, dict[tuple, Run]] = {}
     for run in runs:
-        cell, seed = "{arch}-{size}".format(**run.manifest), run.manifest["seed"]
-        seeds = by_cell.setdefault(cell, {})
-        if seed in seeds:
-            raise DataError(f"{seeds[seed].path} and {run.path} are both {cell} seed {seed}")
-        seeds[seed] = run
-    seed_sets = {tuple(sorted(seeds)) for seeds in by_cell.values()}
-    if len(by_cell) < 2 or len(seed_sets) != 1 or len(seed_sets.pop()) < 2:
+        cell = "{arch}-{size}".format(**run.manifest)
+        subject, seed = run.manifest["subject"], run.manifest["seed"]
+        keys = by_cell.setdefault(cell, {})
+        if (subject, seed) in keys:
+            what = f"seed {seed}" if subject is None else f"subject {subject} seed {seed}"
+            raise DataError(f"{keys[subject, seed].path} and {run.path} are both {cell} {what}")
+        keys[subject, seed] = run
+    key_sets = {frozenset(keys) for keys in by_cell.values()}
+    if len(by_cell) < 2 or len(key_sets) != 1 or len(key_sets.pop()) < 2:
         return None
-    return {cell: [seeds[s].peak(kind) for s in sorted(seeds)] for cell, seeds in by_cell.items()}
-
-
-def write_comparison(runs: list[Run], out_dir: str | Path, kind: str) -> str | None:
-    """Write comparison.txt when the runs pair by seed; return its text, else None."""
-    metrics = pair_by_seed(runs, kind)
-    if metrics is None:
-        return None
-    text = compare_decoders(metrics).format()
-    (Path(out_dir) / "comparison.txt").write_text(text + "\n")
-    return text
+    # None (cross-subject) sorts before every subject id
+    order = sorted(next(iter(by_cell.values())), key=lambda k: (k[0] is not None, k))
+    return {cell: [keys[k].peak(kind) for k in order] for cell, keys in by_cell.items()}
 
 
 _PALETTE = ["#1b6ca8", "#c23b22", "#2e8540", "#8e44ad", "#d98e04", "#16777e", "#7f8c8d"]
@@ -435,22 +434,25 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
     object_accuracy.csv and category_table.csv from the pooled
     prediction files.  Returns the written paths.
     """
+    # a run's peak metric is the one read that can still fail: take it first,
+    # so a DataError leaves no report folder
+    metrics = [
+        [
+            run.name,
+            *(run.manifest[k] for k in ("arch", "size", "seed", "best_epoch")),
+            f"{run.peak('max_last5'):.6f}",
+            f"{run.peak('mean_last5'):.6f}",
+            f"{run.history[-1]['test_acc']:.6f}",
+        ]
+        for run in runs
+    ]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     paths["metrics"] = write_csv(
         out_dir / "metrics.csv",
         ["run", "arch", "size", "seed", "best_epoch", "max_last5", "mean_last5", "final_test_acc"],
-        [
-            [
-                run.name,
-                *(run.manifest[k] for k in ("arch", "size", "seed", "best_epoch")),
-                f"{run.peak('max_last5'):.6f}",
-                f"{run.peak('mean_last5'):.6f}",
-                f"{run.history[-1]['test_acc']:.6f}",
-            ]
-            for run in runs
-        ],
+        metrics,
     )
     paths["curves"] = write_csv(
         out_dir / "training_curves.csv",
@@ -509,10 +511,14 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
 
 
 def analyze(run_dirs: list[str | Path], out_dir: str | Path, kind: str) -> list[str]:
-    """Write the report folder (and comparison.txt when the runs pair by seed);
-    return the comparison text, if any, then one ``name: path`` line per file."""
+    """Write the report folder (and comparison.txt when the runs pair);
+    return the comparison text, if any, then one ``name: path`` line per file.
+    Runs that cannot be read or paired raise before any file is written."""
     runs = collect_runs(run_dirs)
+    metrics = pair_by_seed(runs, kind)
     paths = emit_report(runs, out_dir)
-    text = write_comparison(runs, out_dir, kind)
-    lines = [] if text is None else [text]
+    lines = []
+    if metrics is not None:
+        lines.append(compare_decoders(metrics).format())
+        (Path(out_dir) / "comparison.txt").write_text(lines[0] + "\n")
     return lines + [f"{name}: {p}" for name, p in sorted(paths.items())]

@@ -374,17 +374,6 @@ def _mean_square(centered: np.ndarray, axes) -> np.ndarray:
     return total
 
 
-def fold_running_stats(
-    running_mean: np.ndarray, running_var: np.ndarray, mean: np.ndarray, var: np.ndarray
-) -> None:
-    """Fold one batch's per-feature mean and variance into the running
-    buffers, in place, with momentum ``BN_MOMENTUM``."""
-    running_mean *= 1.0 - BN_MOMENTUM
-    running_mean += BN_MOMENTUM * mean.reshape(-1)
-    running_var *= 1.0 - BN_MOMENTUM
-    running_var += BN_MOMENTUM * var.reshape(-1)
-
-
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -407,7 +396,10 @@ def batch_norm(
         mean = x.data.mean(axis=axes, keepdims=True)
         centered = x.data - mean
         var = _mean_square(centered, axes)
-        fold_running_stats(running_mean, running_var, mean, var)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean.reshape(-1)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var.reshape(-1)
     else:
         centered = x.data - running_mean.reshape(bshape).astype(x.data.dtype)
         var = running_var.reshape(bshape).astype(x.data.dtype)

@@ -34,8 +34,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, baseline, checks, data, models, pipeline, training
 from .errors import DataError, NumericError, UsageError
 
@@ -151,17 +149,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    task = data.build_task(data.load_epochs(args.data), args.subject)
-    train_set = task.split_view("train")
-    test_set = task.split_view("test")
-    model = baseline.fit_csp_lda(train_set.tensor, train_set.labels)
-    report = {
-        "n_train": len(train_set),
-        "n_test": len(test_set),
-        "n_filters": model.csp.n_filters,
-        "train_acc": float(np.mean(model.predict(train_set.tensor) == train_set.labels)),
-        "test_acc": float(np.mean(model.predict(test_set.tensor) == test_set.labels)),
-    }
+    report = baseline.baseline(data.build_task(data.load_epochs(args.data), args.subject))
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")

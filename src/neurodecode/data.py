@@ -14,8 +14,12 @@ desk scale:
 ``xor``
     Two spatial patterns whose signs are drawn independently; the label
     is their parity.  The two patterns ride on quadrature temporal
-    envelopes, so class-conditional means and second-order statistics
-    are identical and any linear-in-covariance decoder sits at chance.
+    envelopes, so the class-conditional means and the lag-0 covariances
+    are identical and a decoder of lag-0 covariance (CSP+LDA) sits at
+    chance.  The label is not hidden from covariances across time lags:
+    CSP+LDA on a two-tap time-delay embedding (x(t) stacked on
+    x(t + tau)) scores 1.000 at tau = 2, 3 and 5 samples (xor, 4000
+    trials, seed 0).
 ``subject_signature``
     Each subject gets a random spatial fingerprint; the label is the
     subject index.  A sanity task for subject-identity leakage.
@@ -33,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eegb
-from .errors import DataError, check_fields
+from .errors import DataError, UsageError, check_fields
 from .pipeline import CROP_MS, TARGET_RATE, RawRecording, _samples, crop_and_zscore
 
 # Category table for the animacy task: category name -> number of
@@ -225,13 +229,20 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.mode not in ("linear", "xor", "subject_signature"):
-            raise DataError(f"unknown synthetic mode {self.mode!r}")
+            raise UsageError(f"unknown synthetic mode {self.mode!r}")
         if self.n_trials < 2 or self.n_trials % 2 != 0:
-            raise DataError(f"n_trials must be even and >= 2, got {self.n_trials}")
+            raise UsageError(f"n_trials must be even and >= 2, got {self.n_trials}")
         if self.n_subjects < 1:
-            raise DataError(f"n_subjects must be >= 1, got {self.n_subjects}")
+            raise UsageError(f"n_subjects must be >= 1, got {self.n_subjects}")
+        # orthogonal patterns p, q, q0, q1 and one fingerprint per subject
+        if self.mode == "subject_signature" and 4 + self.n_subjects > N_CHANNELS:
+            raise UsageError(
+                f"subject_signature mode draws {4 + self.n_subjects} orthogonal patterns "
+                f"in {N_CHANNELS} channels: n_subjects must be <= {N_CHANNELS - 4}, "
+                f"got {self.n_subjects}"
+            )
         if self.snr is not None and self.snr <= 0:
-            raise DataError(f"snr must be positive, got {self.snr}")
+            raise UsageError(f"snr must be positive, got {self.snr}")
 
     @property
     def effective_snr(self) -> float:
@@ -242,8 +253,10 @@ def _envelopes(rate: int = TARGET_RATE) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature pair of Gaussian-windowed 5 Hz envelopes over one
     ``CROP_MS`` trial at ``rate`` Hz, unit RMS.
 
-    The pair is explicitly orthogonalized so the cross term in any
-    second-moment statistic vanishes exactly, not just in expectation.
+    The pair is explicitly orthogonalized so the cross term of the lag-0
+    second moments vanishes exactly, not just in expectation.  At a lag
+    tau it does not: sum_t w1(t) w2(t + tau) is not 0 for a quadrature
+    pair.
     """
     t = np.arange(_samples(CROP_MS, rate), dtype=np.float64) / rate
     window = np.exp(-0.5 * ((t - 0.17) / 0.035) ** 2)
@@ -257,8 +270,6 @@ def _envelopes(rate: int = TARGET_RATE) -> tuple[np.ndarray, np.ndarray]:
 
 def _patterns(rng: np.random.Generator, count: int) -> np.ndarray:
     """Mutually orthogonal spatial patterns, each scaled to unit per-channel RMS."""
-    if count > N_CHANNELS:
-        raise DataError(f"cannot draw {count} orthogonal patterns in {N_CHANNELS} channels")
     raw = rng.standard_normal((N_CHANNELS, count))
     q, _ = np.linalg.qr(raw)
     return (q * np.sqrt(N_CHANNELS)).T.copy()
@@ -467,7 +478,7 @@ def generate_raw(
     synthetic epochs of the same configs).
     """
     if not 0 <= lead_in_ms < np.inf:
-        raise DataError(f"lead_in_ms must be finite and not negative, got {lead_in_ms}")
+        raise UsageError(f"lead_in_ms must be finite and not negative, got {lead_in_ms}")
     rng_noise, mixing, meta, signal = _design(cfg)
     n = cfg.n_trials
     sample_rate = RAW_RATE

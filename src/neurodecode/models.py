@@ -282,6 +282,12 @@ class EEGNet(Model):
     spatial filters mix the input's channels, then the temporal filters
     run on the few mixed maps, so the (B, f1, C, T) map of the temporal
     filters over every channel is never built.
+
+    There is no batch norm between the temporal and the spatial
+    convolution (Lawhern et al.'s first one).  Both are linear, and bn2
+    normalizes each (f, d) map with its batch statistics, so it cancels
+    any per-feature shift and scale applied ahead of the depthwise
+    spatial layer: only the epsilon under its square root would differ.
     """
 
     arch = "eegnet"
@@ -299,11 +305,6 @@ class EEGNet(Model):
             raise UsageError(f"eegnet needs at least 32 samples, got {self.n_samples}")
         k = self.TEMPORAL_KERNEL
         self.w_temporal = self._uniform("temporal.w", (f1, 1, k), k)
-        # bn1 -> spatial conv -> bn2 is a linear sandwich: bn2 undoes
-        # any affine bn1 could apply, so bn1 has none, only the float64
-        # running buffers; _front computes its statistics from the input
-        self.bn1_mean = self._buffer("bn1.running_mean", np.zeros(f1, dtype=np.float64))
-        self.bn1_var = self._buffer("bn1.running_var", np.ones(f1, dtype=np.float64))
         self.w_spatial = self._uniform("spatial.w", (f1, depth, self.n_channels), self.n_channels)
         self.bn2 = _BatchNorm(self, f1 * depth, "bn2")
         ks = self.SEPARABLE_KERNEL
@@ -314,21 +315,15 @@ class EEGNet(Model):
         self.w_head = self._uniform("head.w", (flat, self.n_classes), flat)
         self.b_head = self._uniform("head.b", (self.n_classes,), flat)
 
-    def _front(self, x: np.ndarray, training: bool) -> Tensor:
-        """Temporal conv -> bn1 -> depthwise spatial conv, (B, C, T) ->
+    def _front(self, x: np.ndarray) -> Tensor:
+        """Temporal conv -> depthwise spatial conv, (B, C, T) ->
         (B, f1 * depth, 1, T), without the (B, f1, C, T) temporal map.
 
         Both convolutions are linear, on different axes, so they commute:
         the spatial filters mix the input's channels first, and each
-        temporal band M_f then runs on its f's depth mixed maps.  bn1
-        normalizes the temporal map h = X M_f (X the B * C input rows)
-        per feature f, so its batch statistics come from the input.  With
-        x the mean row and Z = X - x, the row mean of h is a_f = x M_f, so
-        mean_f is the mean of a_f over time and var_f =
-        sum((Z'Z M_f) * M_f) / n + the variance of a_f over time, with
-        n = B * C * T: two sums of squares, so no difference of large
-        terms cancels.  Centering h by mean_f shifts each spatial output
-        by mean_f * sum_c w_spatial[f, d, c].
+        temporal band M_f then runs on its f's depth mixed maps.  No batch
+        norm sits between them: bn2, after this linear depthwise layer,
+        cancels any per-feature affine map one could apply here.
         """
         f1, depth, C, T = self.f1, self.depth, self.n_channels, self.n_samples
         B = x.shape[0]
@@ -336,33 +331,13 @@ class EEGNet(Model):
         by_channel = constant(np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(C, B * T))
         mixed = ops.matmul(ops.reshape(self.w_spatial, (f1 * depth, C)), by_channel)
         bands = ops.banded(ops.reshape(self.w_temporal, (f1, self.TEMPORAL_KERNEL)), T)
-        h = ops.reshape(ops.matmul(ops.reshape(mixed, (f1, depth * B, T)), bands), (f1, depth, B * T))
-        if training:
-            rows = x.reshape(B * C, T)
-            row_mean = rows.mean(axis=0)
-            centered = rows - row_mean
-            a = ops.reshape(ops.matmul(constant(row_mean[None, :]), bands), (f1, T))
-            mean = ops.mean_axis(a, 1)
-            dev = ops.sub(a, ops.reshape(mean, (f1, 1)))
-            square = ops.mul(ops.matmul(constant(centered.T @ centered), bands), bands)
-            var = ops.add(
-                ops.scale(ops.sum_axis(ops.reshape(square, (f1, T * T)), 1), 1.0 / (B * C * T)),
-                ops.mean_axis(ops.mul(dev, dev), 1),
-            )
-            mean, var = ops.reshape(mean, (f1, 1, 1)), ops.reshape(var, (f1, 1, 1))
-            inv = ops.powc(ops.add(var, constant(np.array(ops.NORM_EPS, dtype=x.dtype))), -0.5)
-            ops.fold_running_stats(self.bn1_mean, self.bn1_var, mean.data, var.data)
-        else:
-            mean = constant(self.bn1_mean.reshape(f1, 1, 1), x.dtype)
-            inv = constant(1.0 / np.sqrt(self.bn1_var.reshape(f1, 1, 1) + ops.NORM_EPS), x.dtype)
-        shift = ops.mul(mean, ops.reshape(ops.sum_axis(self.w_spatial, 2), (f1, depth, 1)))
-        h = ops.mul(ops.sub(h, shift), inv)
+        h = ops.matmul(ops.reshape(mixed, (f1, depth * B, T)), bands)
         h = ops.transpose(ops.reshape(h, (f1 * depth, B, T)), (1, 0, 2))
         return ops.reshape(h, (B, f1 * depth, 1, T))
 
     def forward(self, x, training):
         x = self._input(x)
-        h = self.bn2(self._front(x, training), training)
+        h = self.bn2(self._front(x), training)
         h = ops.elu(h)
         h = ops.avg_pool_time(h, 4)
         h = self._drop(h, training)

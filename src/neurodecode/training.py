@@ -217,19 +217,23 @@ def train(
             best_epoch, best_acc = epoch, test_eval.accuracy
             best_preds = test_eval.predictions.copy()
 
+    subjects = {m.subject for m in dataset.meta}
     manifest = {
         "created_at": started.isoformat(),
         "completed_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "arch": model.arch,
         "size": model.size,
         "seed": cfg.seed,
+        # the one subject every trial shares; None for a cross-subject run
+        "subject": next(iter(subjects)) if len(subjects) == 1 else None,
         "epochs": cfg.epochs,
         "cycle_ends": cycle_ends,
         "best_epoch": best_epoch,
         "best_windowed_test_acc": best_acc,
         "n_params": model.n_params,
         # eegnet-large's and every conformer's gradient bytes differ between
-        # one and two BLAS threads (batch 128); the other cells' do not
+        # one and two BLAS threads (batch 128; OpenBLAS 0.3.31, 2 cores);
+        # the other cells' do not
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     predictions = [

@@ -243,12 +243,13 @@ class TestEmitReport:
         assert "max_last5" in header or "metric" in header
 
 
-def write_run(root, arch, seed, accs, size="small"):
+def write_run(root, arch, seed, accs, size="small", subject=None):
     """A minimal run directory in the layout ``training.train`` writes."""
     rd = root / f"{arch}-{size}-s{seed}"
     rd.mkdir(parents=True)
     manifest = {
-        "arch": arch, "size": size, "seed": seed, "best_epoch": 1, "cycle_ends": [len(accs)]
+        "arch": arch, "size": size, "seed": seed, "subject": subject,
+        "best_epoch": 1, "cycle_ends": [len(accs)],
     }
     (rd / "manifest.json").write_text(json.dumps(manifest))
     rows = [
@@ -277,14 +278,14 @@ class TestCollectRuns:
         dirs = [write_run(tmp_path, arch, seed, [acc]) for (arch, seed), acc in self.PEAKS.items()]
         shuffled = [dirs[i] for i in (4, 2, 0, 5, 1, 3)]
         runs = analysis.collect_runs(shuffled)
-        assert [r.name for r in runs] == [d.name for d in shuffled]
+        assert [r.name for r in runs] == [str(d) for d in shuffled]
         assert analysis.pair_by_seed(runs, "max_last5") == {
             "eegnet-small": [0.6, 0.7, 0.8],
             "lstm-small": [0.5, 0.9, 0.4],
         }
-        text = analysis.write_comparison(runs, tmp_path, "max_last5")
+        text, *_ = analysis.analyze(shuffled, tmp_path / "report", "max_last5")
         assert text == compare_decoders(analysis.pair_by_seed(runs, "max_last5")).format()
-        assert (tmp_path / "comparison.txt").read_text() == text + "\n"
+        assert (tmp_path / "report" / "comparison.txt").read_text() == text + "\n"
 
     def test_sizes_of_one_architecture_stay_apart(self, tmp_path):
         dirs = [write_run(tmp_path, "eegnet", seed, [acc]) for seed, acc in ((0, 0.6), (1, 0.7))]
@@ -305,6 +306,34 @@ class TestCollectRuns:
         with pytest.raises(DataError, match=pattern):
             analysis.pair_by_seed(runs, "max_last5")
 
+    def test_runs_of_one_seed_pair_by_subject(self, tmp_path):
+        peaks = {("eegnet", 1): 0.6, ("eegnet", 2): 0.7, ("lstm", 1): 0.5, ("lstm", 2): 0.9}
+        dirs = [
+            write_run(tmp_path / f"sub{subject:02d}", arch, 0, [acc], subject=subject)
+            for (arch, subject), acc in reversed(peaks.items())
+        ]
+        assert analysis.pair_by_seed(analysis.collect_runs(dirs), "max_last5") == {
+            "lstm-small": [0.5, 0.9],
+            "eegnet-small": [0.6, 0.7],
+        }
+        again = write_run(tmp_path / "again", "lstm", 0, [0.8], subject=2)
+        with pytest.raises(DataError, match="are both lstm-small subject 2 seed 0"):
+            analysis.pair_by_seed(analysis.collect_runs(dirs + [again]), "max_last5")
+
+    def test_same_named_run_directories_stay_apart_in_the_report(self, tmp_path):
+        dirs = [write_run(tmp_path / side, "eegnet", 0, [0.6], subject=s) for s, side in ((1, "a"), (2, "b"))]
+        analysis.analyze(dirs, tmp_path / "report", "max_last5")
+        svg = ET.parse(tmp_path / "report" / "training_curves.svg").getroot()
+        assert len(svg.findall("{http://www.w3.org/2000/svg}polyline")) == 2
+        metrics = (tmp_path / "report" / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in metrics] == [str(d) for d in dirs]
+
+    def test_runs_that_do_not_pair_leave_no_report(self, tmp_path):
+        dirs = [write_run(tmp_path / side, "eegnet", 0, [0.6]) for side in ("a", "b")]
+        with pytest.raises(DataError, match="are both eegnet-small seed 0"):
+            analysis.analyze(dirs, tmp_path / "report", "max_last5")
+        assert not (tmp_path / "report").exists()
+
     @pytest.mark.parametrize("runs", [
         [("eegnet", 0), ("lstm", 0)],  # one seed
         [("eegnet", 0), ("eegnet", 1), ("lstm", 0), ("lstm", 2)],  # seed sets differ
@@ -314,8 +343,9 @@ class TestCollectRuns:
         dirs = [write_run(tmp_path, arch, seed, [self.PEAKS[arch, seed]]) for arch, seed in runs]
         collected = analysis.collect_runs(dirs)
         assert analysis.pair_by_seed(collected, "max_last5") is None
-        assert analysis.write_comparison(collected, tmp_path, "max_last5") is None
-        assert not (tmp_path / "comparison.txt").exists()
+        lines = analysis.analyze(dirs, tmp_path / "report", "max_last5")
+        assert all(re.match(r"\w+: ", line) for line in lines)
+        assert not (tmp_path / "report" / "comparison.txt").exists()
 
     @pytest.mark.parametrize("damage", [
         lambda rd: (rd / "manifest.json").unlink(),

@@ -63,7 +63,7 @@ class TestSynth:
         code = run(
             ["synth", "--mode", "linear", "--n-trials", "7", "--out", str(tmp_path / "x.eegb")]
         )
-        assert code == 2  # odd trial count is a data error
+        assert code == 1  # an odd trial count is a bad flag value
 
     def test_missing_out_dir_parent(self, tmp_path):
         code = run(
@@ -183,6 +183,23 @@ class TestTrainEvalAnalyze:
         for subject, line in zip((1, 2), lines):
             assert line.startswith(f"dgcnn-small subject {subject}: mean_last5 = ")
             assert line.endswith(str(rd / f"sub{subject:02d}"))
+
+    def test_analyze_pairs_per_subject_runs_by_subject(self, tmp_path):
+        xor = tmp_path / "xor.eegb"
+        argv = ["synth", "--mode", "xor", "--n-trials", "48", "--n-subjects", "2", "--out", str(xor)]
+        assert run(argv) == 0
+        for arch in ("lstm", "dgcnn"):
+            argv = ["train", "--data", str(xor), "--arch", arch, "--epochs", "1",
+                    "--subject", "all", "--run-dir", str(tmp_path / arch)]
+            assert run(argv) == 0
+        dirs = [str(tmp_path / arch / sub) for arch in ("lstm", "dgcnn") for sub in ("sub01", "sub02")]
+        for subject, rd in zip((1, 2, 1, 2), dirs):
+            assert json.loads(Path(rd, "manifest.json").read_text())["subject"] == subject
+        report = tmp_path / "report"
+        assert run(["analyze", "--runs", *dirs, "--out", str(report)]) == 0
+        # two subjects of seed 0 make two pairs
+        assert re.search(r"-small vs \w+-small: t = .*, df = 1,", (report / "comparison.txt").read_text())
+        assert (report / "training_curves.svg").read_text().count("<polyline") == 4
 
     def test_missing_data_file(self, tmp_path):
         code = run(
@@ -452,10 +469,17 @@ class TestBadInputs:
           "--subject", "abc"], 1, "error: neurodecode train: argument --subject: expected"),
         (["preprocess", "--raw", "{tmp}/raw.eegb", "--out", "{tmp}/o.eegb",
           "--band", "40", "1"], 1, "error: band (40.0, 1.0) not inside (0, 50.0) Hz"),
-        (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "-5", "--out", "{tmp}/raw.eegb"], 2,
-         "data error: lead_in_ms must be finite and not negative"),
-        (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "nan", "--out", "{tmp}/raw.eegb"], 2,
-         "data error: lead_in_ms must be finite and not negative"),
+        (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "-5", "--out", "{tmp}/raw.eegb"], 1,
+         "error: lead_in_ms must be finite and not negative"),
+        (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "nan", "--out", "{tmp}/raw.eegb"], 1,
+         "error: lead_in_ms must be finite and not negative"),
+        (["synth", "--n-trials", "3", "--out", "{tmp}/x.eegb"], 1,
+         "error: n_trials must be even and >= 2, got 3"),
+        (["synth", "--snr", "-1", "--out", "{tmp}/x.eegb"], 1, "error: snr must be positive, got -1.0"),
+        (["synth", "--n-subjects", "0", "--out", "{tmp}/x.eegb"], 1,
+         "error: n_subjects must be >= 1, got 0"),
+        (["synth", "--mode", "subject_signature", "--n-subjects", "100", "--out", "{tmp}/x.eegb"], 1,
+         "error: subject_signature mode draws 104 orthogonal patterns in 63 channels"),
         # a 2-class checkpoint scored on labels 0-3
         (["eval", "--run-dir", "{run}", "--data", "{signature}"], 2,
          "data error: labels span 0..3, but the model scores classes 0..1"),

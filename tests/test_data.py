@@ -25,7 +25,7 @@ from neurodecode.data import (
     generate_synthetic,
     split,
 )
-from neurodecode.errors import DataError
+from neurodecode.errors import DataError, UsageError
 
 
 class TestCategoryTable:
@@ -216,9 +216,9 @@ class TestSynthetic:
         assert z.max() < 5.0
 
     def test_mode_validation(self):
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError):
             SynthConfig(mode="nope", n_trials=10)
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError):
             SynthConfig(mode="linear", n_trials=3)  # odd
 
 

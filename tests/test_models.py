@@ -127,11 +127,8 @@ class TestDtypeContract:
 # The front ends as first written: the temporal convolution builds the
 # (B, F, C, T) map, which the spatial convolution then collapses.  Kept
 # as the float64 oracle for the commuted fronts in models.py.
-def eegnet_front_oracle(model, x, training):
+def eegnet_front_oracle(model, x):
     h = ops.conv_temporal(constant(x[:, None]), model.w_temporal)
-    # bn1 has no affine pair: unit gamma and zero beta, as constants
-    unit = [constant(np.full(model.f1, v, dtype=model.dtype)) for v in (1.0, 0.0)]
-    h = ops.batch_norm(h, *unit, model.bn1_mean, model.bn1_var, training=training)
     return ops.conv_spatial_depthwise(h, model.w_spatial)
 
 
@@ -143,10 +140,24 @@ def conformer_front_oracle(model, x):
 
 def with_oracle_front(model):
     """The model, its front end replaced by the oracle composition."""
-    if model.arch == "eegnet":
-        model._front = lambda x, training: eegnet_front_oracle(model, x, training)
-    else:
-        model._front = lambda x: conformer_front_oracle(model, x)
+    oracle = eegnet_front_oracle if model.arch == "eegnet" else conformer_front_oracle
+    model._front = lambda x: oracle(model, x)
+    return model
+
+
+def with_bn1_front(model):
+    """EEGNet as Lawhern et al. draw it: a batch norm without affine pair
+    (unit gamma, zero beta, as constants) between the temporal and the
+    depthwise spatial convolution."""
+    unit = [constant(np.full(model.f1, v, dtype=model.dtype)) for v in (1.0, 0.0)]
+    running = [np.zeros(model.f1), np.ones(model.f1)]
+
+    def front(x):
+        h = ops.conv_temporal(constant(x[:, None]), model.w_temporal)
+        h = ops.batch_norm(h, *unit, *running, training=True)
+        return ops.conv_spatial_depthwise(h, model.w_spatial)
+
+    model._front = front
     return model
 
 
@@ -193,22 +204,27 @@ class TestFrontEquivalence:
         np.testing.assert_allclose(logits, oracle.forward(x, training=False).data, rtol=1e-4, atol=1e-5)
         np.testing.assert_array_equal(back.predict(x), oracle.predict(x))
 
-    def test_bn1_statistics_survive_a_large_offset_in_float32(self):
-        # a centre-tap kernel passes an offset input's mean through unchanged,
-        # so var_f is tiny beside mean_f^2: E[h^2] - mean^2 would cancel to
-        # noise, where a sum of squared deviations (the oracle's) does not
-        new = build_model("eegnet", "small", seed=1)
-        old = with_oracle_front(build_model("eegnet", "small", seed=1))
-        x = small_batch(8, seed=6) + np.float32(1e3)
-        for m in (new, old):
-            m.w_temporal.data[...] = 0.0
-            m.w_temporal.data[:, 0, models.EEGNet.TEMPORAL_KERNEL // 2] = 1.0
-            m.forward(x, training=True)
-        for (name, a), (_, b) in zip(new.named_buffers(), old.named_buffers()):
-            if name.startswith("bn1."):
-                np.testing.assert_allclose(a, b, rtol=1e-3, err_msg=name)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_eegnet_without_bn1_matches_the_model_with_it_at_zero_epsilon(self, size, monkeypatch):
+        # bn2 normalizes every (f, d) map with its batch statistics, so a
+        # per-feature affine map ahead of the linear spatial convolution
+        # cancels, up to the epsilon under bn's square root
+        monkeypatch.setattr(ops, "NORM_EPS", 0.0)
+        pair = [build_model("eegnet", size, seed=1), with_bn1_front(build_model("eegnet", size, seed=1))]
+        x = small_batch(3, seed=4).astype(np.float64)
+        y = np.array([0, 1, 1])
+        losses = []
+        for m in pair:
+            m.to_float64()
+            loss = m.loss(x, y, training=True)
+            loss.backward()
+            losses.append(loss.data)
+        np.testing.assert_allclose(losses[0], losses[1], rtol=1e-10)
+        new, old = pair
+        for (name, p), (_, q) in zip(new.named_params(), old.named_params()):
+            np.testing.assert_allclose(p.grad, q.grad, rtol=1e-10, atol=1e-14, err_msg=name)
 
-    def test_non_finite_input_raises_at_the_spatial_matmul_before_bn1_moves(self):
+    def test_non_finite_input_raises_at_the_spatial_matmul_before_a_buffer_moves(self):
         m = build_model("eegnet", "small", seed=0)
         before = [b.copy() for _, b in m.named_buffers()]
         x = small_batch(4)
@@ -282,7 +298,20 @@ class TestCheckpoints:
         with pytest.raises(MetaMismatchError, match="not_a_real_parameter"):
             models.load_model(p)
 
-    @pytest.mark.parametrize("name", ["param:temporal.w", "buffer:bn1.running_mean"])
+    def test_eegnet_checkpoint_with_bn1_buffers_rejected(self, tmp_path):
+        # eegnet once had a batch norm between its temporal and spatial convolutions
+        from neurodecode import eegb
+
+        p = tmp_path / "m.ckpt"
+        models.save_model(p, build_model("eegnet", "small", seed=0))
+        desc, tensors = eegb.load_checkpoint(p)
+        tensors["buffer:bn1.running_mean"] = np.zeros(8)
+        tensors["buffer:bn1.running_var"] = np.ones(8)
+        eegb.save_checkpoint(p, desc, tensors)
+        with pytest.raises(MetaMismatchError, match=r"unexpected \['buffer:bn1.running_mean'"):
+            models.load_model(p)
+
+    @pytest.mark.parametrize("name", ["param:temporal.w", "buffer:bn2.running_mean"])
     def test_wrongly_shaped_tensor_rejected(self, tmp_path, name):
         from neurodecode import eegb
 

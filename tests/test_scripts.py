@@ -1,6 +1,7 @@
 """The scripts under scripts/ and the bench tracer still run against the library's current API."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ def test_run_benchmark_writes_report(tmp_path):
     subprocess.run(argv, env=env, check=True, capture_output=True)
     for name in ("baseline.json", "report/metrics.csv", "report/comparison.txt"):
         assert (tmp_path / name).exists(), name
+    report = json.loads((tmp_path / "baseline.json").read_text())
+    assert all(0.0 <= report[mode]["test_acc"] <= 1.0 for mode in ("linear", "xor"))
 
 
 def test_pilot_snr_helpers():
