@@ -8,7 +8,43 @@ object-level analysis.
 
 __version__ = "0.1.0"
 
-from . import analysis, autodiff, baseline, data, eegb, models, pipeline, training
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's ceiling for this parameter on 64-bit hosts
+_TRIM_THRESHOLD = 1 << 30
+
+
+def _keep_freed_heap() -> bool:
+    """Keep freed blocks of up to 32 MiB in the heap, where the next pass reuses them.
+
+    By default glibc returns a freed large block to the kernel (``munmap``
+    or a trim of the heap top), and the next pass that allocates the same
+    temporary page-faults it in again, zero-filled: a training step of
+    dgcnn-small at batch 128 took ~4,600 minor faults.  Both settings are
+    needed: a trim threshold alone also switches off glibc's dynamic mmap
+    threshold, which makes the faults worse, so it is set only once the
+    mmap threshold took.  Returns False where the C library has no
+    ``mallopt`` (macOS, Windows) or rejects a value.  ``ctypes.CDLL(None)``
+    opens the running process, so there is no library lookup
+    (``ctypes.util.find_library`` spawns a subprocess).
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) and bool(
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    )
+
+
+_HEAP_KEPT = _keep_freed_heap()
+
+from . import analysis, autodiff, baseline, data, eegb, models, pipeline, training  # noqa: E402
 
 __all__ = [
     "analysis",

@@ -174,11 +174,12 @@ class ComparisonRow:
 class ComparisonReport:
     ranking: list[ComparisonRow]
     pairwise: list[tuple[str, str, TTestResult]]
+    labels: list[str]  # what each per-seed value was paired on, in order
 
     def format(self) -> str:
         lines = ["ranking (by mean peak metric):"]
         for i, row in enumerate(self.ranking, 1):
-            seeds = ", ".join(f"{v:.4f}" for v in row.per_seed)
+            seeds = ", ".join(f"{label}: {v:.4f}" for label, v in zip(self.labels, row.per_seed))
             lines.append(f"  {i}. {row.name:<14} mean {row.mean:.4f}  [{seeds}]")
         lines.append("pairwise paired t-tests:")
         for a, b, res in self.pairwise:
@@ -190,13 +191,14 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def compare_decoders(metrics: dict[str, list[float]]) -> ComparisonReport:
-    """Rank decoders by mean peak metric and test all pairs, paired by seed."""
+def compare_decoders(metrics: dict[str, list[float]], labels: list[str]) -> ComparisonReport:
+    """Rank decoders by mean peak metric and test all pairs, paired by seed;
+    ``labels`` names the pairs, one per value of each decoder."""
     if len(metrics) < 2:
         raise DataError(f"comparison needs >= 2 decoders, got {len(metrics)}")
     lengths = {name: len(vals) for name, vals in metrics.items()}
-    if len(set(lengths.values())) != 1:
-        raise DataError(f"decoders have unequal seed counts: {lengths}")
+    if set(lengths.values()) != {len(labels)}:
+        raise DataError(f"decoders have unequal seed counts: {lengths}, {len(labels)} labels")
     ranking = [
         ComparisonRow(name=name, mean=float(np.mean(vals)), per_seed=list(vals))
         for name, vals in metrics.items()
@@ -208,7 +210,7 @@ def compare_decoders(metrics: dict[str, list[float]]) -> ComparisonReport:
         for j in range(i + 1, len(names)):
             res = paired_ttest(metrics[names[i]], metrics[names[j]])
             pairwise.append((names[i], names[j], res))
-    return ComparisonReport(ranking=ranking, pairwise=pairwise)
+    return ComparisonReport(ranking=ranking, pairwise=pairwise, labels=list(labels))
 
 
 # ------------------------------------------------------------------ reporting
@@ -293,26 +295,34 @@ def collect_runs(run_dirs: list[str | Path]) -> list[Run]:
     return [_read_run(Path(rd)) for rd in run_dirs]
 
 
-def pair_by_seed(runs: list[Run], kind: str) -> dict[str, list[float]] | None:
-    """Peak metrics per ``arch-size`` cell in (subject, seed) order, or None
-    when the runs do not pair: that needs at least two cells that share one
-    set of at least two (subject, seed) keys.  A cross-subject run has
-    subject None.  Two runs of one cell, subject and seed are a DataError."""
+def _pair_label(subject: int | None, seed: int) -> str:
+    return f"seed {seed}" if subject is None else f"subject {subject} seed {seed}"
+
+
+def pair_by_seed(runs: list[Run], kind: str) -> tuple[list[str], dict[str, list[float]]] | None:
+    """The (subject, seed) labels in order, and the peak metrics per
+    ``arch-size`` cell in that order; or None when the runs do not pair:
+    that needs at least two cells that share one set of at least two
+    (subject, seed) keys.  A cross-subject run has subject None, and its
+    label names the seed alone.  Two runs of one cell, subject and seed
+    are a DataError."""
     by_cell: dict[str, dict[tuple, Run]] = {}
     for run in runs:
         cell = "{arch}-{size}".format(**run.manifest)
         subject, seed = run.manifest["subject"], run.manifest["seed"]
         keys = by_cell.setdefault(cell, {})
         if (subject, seed) in keys:
-            what = f"seed {seed}" if subject is None else f"subject {subject} seed {seed}"
-            raise DataError(f"{keys[subject, seed].path} and {run.path} are both {cell} {what}")
+            raise DataError(
+                f"{keys[subject, seed].path} and {run.path} are both {cell} {_pair_label(subject, seed)}"
+            )
         keys[subject, seed] = run
     key_sets = {frozenset(keys) for keys in by_cell.values()}
     if len(by_cell) < 2 or len(key_sets) != 1 or len(key_sets.pop()) < 2:
         return None
     # None (cross-subject) sorts before every subject id
     order = sorted(next(iter(by_cell.values())), key=lambda k: (k[0] is not None, k))
-    return {cell: [keys[k].peak(kind) for k in order] for cell, keys in by_cell.items()}
+    labels = [_pair_label(*k) for k in order]
+    return labels, {cell: [keys[k].peak(kind) for k in order] for cell, keys in by_cell.items()}
 
 
 _PALETTE = ["#1b6ca8", "#c23b22", "#2e8540", "#8e44ad", "#d98e04", "#16777e", "#7f8c8d"]
@@ -515,10 +525,11 @@ def analyze(run_dirs: list[str | Path], out_dir: str | Path, kind: str) -> list[
     return the comparison text, if any, then one ``name: path`` line per file.
     Runs that cannot be read or paired raise before any file is written."""
     runs = collect_runs(run_dirs)
-    metrics = pair_by_seed(runs, kind)
+    pairing = pair_by_seed(runs, kind)
     paths = emit_report(runs, out_dir)
     lines = []
-    if metrics is not None:
-        lines.append(compare_decoders(metrics).format())
+    if pairing is not None:
+        labels, metrics = pairing
+        lines.append(compare_decoders(metrics, labels).format())
         (Path(out_dir) / "comparison.txt").write_text(lines[0] + "\n")
     return lines + [f"{name}: {p}" for name, p in sorted(paths.items())]

@@ -305,7 +305,10 @@ def _background(own: np.ndarray, sources: np.ndarray, mixing: np.ndarray) -> np.
     would depend on the BLAS thread count.
     """
     mixed = np.einsum("cs,...st->...ct", mixing, sources)
-    return (own + mixed) / np.sqrt(2.0)
+    # in place: a raw recording's temporaries are 31.5 MB each
+    mixed += own
+    mixed /= np.sqrt(2.0)
+    return mixed
 
 
 def _fast_len(n: int) -> int:
@@ -539,8 +542,8 @@ def save_raw(path, rec: RawRecording, meta: list[TrialMeta]) -> None:
         d = by_trial[trial_id].to_dict()
         d["onset"] = onset
         lines.append(d)
-    # float64 in the container: the recording round-trips bit for bit
-    eegb.write_tensor_file(path, rec.data[None, :, :].astype(np.float64), lines)
+    # RawRecording holds float64, so the recording round-trips bit for bit
+    eegb.write_tensor_file(path, rec.data[None, :, :], lines)
 
 
 # the JSON kinds of a raw sidecar's header line, and the field each event line adds

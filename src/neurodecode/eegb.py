@@ -120,7 +120,7 @@ def write_tensor_file(path: str | Path, tensor: np.ndarray, meta_lines: list[dic
             fh.write((json.dumps(line, sort_keys=True) + "\n").encode("utf-8"))
     with _replacing(path) as fh:
         fh.write(header)
-        fh.write(tensor.tobytes())
+        fh.write(tensor)  # the contiguous buffer itself: the bytes of tobytes(), uncopied
 
 
 def read_tensor_file(path: str | Path) -> tuple[np.ndarray, list[dict]]:

@@ -82,9 +82,11 @@ def rereference(rec: RawRecording, ref: str) -> RawRecording:
     if ref not in rec.channel_names:
         raise DataError(f"unknown reference channel {ref!r}; have {rec.channel_names[:8]}...")
     idx = rec.channel_names.index(ref)
-    keep = [i for i in range(len(rec.channel_names)) if i != idx]
-    data = rec.data[keep] - rec.data[idx]
-    names = tuple(rec.channel_names[i] for i in keep)
+    # one output array, filled on each side of the reference row
+    data = np.empty((len(rec.channel_names) - 1, rec.n_samples), dtype=rec.data.dtype)
+    np.subtract(rec.data[:idx], rec.data[idx], out=data[:idx])
+    np.subtract(rec.data[idx + 1 :], rec.data[idx], out=data[idx:])
+    names = rec.channel_names[:idx] + rec.channel_names[idx + 1 :]
     return replace(rec, data=data, channel_names=names)
 
 

@@ -189,7 +189,7 @@ def test_08_comparison_pipeline(tmp_path):
             vals.append(res.peak("max_last5"))
             run_dirs.append(rd)
         metrics[arch] = vals
-    rep = analysis.compare_decoders(metrics)
+    rep = analysis.compare_decoders(metrics, ["seed 0", "seed 1", "seed 2"])
     out = tmp_path / "report"
     paths = analysis.emit_report(analysis.collect_runs([str(r) for r in run_dirs]), out)
     finite = all(np.isfinite(r.mean) for r in rep.ranking) and all(

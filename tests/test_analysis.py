@@ -166,7 +166,8 @@ class TestCompare:
                 "eegnet": [0.9, 0.92, 0.91],
                 "lstm": [0.80, 0.82, 0.81],
                 "dgcnn": [0.9, 0.92, 0.91],
-            }
+            },
+            ["seed 0", "seed 1", "seed 2"],
         )
         assert [r.name for r in rep.ranking] == ["dgcnn", "eegnet", "lstm"]
         assert len(rep.pairwise) == 3
@@ -175,11 +176,13 @@ class TestCompare:
 
     def test_unequal_seed_counts_rejected(self):
         with pytest.raises(DataError, match="unequal"):
-            compare_decoders({"a": [0.9, 0.8], "b": [0.7]})
+            compare_decoders({"a": [0.9, 0.8], "b": [0.7]}, ["seed 0", "seed 1"])
+        with pytest.raises(DataError, match="unequal"):
+            compare_decoders({"a": [0.9, 0.8], "b": [0.7, 0.6]}, ["seed 0"])
 
     def test_single_decoder_rejected(self):
         with pytest.raises(DataError, match=">= 2"):
-            compare_decoders({"a": [0.9, 0.8]})
+            compare_decoders({"a": [0.9, 0.8]}, ["seed 0", "seed 1"])
 
 
 class TestSvg:
@@ -279,12 +282,12 @@ class TestCollectRuns:
         shuffled = [dirs[i] for i in (4, 2, 0, 5, 1, 3)]
         runs = analysis.collect_runs(shuffled)
         assert [r.name for r in runs] == [str(d) for d in shuffled]
-        assert analysis.pair_by_seed(runs, "max_last5") == {
-            "eegnet-small": [0.6, 0.7, 0.8],
-            "lstm-small": [0.5, 0.9, 0.4],
-        }
+        labels = ["seed 0", "seed 1", "seed 2"]
+        metrics = {"eegnet-small": [0.6, 0.7, 0.8], "lstm-small": [0.5, 0.9, 0.4]}
+        assert analysis.pair_by_seed(runs, "max_last5") == (labels, metrics)
         text, *_ = analysis.analyze(shuffled, tmp_path / "report", "max_last5")
-        assert text == compare_decoders(analysis.pair_by_seed(runs, "max_last5")).format()
+        assert text == compare_decoders(metrics, labels).format()
+        assert "eegnet-small   mean 0.7000  [seed 0: 0.6000, seed 1: 0.7000, seed 2: 0.8000]" in text
         assert (tmp_path / "report" / "comparison.txt").read_text() == text + "\n"
 
     def test_sizes_of_one_architecture_stay_apart(self, tmp_path):
@@ -293,10 +296,10 @@ class TestCollectRuns:
             write_run(tmp_path, "eegnet", seed, [acc], size="medium")
             for seed, acc in ((0, 0.99), (1, 0.98))
         ]
-        assert analysis.pair_by_seed(analysis.collect_runs(dirs), "max_last5") == {
-            "eegnet-small": [0.6, 0.7],
-            "eegnet-medium": [0.99, 0.98],
-        }
+        assert analysis.pair_by_seed(analysis.collect_runs(dirs), "max_last5") == (
+            ["seed 0", "seed 1"],
+            {"eegnet-small": [0.6, 0.7], "eegnet-medium": [0.99, 0.98]},
+        )
 
     def test_repeated_cell_and_seed_is_a_data_error(self, tmp_path):
         first = write_run(tmp_path / "a", "eegnet", 0, [0.6])
@@ -312,13 +315,26 @@ class TestCollectRuns:
             write_run(tmp_path / f"sub{subject:02d}", arch, 0, [acc], subject=subject)
             for (arch, subject), acc in reversed(peaks.items())
         ]
-        assert analysis.pair_by_seed(analysis.collect_runs(dirs), "max_last5") == {
-            "lstm-small": [0.5, 0.9],
-            "eegnet-small": [0.6, 0.7],
-        }
+        assert analysis.pair_by_seed(analysis.collect_runs(dirs), "max_last5") == (
+            ["subject 1 seed 0", "subject 2 seed 0"],
+            {"lstm-small": [0.5, 0.9], "eegnet-small": [0.6, 0.7]},
+        )
         again = write_run(tmp_path / "again", "lstm", 0, [0.8], subject=2)
         with pytest.raises(DataError, match="are both lstm-small subject 2 seed 0"):
             analysis.pair_by_seed(analysis.collect_runs(dirs + [again]), "max_last5")
+
+    def test_two_subject_comparison_labels_each_value_with_its_subject(self, tmp_path):
+        peaks = {("eegnet", 1): 0.6, ("eegnet", 2): 0.7, ("lstm", 1): 0.5, ("lstm", 2): 0.9}
+        dirs = [
+            write_run(tmp_path / f"sub{subject:02d}", arch, 0, [acc], subject=subject)
+            for (arch, subject), acc in peaks.items()
+        ]
+        text, *_ = analysis.analyze(dirs, tmp_path / "report", "max_last5")
+        ranking = text.splitlines()[1:3]
+        assert ranking == [
+            "  1. lstm-small     mean 0.7000  [subject 1 seed 0: 0.5000, subject 2 seed 0: 0.9000]",
+            "  2. eegnet-small   mean 0.6500  [subject 1 seed 0: 0.6000, subject 2 seed 0: 0.7000]",
+        ]
 
     def test_same_named_run_directories_stay_apart_in_the_report(self, tmp_path):
         dirs = [write_run(tmp_path / side, "eegnet", 0, [0.6], subject=s) for s, side in ((1, "a"), (2, "b"))]

@@ -415,11 +415,13 @@ def test_readme_command_lines_parse():
 
 def test_cold_start_loads_no_scipy():
     """Only band-pass, CSP and the t-tests import scipy, inside those functions;
-    only ``generate_synthetic`` imports ``concurrent.futures``, inside it."""
+    only ``generate_synthetic`` imports ``concurrent.futures``, inside it; the
+    package's mallopt call opens the C library without ``ctypes.util``, whose
+    ``find_library`` spawns a subprocess."""
     code = (
         "import sys, neurodecode, neurodecode.cli; neurodecode.cli.build_parser(); "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+        "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures') or m == 'ctypes.util'))"
     )
     src = str(Path(neurodecode.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -42,6 +42,18 @@ class TestEpochFile:
         assert back.dtype == np.float64
         assert np.array_equal(back, t)
 
+    @pytest.mark.parametrize("tensor", [
+        _tensor(),
+        _tensor(dtype=np.float64),
+        _tensor(shape=(5, 4, 3), dtype=np.float64).transpose(0, 2, 1),  # not C-contiguous
+    ], ids=["float32", "float64", "non-contiguous"])
+    def test_file_is_header_then_tobytes(self, tmp_path, tensor):
+        path = tmp_path / "epochs.eegb"
+        eegb.write_tensor_file(path, tensor, _meta(5))
+        code = {np.float32: 0, np.float64: 1}[tensor.dtype.type]
+        header = eegb.EPOCH_MAGIC + struct.pack("<5I", eegb.FORMAT_VERSION, *tensor.shape, code)
+        assert path.read_bytes() == header + tensor.tobytes()
+
     def test_rewrite_that_fails_in_the_sidecar_leaves_no_valid_pair(self, tmp_path):
         path = tmp_path / "epochs.eegb"
         eegb.write_tensor_file(path, _tensor(), _meta(5))

@@ -50,6 +50,15 @@ class TestRereference:
         out = rereference(rec, "Cz")
         assert np.abs(out.data).max() == 0.0
 
+    @pytest.mark.parametrize("ref", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_matches_the_fancy_index_expression_bit_for_bit(self, ref):
+        arr = np.random.default_rng(ref).standard_normal((7, 300)) * 50.0
+        rec = _rec(arr)
+        out = rereference(rec, rec.channel_names[ref])
+        keep = [i for i in range(7) if i != ref]
+        assert out.channel_names == tuple(rec.channel_names[i] for i in keep)
+        assert out.data.tobytes() == (arr[keep] - arr[ref]).tobytes()
+
     def test_unknown_reference(self):
         rec = _rec(np.zeros((2, 10)), names=("A", "B"))
         with pytest.raises(DataError):

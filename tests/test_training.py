@@ -1,14 +1,21 @@
-"""Training loop: optimizer, schedule, metrics, determinism."""
+"""Training loop: optimizer, schedule, metrics, determinism, steady-state memory."""
 
+import ctypes
 import json
+import os
+import subprocess
+import sys
+import types
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neurodecode
 from neurodecode import analysis, training
 from neurodecode.autodiff.core import Parameter
-from neurodecode.data import SynthConfig, generate_synthetic, split
+from neurodecode.data import SynthConfig, generate_synthetic, save_epochs, split
 from neurodecode.errors import DataError, UsageError
 from neurodecode.models import build_model
 from neurodecode.training import LR_MAX, LR_MIN, TrainConfig, evaluate, lr_at, restart_epochs, sgd_step
@@ -238,3 +245,65 @@ class TestTrainLoop:
         assert any(best in w for w in analysis.peak_windows(trained.manifest["cycle_ends"]))
         (row,) = [r for r in trained.history if r["epoch"] == best]
         assert row["test_acc"] == trained.manifest["best_windowed_test_acc"]
+
+
+# three warm-up steps of dgcnn-small at batch 128 on an epoch file read back
+# as `train` reads it, then the minor page faults of the next three
+STEADY_STATE_FAULTS = """
+import resource, sys
+from neurodecode.data import load_epochs
+from neurodecode.models import build_model
+from neurodecode.training import sgd_step
+
+train = load_epochs(sys.argv[1]).split_view("train")
+x, y = train.tensor[:128], train.labels[:128]
+model = build_model("dgcnn", "small", seed=0)
+
+def step():
+    model.zero_grad()
+    loss = model.loss(x, y, training=True)
+    loss.backward()
+    sgd_step(model.params(), 0.01)
+
+for _ in range(3):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeap:
+    @pytest.mark.skipif(not neurodecode._HEAP_KEPT, reason="the C library has no mallopt")
+    def test_training_steps_take_no_page_faults_in_steady_state(self, tmp_path):
+        # 8,000-14,000 faults without the package's mallopt settings (1 or 2 BLAS threads), 0 with them
+        path = tmp_path / "xor.eegb"
+        save_epochs(path, split(generate_synthetic(SynthConfig(mode="xor", n_trials=200)), 0.2, 0))
+        src = str(Path(neurodecode.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", STEADY_STATE_FAULTS, str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 300
+
+    def test_no_mallopt_leaves_the_allocator_alone(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert neurodecode._keep_freed_heap() is False
+
+    def test_refused_mmap_threshold_sets_no_trim_threshold(self, monkeypatch):
+        # a trim threshold alone switches off the dynamic mmap threshold
+        calls = []
+
+        def mallopt(param, value):
+            calls.append(param)
+            return 0
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert neurodecode._keep_freed_heap() is False
+        assert calls == [neurodecode._M_MMAP_THRESHOLD]
