@@ -55,11 +55,11 @@ def main() -> None:
             model = models.build_model(arch, "small", seed=seed)
             cfg_t = training.TrainConfig(epochs=args.epochs, seed=seed)
             run = training.train(model, datasets["xor"], cfg_t, run_dir=run_dir)
-            print(f"  {arch}-small seed {seed}: peak {run.peak('max_last5'):.4f} -> {run_dir}")
+            print(f"  {arch}-small seed {seed}: peak {run.peak(run.headline):.4f} -> {run_dir}")
             run_dirs.append(str(run_dir))
 
     print("== report ==")
-    print("\n".join(analysis.analyze(run_dirs, out / "report", "max_last5")))
+    print("\n".join(analysis.analyze(run_dirs, out / "report")))
 
 
 if __name__ == "__main__":

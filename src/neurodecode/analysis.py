@@ -5,8 +5,9 @@ schedule: for each cycle end e, the window of (up to) five epochs
 [e-4, e] gets its mean test accuracy; ``max_last5`` is the maximum of
 those window means and is the cross-subject headline, ``mean_last5``
 their mean, used for single-subject runs where individual windows are
-noisy.  A window truncated by the epoch budget still counts as long as
-it contains at least one epoch.
+noisy.  A run's manifest decides which one scores it (``Run.headline``).
+A window truncated by the epoch budget still counts as long as it
+contains at least one epoch.
 
 Decoder comparisons pair peak metrics by seed and use a paired t-test
 with the Student-t survival function from scipy.  Charts are emitted as
@@ -266,6 +267,12 @@ class Run:
         """The run directory as given, so runs in same-named folders stay apart."""
         return str(self.path)
 
+    @property
+    def headline(self) -> str:
+        """The peak metric that scores this run: ``mean_last5`` for a run on
+        one subject's trials, ``max_last5`` for a cross-subject run."""
+        return "max_last5" if self.manifest["subject"] is None else "mean_last5"
+
     def peak(self, kind: str) -> float:
         return peak_metric(self.history, self.manifest["cycle_ends"], kind)
 
@@ -299,9 +306,9 @@ def _pair_label(subject: int | None, seed: int) -> str:
     return f"seed {seed}" if subject is None else f"subject {subject} seed {seed}"
 
 
-def pair_by_seed(runs: list[Run], kind: str) -> tuple[list[str], dict[str, list[float]]] | None:
-    """The (subject, seed) labels in order, and the peak metrics per
-    ``arch-size`` cell in that order; or None when the runs do not pair:
+def pair_by_seed(runs: list[Run]) -> tuple[list[str], dict[str, list[float]]] | None:
+    """The (subject, seed) labels in order, and the headline peak metrics
+    per ``arch-size`` cell in that order; or None when the runs do not pair:
     that needs at least two cells that share one set of at least two
     (subject, seed) keys.  A cross-subject run has subject None, and its
     label names the seed alone.  Two runs of one cell, subject and seed
@@ -322,7 +329,9 @@ def pair_by_seed(runs: list[Run], kind: str) -> tuple[list[str], dict[str, list[
     # None (cross-subject) sorts before every subject id
     order = sorted(next(iter(by_cell.values())), key=lambda k: (k[0] is not None, k))
     labels = [_pair_label(*k) for k in order]
-    return labels, {cell: [keys[k].peak(kind) for k in order] for cell, keys in by_cell.items()}
+    return labels, {
+        cell: [keys[k].peak(keys[k].headline) for k in order] for cell, keys in by_cell.items()
+    }
 
 
 _PALETTE = ["#1b6ca8", "#c23b22", "#2e8540", "#8e44ad", "#d98e04", "#16777e", "#7f8c8d"]
@@ -439,7 +448,8 @@ def svg_bar_chart(names: list[str], values: list[float], title: str, xlabel: str
 def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
     """Write the report folder for runs read by ``collect_runs``.
 
-    Writes metrics.csv (one row per run), training_curves.csv/.svg,
+    Writes metrics.csv (one row per run; its subject is empty for a
+    cross-subject run), training_curves.csv/.svg,
     object_comparison.svg (per-object accuracy, best first),
     object_accuracy.csv and category_table.csv from the pooled
     prediction files.  Returns the written paths.
@@ -449,7 +459,8 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
     metrics = [
         [
             run.name,
-            *(run.manifest[k] for k in ("arch", "size", "seed", "best_epoch")),
+            # csv writes a cross-subject run's subject, None, as an empty cell
+            *(run.manifest[k] for k in ("arch", "size", "subject", "seed", "best_epoch")),
             f"{run.peak('max_last5'):.6f}",
             f"{run.peak('mean_last5'):.6f}",
             f"{run.history[-1]['test_acc']:.6f}",
@@ -461,7 +472,8 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
     paths = {}
     paths["metrics"] = write_csv(
         out_dir / "metrics.csv",
-        ["run", "arch", "size", "seed", "best_epoch", "max_last5", "mean_last5", "final_test_acc"],
+        ["run", "arch", "size", "subject", "seed", "best_epoch",
+         "max_last5", "mean_last5", "final_test_acc"],
         metrics,
     )
     paths["curves"] = write_csv(
@@ -520,16 +532,18 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
     return paths
 
 
-def analyze(run_dirs: list[str | Path], out_dir: str | Path, kind: str) -> list[str]:
+def analyze(run_dirs: list[str | Path], out_dir: str | Path) -> list[str]:
     """Write the report folder (and comparison.txt when the runs pair);
     return the comparison text, if any, then one ``name: path`` line per file.
+    The comparison ranks each run by its headline peak metric, and names it.
     Runs that cannot be read or paired raise before any file is written."""
     runs = collect_runs(run_dirs)
-    pairing = pair_by_seed(runs, kind)
+    pairing = pair_by_seed(runs)
     paths = emit_report(runs, out_dir)
     lines = []
     if pairing is not None:
         labels, metrics = pairing
-        lines.append(compare_decoders(metrics, labels).format())
+        kinds = " and ".join(sorted({run.headline for run in runs}))
+        lines.append(f"peak metric: {kinds}\n" + compare_decoders(metrics, labels).format())
         (Path(out_dir) / "comparison.txt").write_text(lines[0] + "\n")
     return lines + [f"{name}: {p}" for name, p in sorted(paths.items())]

@@ -61,18 +61,13 @@ def _class_covariances(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
     classes = np.unique(y)
     if not np.array_equal(classes, [0, 1]):
         raise DataError(f"CSP needs both classes 0 and 1; labels present: {classes.tolist()}")
-    sums = {0: None, 1: None}
-    counts = {0: 0, 1: 0}
-    for xi, yi in zip(x, y):
-        c = xi @ xi.T / xi.shape[1]
-        tr = np.trace(c)
-        if tr <= 0:
-            raise NumericError("trial covariance has non-positive trace")
-        c /= tr
-        k = int(yi)
-        sums[k] = c if sums[k] is None else sums[k] + c
-        counts[k] += 1
-    return sums[0] / counts[0], sums[1] / counts[1]
+    c = x @ x.transpose(0, 2, 1) / x.shape[2]
+    tr = np.trace(c, axis1=1, axis2=2)
+    if (tr <= 0).any():
+        raise NumericError("trial covariance has non-positive trace")
+    c /= tr[:, None, None]
+    # a sum over axis 0 adds the trials in order, as a running total does
+    return tuple(c[y == k].sum(axis=0) / np.count_nonzero(y == k) for k in (0, 1))
 
 
 def fit_csp(x: np.ndarray, y: np.ndarray) -> CspModel:

@@ -15,14 +15,16 @@ the command that writes the epoch file (``synth``, ``preprocess``, at
 ``data.TEST_FRAC`` from ``--seed``); ``train``, ``baseline`` and
 ``eval`` read it, and ``eval`` scores the file's test split.  An epoch
 file with a trial that has no split is a data error.  The seed is
-``--seed``, else 0.
+``--seed``, else 0.  What a run directory records is read from it, not
+asked for: ``eval`` scores the subject in the run's manifest, and
+``analyze`` ranks each run by the peak metric that its subject picks.
 
-The flags of ``train`` and ``preprocess`` are the fields of
-``TrainConfig`` and ``PipelineConfig``, one each, with ``_`` written
-``-``; a tuple field takes its items (``--band LOW HIGH``).  A field
-comes from its flag, else from the dataclass default.  The optimizer
-and schedule are constants of ``training.py``, and a model's dropout is
-that of its size.
+The training flags are the fields of ``TrainConfig``, one each, with
+``_`` written ``-``; a field comes from its flag, else from the
+dataclass default.  The optimizer and schedule are constants of
+``training.py``, a model's dropout is that of its size, and the
+preprocessing chain's reference, band and rate are constants of
+``pipeline.py``.
 """
 
 from __future__ import annotations
@@ -57,15 +59,12 @@ def _subject(value: str) -> int | str:
 def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
     """One flag per field of ``cls``, defaulting to the field's default."""
     for f in dataclasses.fields(cls):
-        nargs = len(f.default) if type(f.default) is tuple else None
-        kind = type(f.default[0]) if nargs else type(f.default)
-        p.add_argument("--" + f.name.replace("_", "-"), type=kind, nargs=nargs, default=f.default)
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def _config(cls, args):
-    """``cls`` from its flags; a tuple field gets a tuple, not argparse's list."""
-    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    """``cls`` from its flags."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 # ------------------------------------------------------------------ commands
@@ -75,12 +74,11 @@ def cmd_synth(args) -> int:
     cfg = data.SynthConfig(
         mode=args.mode,
         n_trials=args.n_trials,
-        n_subjects=args.n_subjects,
         snr=args.snr,
         seed=args.seed,
     )
     if args.raw:
-        rec, meta = data.generate_raw(cfg, lead_in_ms=args.lead_in_ms)
+        rec, meta = data.generate_raw(cfg)
         data.save_raw(args.out, rec, meta)
         print(
             f"wrote raw recording: {rec.data.shape[0]} channels x {rec.data.shape[1]} samples "
@@ -98,9 +96,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _config(pipeline.PipelineConfig, args)
     rec, meta = data.load_raw(args.raw)
-    tensor, trial_ids, skipped = pipeline.run_pipeline(rec, cfg)
+    tensor, trial_ids, skipped = pipeline.run_pipeline(rec)
     for trial_id, reason in skipped:
         print(f"skipped trial {trial_id}: {reason}", file=sys.stderr)
     if skipped:
@@ -138,10 +135,9 @@ def cmd_train(args) -> int:
             n_samples=n_samples,
         )
         run = training.train(model, task, cfg, run_dir=str(run_dir))
-        kind = "mean_last5" if subject is not None else "max_last5"
         where = "" if subject is None else f" subject {subject}"
         print(
-            f"{args.arch}-{args.size}{where}: {kind} = {run.peak(kind):.4f} "
+            f"{args.arch}-{args.size}{where}: {run.headline} = {run.peak(run.headline):.4f} "
             f"(best epoch {run.manifest['best_epoch']}, "
             f"final test acc {run.history[-1]['test_acc']:.4f}) -> {run_dir}"
         )
@@ -159,35 +155,36 @@ def cmd_baseline(args) -> int:
 
 def cmd_eval(args) -> int:
     model = models.load_model(Path(args.run_dir) / "model.ckpt")
-    task = data.build_task(data.load_epochs(args.data), args.subject).split_view("test")
+    (run,) = analysis.collect_runs([args.run_dir])
+    epochs = data.load_epochs(args.data)
+    task = data.build_task(epochs, run.manifest["subject"]).split_view("test")
     result = training.evaluate(model, task.tensor, task.labels)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_analyze(args) -> int:
-    print("\n".join(analysis.analyze(args.runs, args.out, args.headline)))
+    print("\n".join(analysis.analyze(args.runs, args.out)))
     return 0
+
+
+def _gradient_checks(args):
+    """(padded label, report) for each op case, then for each model cell as it is checked."""
+    if args.scope in ("all", "ops"):
+        for name, report in checks.check_op_gradients():
+            yield f"op {name:<24}", report
+    if args.scope in ("all", "models"):
+        for arch in [args.arch] if args.arch else models.ARCHITECTURES:
+            for size in [args.size] if args.size else models.SIZES:
+                yield f"model {arch}-{size:<8}", checks.check_model_gradients(arch, size)
 
 
 def cmd_gradcheck(args) -> int:
     failures = []
-    if args.scope in ("all", "ops"):
-        for name, report in checks.check_op_gradients():
-            status = "PASS" if report.passed else "FAIL"
-            print(f"op {name:<24} {report.summary()}  {status}")
-            if not report.passed:
-                failures.append(f"op {name}")
-    if args.scope in ("all", "models"):
-        archs = [args.arch] if args.arch else list(models.ARCHITECTURES)
-        sizes = [args.size] if args.size else list(models.SIZES)
-        for arch in archs:
-            for size in sizes:
-                report = checks.check_model_gradients(arch, size)
-                status = "PASS" if report.passed else "FAIL"
-                print(f"model {arch}-{size:<8} {report.summary()}  {status}")
-                if not report.passed:
-                    failures.append(f"model {arch}-{size}")
+    for label, report in _gradient_checks(args):
+        print(f"{label} {report.summary()}  {'PASS' if report.passed else 'FAIL'}")
+        if not report.passed:
+            failures.append(label.rstrip())
     if failures:
         raise NumericError(f"gradient checks failed: {', '.join(failures)}")
     print("all gradient checks passed")
@@ -198,7 +195,7 @@ def cmd_audit_params(args) -> int:
     rows = models.audit_params()
     print(models.format_audit(rows))
     bad = [r for r in rows if not r.within_budget]
-    if bad and args.strict:
+    if bad:
         raise NumericError(
             f"{len(bad)} model configurations fall outside the ±30% parameter budget"
         )
@@ -218,18 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic epochs or a raw recording")
     p.add_argument("--mode", choices=["linear", "xor", "subject_signature"], default="linear")
     p.add_argument("--n-trials", type=int, default=2000)
-    p.add_argument("--n-subjects", type=int, default=4)
     p.add_argument("--snr", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--raw", action="store_true", help="write a continuous 1 kHz recording")
-    p.add_argument("--lead-in-ms", type=float, default=1000.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="raw recording -> preprocessed epochs")
     p.add_argument("--raw", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, pipeline.PipelineConfig)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_preprocess)
 
@@ -251,13 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on an epoch file")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--subject", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="aggregate run directories into a report")
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--headline", choices=["max_last5", "mean_last5"], default="max_last5")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
@@ -267,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("audit-params", help="parameter counts vs size-budget targets")
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_audit_params)
 
     return parser

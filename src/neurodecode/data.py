@@ -38,7 +38,7 @@ import numpy as np
 
 from . import eegb
 from .errors import DataError, UsageError, check_fields
-from .pipeline import CROP_MS, TARGET_RATE, RawRecording, _samples, crop_and_zscore
+from .pipeline import CROP_MS, REF_CHANNEL, TARGET_RATE, RawRecording, _samples, crop_and_zscore
 
 # Category table for the animacy task: category name -> number of
 # concepts.  Label 1 = alive, 0 = not alive; anything absent (e.g.
@@ -62,6 +62,7 @@ N_CONCEPTS = sum(ALIVE_CATEGORIES.values()) + sum(NONLIVING_CATEGORIES.values())
 
 N_CHANNELS = 63
 N_SAMPLES = _samples(CROP_MS, TARGET_RATE)  # 50: the post-onset crop at the epoch rate
+N_SUBJECTS = 4  # trial i goes to subject i % 4 + 1
 # the raw recording: a 1 kHz stream with one stimulus every 100 ms
 RAW_RATE = 1000
 RAW_INTERVAL_MS = 100.0
@@ -223,7 +224,6 @@ def split(epochs: EpochSet, test_frac: float, seed: int) -> EpochSet:
 class SynthConfig:
     mode: str = "linear"
     n_trials: int = 2000
-    n_subjects: int = 4
     snr: float | None = None  # None: per-mode default from the pilot sweep
     seed: int = 0
 
@@ -232,15 +232,6 @@ class SynthConfig:
             raise UsageError(f"unknown synthetic mode {self.mode!r}")
         if self.n_trials < 2 or self.n_trials % 2 != 0:
             raise UsageError(f"n_trials must be even and >= 2, got {self.n_trials}")
-        if self.n_subjects < 1:
-            raise UsageError(f"n_subjects must be >= 1, got {self.n_subjects}")
-        # orthogonal patterns p, q, q0, q1 and one fingerprint per subject
-        if self.mode == "subject_signature" and 4 + self.n_subjects > N_CHANNELS:
-            raise UsageError(
-                f"subject_signature mode draws {4 + self.n_subjects} orthogonal patterns "
-                f"in {N_CHANNELS} channels: n_subjects must be <= {N_CHANNELS - 4}, "
-                f"got {self.n_subjects}"
-            )
         if self.snr is not None and self.snr <= 0:
             raise UsageError(f"snr must be positive, got {self.snr}")
 
@@ -329,7 +320,7 @@ def _fast_len(n: int) -> int:
         m += 1
 
 
-def _concept_meta(labels: np.ndarray, n_subjects: int) -> list[TrialMeta]:
+def _concept_meta(labels: np.ndarray) -> list[TrialMeta]:
     """Round-robin subjects; each class cycles through a pool of 16 concepts
     in trial order, the pool taking one concept of each of its categories in turn."""
     by_category: dict[str, list[tuple[int, str, str]]] = {}
@@ -343,7 +334,7 @@ def _concept_meta(labels: np.ndarray, n_subjects: int) -> list[TrialMeta]:
     meta = []
     for i, y in enumerate(labels.tolist()):
         cid, name, cat = next(pools[y])
-        meta.append(TrialMeta(i, i % n_subjects + 1, cid, name, cat, y))
+        meta.append(TrialMeta(i, i % N_SUBJECTS + 1, cid, name, cat, y))
     return meta
 
 
@@ -363,7 +354,7 @@ def _design(cfg: SynthConfig):
     )
     n = cfg.n_trials
     # orthogonal patterns p, q, q0, q1, then one fingerprint per subject
-    pats = _patterns(rng_pat, 4 + (cfg.n_subjects if cfg.mode == "subject_signature" else 0))
+    pats = _patterns(rng_pat, 4 + (N_SUBJECTS if cfg.mode == "subject_signature" else 0))
     mixing = rng_pat.standard_normal((N_CHANNELS, 16))
     mixing /= np.linalg.norm(mixing, axis=1, keepdims=True)
 
@@ -395,7 +386,7 @@ def _design(cfg: SynthConfig):
             )
 
     else:  # subject_signature: the label is the 0-based round-robin subject
-        labels = np.arange(n) % cfg.n_subjects
+        labels = np.arange(n) % N_SUBJECTS
 
         def signal(s, w1, w2, rate):
             return pats[4:][labels[s]][:, :, None] * w1[None, None, :]
@@ -405,7 +396,7 @@ def _design(cfg: SynthConfig):
             for i, y in enumerate(labels.tolist())
         ]
         return rng_noise, mixing, meta, signal
-    return rng_noise, mixing, _concept_meta(labels, cfg.n_subjects), signal
+    return rng_noise, mixing, _concept_meta(labels), signal
 
 
 _CHUNK = 1024  # trials of white noise drawn at a time
@@ -509,7 +500,7 @@ def generate_raw(
         for (onset, _), seg in zip(onsets[start : start + _BLOCK], block):
             data[1:, onset : onset + trial_len] += cfg.effective_snr * seg
 
-    names = ("Cz",) + tuple(f"E{i:02d}" for i in range(1, N_CHANNELS + 1))
+    names = (REF_CHANNEL,) + tuple(f"E{i:02d}" for i in range(1, N_CHANNELS + 1))
     rec = RawRecording(
         data=data, channel_names=names, sample_rate=sample_rate, event_onsets=onsets
     )

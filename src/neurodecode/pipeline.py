@@ -19,12 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError
 
+REF_CHANNEL = "Cz"  # subtracted from every other channel, then dropped
+BAND = (1.0, 40.0)  # Hz: the band-pass edges
 BUTTER_ORDER = 4  # applied forward-backward: effective order 8
 BASELINE_MS = 200.0  # pre-stimulus baseline, ending at onset
 CROP_MS = 500.0  # post-stimulus crop, starting at onset
-TARGET_RATE = 100  # Hz: the default rate of the epochs, and of the synthetic ones
+TARGET_RATE = 100  # Hz: the rate of the epochs, and of the synthetic ones
 ZSCORE_EPS = 1e-8
 
 
@@ -63,18 +65,6 @@ class RawRecording:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    ref_channel: str = "Cz"
-    band: tuple[float, float] = (1.0, 40.0)
-    target_rate: int = TARGET_RATE
-
-    def __post_init__(self):
-        low, high = self.band
-        if not 0 < low < high < self.target_rate / 2:
-            raise UsageError(f"band {self.band} not inside (0, {self.target_rate / 2}) Hz")
 
 
 def rereference(rec: RawRecording, ref: str) -> RawRecording:
@@ -178,18 +168,15 @@ def crop_and_zscore(windows: np.ndarray, t0: int, n_keep: int) -> np.ndarray:
     return centered
 
 
-def run_pipeline(
-    rec: RawRecording, cfg: PipelineConfig | None = None
-) -> tuple[np.ndarray, list[int], list[tuple[int, str]]]:
+def run_pipeline(rec: RawRecording) -> tuple[np.ndarray, list[int], list[tuple[int, str]]]:
     """Full preprocessing chain over one recording.
 
     Returns (tensor, trial_ids, skipped): tensor is float32 of shape
     n_kept x n_channels x n_crop, trial_ids gives the event id per row.
     """
-    cfg = cfg or PipelineConfig()
-    rec = rereference(rec, cfg.ref_channel)
-    rec = bandpass(rec, *cfg.band)
-    rec = downsample(rec, cfg.target_rate)
+    rec = rereference(rec, REF_CHANNEL)
+    rec = bandpass(rec, *BAND)
+    rec = downsample(rec, TARGET_RATE)
     trial_ids, windows, skipped = extract_epochs(rec)
     t0 = _samples(BASELINE_MS, rec.sample_rate)
     windows = baseline_correct(windows, t0)

@@ -231,9 +231,9 @@ def train(
         "best_epoch": best_epoch,
         "best_windowed_test_acc": best_acc,
         "n_params": model.n_params,
-        # eegnet-large's and every conformer's gradient bytes differ between
-        # one and two BLAS threads (batch 128; OpenBLAS 0.3.31, 2 cores);
-        # the other cells' do not
+        # a run's bytes hold only at one thread count: every cell's
+        # model.ckpt differs between one and two BLAS threads
+        # (OpenBLAS 0.3.31, 2 cores)
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     predictions = [

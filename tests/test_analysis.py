@@ -1,5 +1,6 @@
 """Analysis layer: peak metrics, paired tests, reports."""
 
+import csv
 import json
 import math
 import re
@@ -246,13 +247,14 @@ class TestEmitReport:
         assert "max_last5" in header or "metric" in header
 
 
-def write_run(root, arch, seed, accs, size="small", subject=None):
-    """A minimal run directory in the layout ``training.train`` writes."""
+def write_run(root, arch, seed, accs, size="small", subject=None, cycle_ends=None):
+    """A minimal run directory in the layout ``training.train`` writes;
+    one restart cycle over ``accs`` unless ``cycle_ends`` says otherwise."""
     rd = root / f"{arch}-{size}-s{seed}"
     rd.mkdir(parents=True)
     manifest = {
         "arch": arch, "size": size, "seed": seed, "subject": subject,
-        "best_epoch": 1, "cycle_ends": [len(accs)],
+        "best_epoch": 1, "cycle_ends": cycle_ends or [len(accs)],
     }
     (rd / "manifest.json").write_text(json.dumps(manifest))
     rows = [
@@ -284,9 +286,9 @@ class TestCollectRuns:
         assert [r.name for r in runs] == [str(d) for d in shuffled]
         labels = ["seed 0", "seed 1", "seed 2"]
         metrics = {"eegnet-small": [0.6, 0.7, 0.8], "lstm-small": [0.5, 0.9, 0.4]}
-        assert analysis.pair_by_seed(runs, "max_last5") == (labels, metrics)
-        text, *_ = analysis.analyze(shuffled, tmp_path / "report", "max_last5")
-        assert text == compare_decoders(metrics, labels).format()
+        assert analysis.pair_by_seed(runs) == (labels, metrics)
+        text, *_ = analysis.analyze(shuffled, tmp_path / "report")
+        assert text == "peak metric: max_last5\n" + compare_decoders(metrics, labels).format()
         assert "eegnet-small   mean 0.7000  [seed 0: 0.6000, seed 1: 0.7000, seed 2: 0.8000]" in text
         assert (tmp_path / "report" / "comparison.txt").read_text() == text + "\n"
 
@@ -296,7 +298,7 @@ class TestCollectRuns:
             write_run(tmp_path, "eegnet", seed, [acc], size="medium")
             for seed, acc in ((0, 0.99), (1, 0.98))
         ]
-        assert analysis.pair_by_seed(analysis.collect_runs(dirs), "max_last5") == (
+        assert analysis.pair_by_seed(analysis.collect_runs(dirs)) == (
             ["seed 0", "seed 1"],
             {"eegnet-small": [0.6, 0.7], "eegnet-medium": [0.99, 0.98]},
         )
@@ -307,7 +309,7 @@ class TestCollectRuns:
         runs = analysis.collect_runs([first, write_run(tmp_path, "lstm", 0, [0.5]), second])
         pattern = f"{re.escape(str(first))} and {re.escape(str(second))} are both eegnet-small seed 0"
         with pytest.raises(DataError, match=pattern):
-            analysis.pair_by_seed(runs, "max_last5")
+            analysis.pair_by_seed(runs)
 
     def test_runs_of_one_seed_pair_by_subject(self, tmp_path):
         peaks = {("eegnet", 1): 0.6, ("eegnet", 2): 0.7, ("lstm", 1): 0.5, ("lstm", 2): 0.9}
@@ -315,13 +317,13 @@ class TestCollectRuns:
             write_run(tmp_path / f"sub{subject:02d}", arch, 0, [acc], subject=subject)
             for (arch, subject), acc in reversed(peaks.items())
         ]
-        assert analysis.pair_by_seed(analysis.collect_runs(dirs), "max_last5") == (
+        assert analysis.pair_by_seed(analysis.collect_runs(dirs)) == (
             ["subject 1 seed 0", "subject 2 seed 0"],
             {"lstm-small": [0.5, 0.9], "eegnet-small": [0.6, 0.7]},
         )
         again = write_run(tmp_path / "again", "lstm", 0, [0.8], subject=2)
         with pytest.raises(DataError, match="are both lstm-small subject 2 seed 0"):
-            analysis.pair_by_seed(analysis.collect_runs(dirs + [again]), "max_last5")
+            analysis.pair_by_seed(analysis.collect_runs(dirs + [again]))
 
     def test_two_subject_comparison_labels_each_value_with_its_subject(self, tmp_path):
         peaks = {("eegnet", 1): 0.6, ("eegnet", 2): 0.7, ("lstm", 1): 0.5, ("lstm", 2): 0.9}
@@ -329,16 +331,45 @@ class TestCollectRuns:
             write_run(tmp_path / f"sub{subject:02d}", arch, 0, [acc], subject=subject)
             for (arch, subject), acc in peaks.items()
         ]
-        text, *_ = analysis.analyze(dirs, tmp_path / "report", "max_last5")
-        ranking = text.splitlines()[1:3]
+        text, *_ = analysis.analyze(dirs, tmp_path / "report")
+        ranking = text.splitlines()[2:4]
         assert ranking == [
             "  1. lstm-small     mean 0.7000  [subject 1 seed 0: 0.5000, subject 2 seed 0: 0.9000]",
             "  2. eegnet-small   mean 0.6500  [subject 1 seed 0: 0.6000, subject 2 seed 0: 0.7000]",
         ]
 
+    def test_per_subject_runs_are_ranked_by_mean_last5(self, tmp_path):
+        # eegnet's two cycles peak at 0.9 and 0.5 (max 0.9, mean 0.7); lstm's at 0.8 twice
+        accs = {"eegnet": [0.9] * 5 + [0.5] * 5, "lstm": [0.8] * 10}
+        dirs = [
+            write_run(tmp_path / f"sub{subject:02d}", arch, 0, accs[arch], subject=subject,
+                      cycle_ends=[5, 10])
+            for arch in accs
+            for subject in (1, 2)
+        ]
+        runs = analysis.collect_runs(dirs)
+        assert [run.headline for run in runs] == ["mean_last5"] * 4
+        assert [run.peak("max_last5") for run in runs[:2]] == pytest.approx([0.9, 0.9])
+        text, *_ = analysis.analyze(dirs, tmp_path / "report")
+        assert text.splitlines()[:3] == [
+            "peak metric: mean_last5",
+            "ranking (by mean peak metric):",
+            "  1. lstm-small     mean 0.8000  [subject 1 seed 0: 0.8000, subject 2 seed 0: 0.8000]",
+        ]
+
+    def test_metrics_csv_names_each_runs_subject(self, tmp_path):
+        dirs = [
+            write_run(tmp_path / "cross", "eegnet", 0, [0.6]),
+            write_run(tmp_path / "sub02", "eegnet", 0, [0.7], subject=2),
+        ]
+        analysis.analyze(dirs, tmp_path / "report")
+        with open(tmp_path / "report" / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["run"], row["subject"]) for row in rows] == [(str(dirs[0]), ""), (str(dirs[1]), "2")]
+
     def test_same_named_run_directories_stay_apart_in_the_report(self, tmp_path):
         dirs = [write_run(tmp_path / side, "eegnet", 0, [0.6], subject=s) for s, side in ((1, "a"), (2, "b"))]
-        analysis.analyze(dirs, tmp_path / "report", "max_last5")
+        analysis.analyze(dirs, tmp_path / "report")
         svg = ET.parse(tmp_path / "report" / "training_curves.svg").getroot()
         assert len(svg.findall("{http://www.w3.org/2000/svg}polyline")) == 2
         metrics = (tmp_path / "report" / "metrics.csv").read_text().splitlines()[1:]
@@ -347,7 +378,7 @@ class TestCollectRuns:
     def test_runs_that_do_not_pair_leave_no_report(self, tmp_path):
         dirs = [write_run(tmp_path / side, "eegnet", 0, [0.6]) for side in ("a", "b")]
         with pytest.raises(DataError, match="are both eegnet-small seed 0"):
-            analysis.analyze(dirs, tmp_path / "report", "max_last5")
+            analysis.analyze(dirs, tmp_path / "report")
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("runs", [
@@ -358,8 +389,8 @@ class TestCollectRuns:
     def test_unpaired_runs_are_not_compared(self, tmp_path, runs):
         dirs = [write_run(tmp_path, arch, seed, [self.PEAKS[arch, seed]]) for arch, seed in runs]
         collected = analysis.collect_runs(dirs)
-        assert analysis.pair_by_seed(collected, "max_last5") is None
-        lines = analysis.analyze(dirs, tmp_path / "report", "max_last5")
+        assert analysis.pair_by_seed(collected) is None
+        lines = analysis.analyze(dirs, tmp_path / "report")
         assert all(re.match(r"\w+: ", line) for line in lines)
         assert not (tmp_path / "report" / "comparison.txt").exists()
 

@@ -6,7 +6,7 @@ import pytest
 from neurodecode import baseline
 from neurodecode.baseline import csp_features, fit_csp, fit_csp_lda
 from neurodecode.data import SynthConfig, generate_synthetic, split
-from neurodecode.errors import DataError
+from neurodecode.errors import DataError, NumericError
 
 
 def variance_contrast_trials(n=200, c=8, t=400, seed=0):
@@ -94,6 +94,45 @@ class TestCsp:
         assert np.array_equal(a.csp.filters, b.csp.filters)
         assert np.array_equal(a.lda.weights, b.lda.weights)
         assert a.lda.bias == b.lda.bias
+
+
+def _class_covariances_per_trial(x, y):
+    """The per-trial loop ``_class_covariances`` replaces: each trial's
+    trace-normalized covariance, added to its class's running total."""
+    x = np.asarray(x, dtype=np.float64)
+    sums, counts = {0: None, 1: None}, {0: 0, 1: 0}
+    for xi, yi in zip(x, y):
+        c = xi @ xi.T / xi.shape[1]
+        tr = np.trace(c)
+        if tr <= 0:
+            raise NumericError("trial covariance has non-positive trace")
+        c /= tr
+        k = int(yi)
+        sums[k] = c if sums[k] is None else sums[k] + c
+        counts[k] += 1
+    return sums[0] / counts[0], sums[1] / counts[1]
+
+
+class TestClassCovariances:
+    @pytest.mark.parametrize("mode", ["linear", "xor"])
+    def test_batched_product_matches_the_per_trial_loop_bit_for_bit(self, mode):
+        epochs = split(generate_synthetic(SynthConfig(mode=mode, n_trials=200, seed=0)), 0.2, 0)
+        train = epochs.split_view("train")
+        got = baseline._class_covariances(train.tensor, train.labels)
+        want = _class_covariances_per_trial(train.tensor, train.labels)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+    def test_zero_trace_trial_is_a_numeric_error(self):
+        x, y = variance_contrast_trials(n=20, t=50)
+        x[7] = 0.0
+        for fn in (baseline._class_covariances, _class_covariances_per_trial):
+            with pytest.raises(NumericError, match="non-positive trace"):
+                fn(x, y)
+        # with the zero trial gone, the two agree bit for bit again
+        keep = np.arange(20) != 7
+        got = baseline._class_covariances(x[keep], y[keep])
+        want = _class_covariances_per_trial(x[keep], y[keep])
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
 
 class TestOnSynthetic:

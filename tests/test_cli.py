@@ -15,23 +15,41 @@ import numpy as np
 import pytest
 
 import neurodecode
-from neurodecode import eegb
+from neurodecode import eegb, models
 from neurodecode.cli import build_parser, main
-from neurodecode.data import SynthConfig, generate_synthetic, load_epochs, save_epochs, split
-from neurodecode.pipeline import PipelineConfig
+from neurodecode.data import (
+    TEST_FRAC,
+    EpochSet,
+    SynthConfig,
+    generate_raw,
+    generate_synthetic,
+    load_epochs,
+    save_epochs,
+    split,
+)
+from neurodecode.pipeline import (
+    BAND,
+    REF_CHANNEL,
+    bandpass,
+    baseline_correct,
+    crop_and_zscore,
+    downsample,
+    extract_epochs,
+    rereference,
+)
 from neurodecode.training import TrainConfig
 
 
 # every subcommand's flags; change this table only with the parser, and say so in CHANGES.md
 FLAGS = {
-    "synth": "--mode --n-trials --n-subjects --snr --seed --raw --lead-in-ms --out",
-    "preprocess": "--raw --out --ref-channel --band --target-rate --seed",
+    "synth": "--mode --n-trials --snr --seed --raw --out",
+    "preprocess": "--raw --out --seed",
     "train": "--data --arch --size --run-dir --subject --epochs --batch-size --seed",
     "baseline": "--data --subject --out",
-    "eval": "--run-dir --data --subject",
-    "analyze": "--runs --out --headline",
+    "eval": "--run-dir --data",
+    "analyze": "--runs --out",
     "gradcheck": "--scope --arch --size",
-    "audit-params": "--strict",
+    "audit-params": "",
 }
 
 
@@ -167,39 +185,47 @@ class TestTrainEvalAnalyze:
         assert run(["train", "--data", data, "--arch", arch, "--epochs", "1", "--run-dir", rd]) == 0
         assert run(["eval", "--run-dir", rd, "--data", data]) == 0
 
-    def test_subject_all_trains_one_run_per_subject(self, tmp_path, capsys):
-        xor = tmp_path / "xor.eegb"
-        argv = ["synth", "--mode", "xor", "--n-trials", "48", "--n-subjects", "2", "--out", str(xor)]
-        assert run(argv) == 0
-        capsys.readouterr()
+    def test_subject_all_trains_one_run_per_subject(self, tmp_path, capsys, xor_96):
         rd = tmp_path / "runs"
-        argv = ["train", "--data", str(xor), "--arch", "dgcnn", "--epochs", "2",
+        argv = ["train", "--data", str(xor_96), "--arch", "dgcnn", "--epochs", "2",
                 "--subject", "all", "--run-dir", str(rd)]
         assert run(argv) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert sorted(p.name for p in rd.iterdir()) == ["sub01", "sub02"]
-        assert all((rd / sub / "model.ckpt").exists() for sub in ("sub01", "sub02"))
-        assert len(lines) == 2
-        for subject, line in zip((1, 2), lines):
+        assert sorted(p.name for p in rd.iterdir()) == SUBJECT_DIRS
+        assert all((rd / sub / "model.ckpt").exists() for sub in SUBJECT_DIRS)
+        assert len(lines) == 4
+        for subject, line in zip((1, 2, 3, 4), lines):
             assert line.startswith(f"dgcnn-small subject {subject}: mean_last5 = ")
             assert line.endswith(str(rd / f"sub{subject:02d}"))
 
-    def test_analyze_pairs_per_subject_runs_by_subject(self, tmp_path):
-        xor = tmp_path / "xor.eegb"
-        argv = ["synth", "--mode", "xor", "--n-trials", "48", "--n-subjects", "2", "--out", str(xor)]
-        assert run(argv) == 0
+    def test_analyze_pairs_per_subject_runs_by_subject(self, tmp_path, xor_96):
         for arch in ("lstm", "dgcnn"):
-            argv = ["train", "--data", str(xor), "--arch", arch, "--epochs", "1",
+            argv = ["train", "--data", str(xor_96), "--arch", arch, "--epochs", "1",
                     "--subject", "all", "--run-dir", str(tmp_path / arch)]
             assert run(argv) == 0
-        dirs = [str(tmp_path / arch / sub) for arch in ("lstm", "dgcnn") for sub in ("sub01", "sub02")]
-        for subject, rd in zip((1, 2, 1, 2), dirs):
+        dirs = [str(tmp_path / arch / sub) for arch in ("lstm", "dgcnn") for sub in SUBJECT_DIRS]
+        for subject, rd in zip((1, 2, 3, 4) * 2, dirs):
             assert json.loads(Path(rd, "manifest.json").read_text())["subject"] == subject
         report = tmp_path / "report"
         assert run(["analyze", "--runs", *dirs, "--out", str(report)]) == 0
-        # two subjects of seed 0 make two pairs
-        assert re.search(r"-small vs \w+-small: t = .*, df = 1,", (report / "comparison.txt").read_text())
-        assert (report / "training_curves.svg").read_text().count("<polyline") == 4
+        # four subjects of seed 0 make four pairs, scored by the per-subject metric
+        text = (report / "comparison.txt").read_text()
+        assert text.startswith("peak metric: mean_last5\n")
+        assert re.search(r"-small vs \w+-small: t = .*, df = 3,", text)
+        assert (report / "training_curves.svg").read_text().count("<polyline") == 8
+
+    def test_eval_scores_the_subject_the_run_was_trained_on(self, tmp_path, capsys, xor_96):
+        rd = str(tmp_path / "sub02")
+        argv = ["train", "--data", str(xor_96), "--arch", "dgcnn", "--epochs", "1",
+                "--subject", "2", "--run-dir", rd]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(["eval", "--run-dir", rd, "--data", str(xor_96)]) == 0
+        per_class = json.loads(capsys.readouterr().out)["per_class"]
+        meta = load_epochs(xor_96).meta
+        n_test = sum(1 for m in meta if m.split == "test" and m.subject == 2)
+        assert sum(c["support"] for c in per_class) == n_test
+        assert 0 < n_test < sum(1 for m in meta if m.split == "test")
 
     def test_missing_data_file(self, tmp_path):
         code = run(
@@ -263,14 +289,29 @@ def trained_run(tmp_path_factory):
     return rd
 
 
+SUBJECT_DIRS = ["sub01", "sub02", "sub03", "sub04"]
+
+
+@pytest.fixture(scope="module")
+def xor_96(tmp_path_factory):
+    """96 xor trials: each of the four subjects has test trials."""
+    out = tmp_path_factory.mktemp("xor96") / "xor.eegb"
+    assert run(["synth", "--mode", "xor", "--n-trials", "96", "--out", str(out)]) == 0
+    return out
+
+
 @pytest.fixture(scope="module")
 def epochs_200hz(tmp_path_factory):
-    """63 x 100 epochs: preprocessing at 200 Hz, where the default rate gives 50 samples."""
-    root = tmp_path_factory.mktemp("prep200")
-    raw, prep = root / "raw.eegb", root / "prep.eegb"
-    assert run(["synth", "--n-trials", "16", "--raw", "--out", str(raw)]) == 0
-    assert run(["preprocess", "--raw", str(raw), "--out", str(prep), "--target-rate", "200"]) == 0
-    return prep
+    """63 x 100 epochs: the preprocessing stages at 200 Hz, where ``preprocess`` gives 50 samples."""
+    rec, meta = generate_raw(SynthConfig(n_trials=16))
+    rec = downsample(bandpass(rereference(rec, REF_CHANNEL), *BAND), 200)
+    trial_ids, windows, _ = extract_epochs(rec)
+    t0 = 40  # the 200 ms baseline at 200 Hz
+    tensor = crop_and_zscore(baseline_correct(windows, t0), t0, n_keep=100).astype(np.float32)
+    by_id = {m.trial_id: m for m in meta}
+    out = tmp_path_factory.mktemp("prep200") / "prep.eegb"
+    save_epochs(out, split(EpochSet(tensor, [by_id[t] for t in trial_ids]), TEST_FRAC, 0))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -374,34 +415,6 @@ class TestSplitFromTheFile:
         assert sum(c["support"] for c in per_class) == n_test < 64
 
 
-class TestPipelineFlags:
-    @pytest.fixture(scope="class")
-    def raw_file(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("band") / "raw.eegb"
-        assert run(["synth", "--n-trials", "8", "--raw", "--out", str(out)]) == 0
-        return out
-
-    def test_band_flag_takes_both_edges(self, tmp_path, raw_file):
-        files = []
-        for name, extra in (("default", []), ("band", ["--band", "1", "40"])):
-            out = tmp_path / f"{name}.eegb"
-            assert run(["preprocess", "--raw", str(raw_file), "--out", str(out), *extra]) == 0
-            files.append(out.read_bytes() + (tmp_path / f"{name}.eegb.jsonl").read_bytes())
-        assert files[0] == files[1]
-
-    def test_band_with_one_edge_is_a_usage_error(self, tmp_path, capsys, raw_file):
-        argv = ["preprocess", "--raw", str(raw_file), "--out", str(tmp_path / "o.eegb")]
-        assert run([*argv, "--band", "1"]) == 1
-        assert "--band: expected 2 arguments" in capsys.readouterr().err
-
-    def test_help_lists_one_flag_per_pipeline_field(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["preprocess", "--help"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert all(f"--{f.name.replace('_', '-')} " in out for f in fields(PipelineConfig))
-
-
 def test_readme_command_lines_parse():
     """Every ``neurodecode`` line of the README's bash blocks is a valid command."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -452,9 +465,17 @@ class TestChecks:
         assert "eegnet" in out
 
     def test_audit_params(self, capsys):
-        assert run(["audit-params", "--strict"]) == 0
+        assert run(["audit-params"]) == 0
         out = capsys.readouterr().out
         assert "eegnet" in out and "conformer" in out
+
+    def test_audit_params_cell_outside_budget_exits_3(self, capsys, monkeypatch):
+        row = models.AuditRow("eegnet", "small", params=1500, target=1000, deviation=0.5)
+        monkeypatch.setattr(models, "audit_params", lambda: [row])
+        assert run(["audit-params"]) == 3
+        captured = capsys.readouterr()
+        assert "eegnet" in captured.out
+        assert captured.err.startswith("numeric error: 1 model configurations fall outside")
 
 
 class TestBadInputs:
@@ -469,19 +490,9 @@ class TestBadInputs:
          "error: neurodecode train: argument --arch: invalid choice"),
         (["train", "--data", "{tmp}/x.eegb", "--arch", "eegnet", "--run-dir", "{tmp}/run",
           "--subject", "abc"], 1, "error: neurodecode train: argument --subject: expected"),
-        (["preprocess", "--raw", "{tmp}/raw.eegb", "--out", "{tmp}/o.eegb",
-          "--band", "40", "1"], 1, "error: band (40.0, 1.0) not inside (0, 50.0) Hz"),
-        (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "-5", "--out", "{tmp}/raw.eegb"], 1,
-         "error: lead_in_ms must be finite and not negative"),
-        (["synth", "--raw", "--n-trials", "8", "--lead-in-ms", "nan", "--out", "{tmp}/raw.eegb"], 1,
-         "error: lead_in_ms must be finite and not negative"),
         (["synth", "--n-trials", "3", "--out", "{tmp}/x.eegb"], 1,
          "error: n_trials must be even and >= 2, got 3"),
         (["synth", "--snr", "-1", "--out", "{tmp}/x.eegb"], 1, "error: snr must be positive, got -1.0"),
-        (["synth", "--n-subjects", "0", "--out", "{tmp}/x.eegb"], 1,
-         "error: n_subjects must be >= 1, got 0"),
-        (["synth", "--mode", "subject_signature", "--n-subjects", "100", "--out", "{tmp}/x.eegb"], 1,
-         "error: subject_signature mode draws 104 orthogonal patterns in 63 channels"),
         # a 2-class checkpoint scored on labels 0-3
         (["eval", "--run-dir", "{run}", "--data", "{signature}"], 2,
          "data error: labels span 0..3, but the model scores classes 0..1"),
@@ -503,6 +514,23 @@ class TestBadInputs:
          "error: neurodecode: unrecognized arguments: --test-frac 0.3"),
         (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb",
           "--test-frac", "0.3"], 1, "error: neurodecode: unrecognized arguments: --test-frac 0.3"),
+        # the subject count, lead-in and preprocessing chain are constants too
+        (["synth", "--n-subjects", "2", "--out", "{tmp}/x.eegb"], 1,
+         "error: neurodecode: unrecognized arguments: --n-subjects 2"),
+        (["synth", "--raw", "--lead-in-ms", "120", "--out", "{tmp}/raw.eegb"], 1,
+         "error: neurodecode: unrecognized arguments: --lead-in-ms 120"),
+        (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb",
+          "--ref-channel", "E01"], 1, "error: neurodecode: unrecognized arguments: --ref-channel E01"),
+        (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb",
+          "--band", "1", "40"], 1, "error: neurodecode: unrecognized arguments: --band 1 40"),
+        (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb",
+          "--target-rate", "200"], 1, "error: neurodecode: unrecognized arguments: --target-rate 200"),
+        # what a run directory records is read from it, and a budget miss always fails
+        (["eval", "--run-dir", "{run}", "--data", "{signature}", "--subject", "2"], 1,
+         "error: neurodecode: unrecognized arguments: --subject 2"),
+        (["analyze", "--runs", "{run}", "--out", "{tmp}/report", "--headline", "mean_last5"], 1,
+         "error: neurodecode: unrecognized arguments: --headline mean_last5"),
+        (["audit-params", "--strict"], 1, "error: neurodecode: unrecognized arguments: --strict"),
         # right types, but values no trial or model takes
         (["baseline", "--data", "{corrupt}/subject0.eegb"], 2,
          "data error: {corrupt}/subject0.eegb: subject ids are 1-based, got 0"),

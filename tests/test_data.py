@@ -112,7 +112,7 @@ class TestSynthetic:
 
     def test_subject_round_robin(self):
         es = generate_synthetic(
-            SynthConfig(mode="subject_signature", n_trials=40, n_subjects=4, seed=0)
+            SynthConfig(mode="subject_signature", n_trials=40, seed=0)
         )
         assert np.bincount(es.labels).tolist() == [10, 10, 10, 10]
         assert sorted({m.subject for m in es.meta}) == [1, 2, 3, 4]
@@ -225,7 +225,7 @@ class TestSynthetic:
 class TestBuildTask:
     def test_subject_filter(self):
         es = generate_synthetic(
-            SynthConfig(mode="subject_signature", n_trials=40, n_subjects=4, seed=0)
+            SynthConfig(mode="subject_signature", n_trials=40, seed=0)
         )
         one = build_task(es, subject=2)
         assert all(m.subject == 2 for m in one.meta)
@@ -285,9 +285,15 @@ class TestRawRoundTrip:
 
     @pytest.mark.parametrize("mode", ["linear", "xor", "subject_signature"])
     def test_raw_meta_matches_synthetic(self, mode):
-        cfg = SynthConfig(mode=mode, n_trials=10, n_subjects=3, seed=4)
+        cfg = SynthConfig(mode=mode, n_trials=10, seed=4)
         _, meta = data.generate_raw(cfg)
         assert meta == generate_synthetic(cfg).meta
+
+    @pytest.mark.parametrize("lead_in_ms", [-5.0, float("nan"), float("inf")])
+    def test_raw_lead_in_must_be_finite_and_not_negative(self, lead_in_ms):
+        cfg = SynthConfig(mode="linear", n_trials=2, seed=0)
+        with pytest.raises(UsageError, match="lead_in_ms must be finite and not negative"):
+            data.generate_raw(cfg, lead_in_ms=lead_in_ms)
 
     def test_raw_structure(self):
         cfg = SynthConfig(mode="linear", n_trials=6, seed=0)

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurodecode import data, pipeline
-from neurodecode.errors import DataError, NumericError, UsageError
+from neurodecode.errors import DataError, NumericError
 from neurodecode.pipeline import (
-    PipelineConfig,
     RawRecording,
     bandpass,
     baseline_correct,
@@ -207,7 +206,7 @@ class TestFullPipeline:
     def test_on_synthetic_raw(self):
         cfg = data.SynthConfig(mode="linear", n_trials=20, seed=0)
         rec, meta = data.generate_raw(cfg)
-        tensor, trial_ids, skipped = run_pipeline(rec, PipelineConfig())
+        tensor, trial_ids, skipped = run_pipeline(rec)
         assert tensor.dtype == np.float32
         assert tensor.shape[1] == 63 and tensor.shape[2] == 50
         assert tensor.shape[0] + len(skipped) == len(rec.event_onsets)
@@ -217,15 +216,15 @@ class TestFullPipeline:
     def test_short_lead_in_skips_first_trials(self):
         cfg = data.SynthConfig(mode="linear", n_trials=8, seed=0)
         rec, _ = data.generate_raw(cfg, lead_in_ms=50)
-        tensor, trial_ids, skipped = run_pipeline(rec, PipelineConfig())
+        tensor, trial_ids, skipped = run_pipeline(rec)
         assert len(skipped) >= 1
         assert len(trial_ids) + len(skipped) == 8
 
     def test_deterministic(self):
         cfg = data.SynthConfig(mode="linear", n_trials=10, seed=3)
         rec, _ = data.generate_raw(cfg)
-        t1, _, _ = run_pipeline(rec, PipelineConfig())
-        t2, _, _ = run_pipeline(rec, PipelineConfig())
+        t1, _, _ = run_pipeline(rec)
+        t2, _, _ = run_pipeline(rec)
         assert np.array_equal(t1.view(np.uint8), t2.view(np.uint8))
 
     @pytest.mark.parametrize("seed, n_trials, lead_in_ms", [(0, 120, 120), (5, 64, 50), (7, 10, 0)])
@@ -234,7 +233,7 @@ class TestFullPipeline:
         rec, _ = data.generate_raw(cfg, lead_in_ms=lead_in_ms)
         down = downsample(bandpass(rereference(rec, "Cz"), 1.0, 40.0), 100)
         ref, ref_ids = _per_trial_reference(down)
-        tensor, trial_ids, _ = run_pipeline(rec, PipelineConfig())
+        tensor, trial_ids, _ = run_pipeline(rec)
         assert trial_ids == ref_ids
         assert tensor.shape == ref.shape
         assert tensor.tobytes() == ref.astype(np.float32).tobytes()
@@ -247,7 +246,7 @@ class TestFullPipeline:
         cfg = data.SynthConfig(mode="linear", n_trials=2, seed=0)
         rec, _ = data.generate_raw(cfg, lead_in_ms=0)
         short = RawRecording(rec.data[:, :300], rec.channel_names, rec.sample_rate, ((10, 0), (200, 1)))
-        tensor, trial_ids, skipped = run_pipeline(short, PipelineConfig())
+        tensor, trial_ids, skipped = run_pipeline(short)
         assert tensor.shape == (0, 63, 50) and tensor.dtype == np.float32
         assert trial_ids == [] and [t for t, _ in skipped] == [0, 1]
 
@@ -258,13 +257,7 @@ class TestFullPipeline:
         bad[5, 1500] = np.nan
         rec = RawRecording(bad, rec.channel_names, rec.sample_rate, rec.event_onsets)
         with pytest.raises(NumericError, match="epoch contains non-finite values"):
-            run_pipeline(rec, PipelineConfig())
-
-    def test_config_validation(self):
-        with pytest.raises(UsageError):
-            PipelineConfig(band=(0.0, 40.0))
-        with pytest.raises(UsageError):
-            PipelineConfig(band=(1.0, 60.0))  # above nyquist of 100 Hz
+            run_pipeline(rec)
 
 
 @settings(max_examples=25, deadline=None)
