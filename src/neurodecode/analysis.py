@@ -232,8 +232,7 @@ _RUN_FILES = {
     "manifest.json": (
         lambda fh: [json.load(fh)],
         {
-            "arch": str, "size": str, "seed": int, "subject": (int, None),
-            "best_epoch": int, "cycle_ends": [int],
+            "arch": str, "size": str, "seed": int, "subject": (int, None), "cycle_ends": [int],
         },
     ),
     "history.jsonl": (
@@ -309,10 +308,11 @@ def _pair_label(subject: int | None, seed: int) -> str:
 def pair_by_seed(runs: list[Run]) -> tuple[list[str], dict[str, list[float]]] | None:
     """The (subject, seed) labels in order, and the headline peak metrics
     per ``arch-size`` cell in that order; or None when the runs do not pair:
-    that needs at least two cells that share one set of at least two
-    (subject, seed) keys.  A cross-subject run has subject None, and its
-    label names the seed alone.  Two runs of one cell, subject and seed
-    are a DataError."""
+    that needs runs of one kind, all cross-subject or all on one subject
+    each (so one peak metric scores them all), and at least two cells that
+    share one set of at least two (subject, seed) keys.  A cross-subject
+    run has subject None, and its label names the seed alone.  Two runs of
+    one cell, subject and seed are a DataError."""
     by_cell: dict[str, dict[tuple, Run]] = {}
     for run in runs:
         cell = "{arch}-{size}".format(**run.manifest)
@@ -324,10 +324,10 @@ def pair_by_seed(runs: list[Run]) -> tuple[list[str], dict[str, list[float]]] | 
             )
         keys[subject, seed] = run
     key_sets = {frozenset(keys) for keys in by_cell.values()}
-    if len(by_cell) < 2 or len(key_sets) != 1 or len(key_sets.pop()) < 2:
+    mixed = len({run.headline for run in runs}) > 1
+    if mixed or len(by_cell) < 2 or len(key_sets) != 1 or len(key_sets.pop()) < 2:
         return None
-    # None (cross-subject) sorts before every subject id
-    order = sorted(next(iter(by_cell.values())), key=lambda k: (k[0] is not None, k))
+    order = sorted(next(iter(by_cell.values())))
     labels = [_pair_label(*k) for k in order]
     return labels, {
         cell: [keys[k].peak(keys[k].headline) for k in order] for cell, keys in by_cell.items()
@@ -460,7 +460,7 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
         [
             run.name,
             # csv writes a cross-subject run's subject, None, as an empty cell
-            *(run.manifest[k] for k in ("arch", "size", "subject", "seed", "best_epoch")),
+            *(run.manifest[k] for k in ("arch", "size", "subject", "seed")),
             f"{run.peak('max_last5'):.6f}",
             f"{run.peak('mean_last5'):.6f}",
             f"{run.history[-1]['test_acc']:.6f}",
@@ -472,8 +472,7 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
     paths = {}
     paths["metrics"] = write_csv(
         out_dir / "metrics.csv",
-        ["run", "arch", "size", "subject", "seed", "best_epoch",
-         "max_last5", "mean_last5", "final_test_acc"],
+        ["run", "arch", "size", "subject", "seed", "max_last5", "mean_last5", "final_test_acc"],
         metrics,
     )
     paths["curves"] = write_csv(
@@ -535,7 +534,8 @@ def emit_report(runs: list[Run], out_dir: str | Path) -> dict:
 def analyze(run_dirs: list[str | Path], out_dir: str | Path) -> list[str]:
     """Write the report folder (and comparison.txt when the runs pair);
     return the comparison text, if any, then one ``name: path`` line per file.
-    The comparison ranks each run by its headline peak metric, and names it.
+    The comparison ranks the runs by the one headline peak metric of their
+    kind, and names it.
     Runs that cannot be read or paired raise before any file is written."""
     runs = collect_runs(run_dirs)
     pairing = pair_by_seed(runs)
@@ -543,7 +543,6 @@ def analyze(run_dirs: list[str | Path], out_dir: str | Path) -> list[str]:
     lines = []
     if pairing is not None:
         labels, metrics = pairing
-        kinds = " and ".join(sorted({run.headline for run in runs}))
-        lines.append(f"peak metric: {kinds}\n" + compare_decoders(metrics, labels).format())
+        lines.append(f"peak metric: {runs[0].headline}\n" + compare_decoders(metrics, labels).format())
         (Path(out_dir) / "comparison.txt").write_text(lines[0] + "\n")
     return lines + [f"{name}: {p}" for name, p in sorted(paths.items())]

@@ -64,14 +64,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.op = op
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -140,8 +132,5 @@ def make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Te
     return out
 
 
-def constant(data, dtype=None) -> Tensor:
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype)
-    return Tensor(arr, requires_grad=False, op="const")
+def constant(data) -> Tensor:
+    return Tensor(data, requires_grad=False, op="const")

@@ -6,9 +6,10 @@ baseline, evaluate a checkpoint, aggregate runs into a report, verify
 gradients, and audit parameter budgets.
 
 Exit codes: 0 success, 1 usage error (a bad flag or flag value), 2
-data error (missing or malformed files), 3 numeric failure (non-finite
-values, failed checks).  A closed stdout (``neurodecode gradcheck |
-head -1``) exits 1 without a traceback.
+data error (missing or malformed files, or any other ``OSError``, such as
+a directory where a file is read or written), 3 numeric failure
+(non-finite values, failed checks).  A closed stdout (``neurodecode
+gradcheck | head -1``) exits 1 without a traceback.
 
 Each setting has one source.  The train/test split is drawn once, by
 the command that writes the epoch file (``synth``, ``preprocess``, at
@@ -17,7 +18,11 @@ the command that writes the epoch file (``synth``, ``preprocess``, at
 file with a trial that has no split is a data error.  The seed is
 ``--seed``, else 0.  What a run directory records is read from it, not
 asked for: ``eval`` scores the subject in the run's manifest, and
-``analyze`` ranks each run by the peak metric that its subject picks.
+``analyze`` ranks runs by the peak metric that their subjects pick.  A run
+directory describes one model: ``train`` writes ``history.jsonl``, the
+final ``model.ckpt``, that model's test ``predictions.csv`` and
+``manifest.json``, which records the run's ``epochs``, ``batch_size`` and
+``seed``.
 
 The training flags are the fields of ``TrainConfig``, one each, with
 ``_`` written ``-``; a field comes from its flag, else from the
@@ -138,8 +143,7 @@ def cmd_train(args) -> int:
         where = "" if subject is None else f" subject {subject}"
         print(
             f"{args.arch}-{args.size}{where}: {run.headline} = {run.peak(run.headline):.4f} "
-            f"(best epoch {run.manifest['best_epoch']}, "
-            f"final test acc {run.history[-1]['test_acc']:.4f}) -> {run_dir}"
+            f"(final test acc {run.history[-1]['test_acc']:.4f}) -> {run_dir}"
         )
     return 0
 
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic epochs or a raw recording")
-    p.add_argument("--mode", choices=["linear", "xor", "subject_signature"], default="linear")
+    p.add_argument("--mode", choices=list(data.DEFAULT_SNR), default="linear")
     p.add_argument("--n-trials", type=int, default=2000)
     p.add_argument("--snr", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -278,7 +282,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

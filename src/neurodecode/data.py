@@ -70,6 +70,7 @@ TEST_FRAC = 0.2  # the share of test trials in the split that synth and preproce
 
 # Per-mode signal-to-noise defaults, fixed by the pilot sweep in
 # scripts/pilot_snr.py (see its header for the recorded accuracies).
+# Its keys are the generator modes: ``SynthConfig`` and ``synth --mode`` take these.
 DEFAULT_SNR: dict[str, float] = {
     "linear": 1.2,
     "xor": 1.5,
@@ -228,7 +229,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("linear", "xor", "subject_signature"):
+        if self.mode not in DEFAULT_SNR:
             raise UsageError(f"unknown synthetic mode {self.mode!r}")
         if self.n_trials < 2 or self.n_trials % 2 != 0:
             raise UsageError(f"n_trials must be even and >= 2, got {self.n_trials}")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _RUN_FILES, Run, peak_windows, write_csv
+from .analysis import _RUN_FILES, Run, write_csv
 from .autodiff import constant, ops
 from .autodiff.core import Parameter, check_finite
 from .data import EpochSet
@@ -171,11 +171,11 @@ def train(
 ) -> Run:
     """Train on the 'train' split, evaluating the 'test' split each epoch.
 
-    Test predictions are stashed at the best-accuracy epoch within the
-    last-5 windows of the restart cycles (the epochs the peak metric
-    looks at), so the prediction file corresponds to the headline
-    number.  The final model state is what gets checkpointed.  Returns
-    the run record that ``write_run_dir`` writes to ``run_dir``.
+    The run's test predictions are those of the last epoch, made by the
+    final model state that gets checkpointed, so ``predictions.csv``,
+    ``model.ckpt``, the last history row and ``eval`` all describe one
+    model.  Returns the run record that ``write_run_dir`` writes to
+    ``run_dir``.
     """
     train_set = dataset.split_view("train")
     test_set = dataset.split_view("test")
@@ -185,13 +185,8 @@ def train(
     (shuffle_ss,) = np.random.SeedSequence(cfg.seed).spawn(1)
     shuffle_rng = np.random.default_rng(shuffle_ss)
 
-    cycle_ends = restart_epochs(cfg.epochs)
-    windowed = {e for window in peak_windows(cycle_ends) for e in window}
-
     started = datetime.datetime.now(datetime.timezone.utc)
     history: list[dict] = []
-    best_epoch, best_acc = 0, -1.0
-    best_preds = np.zeros(len(y_test), dtype=np.int64)
     for epoch in range(1, cfg.epochs + 1):
         lr = lr_at(epoch)
         perm = shuffle_rng.permutation(n)
@@ -213,9 +208,6 @@ def train(
                 "test_acc": test_eval.accuracy,
             }
         )
-        if epoch in windowed and test_eval.accuracy > best_acc:
-            best_epoch, best_acc = epoch, test_eval.accuracy
-            best_preds = test_eval.predictions.copy()
 
     subjects = {m.subject for m in dataset.meta}
     manifest = {
@@ -227,9 +219,8 @@ def train(
         # the one subject every trial shares; None for a cross-subject run
         "subject": next(iter(subjects)) if len(subjects) == 1 else None,
         "epochs": cfg.epochs,
-        "cycle_ends": cycle_ends,
-        "best_epoch": best_epoch,
-        "best_windowed_test_acc": best_acc,
+        "batch_size": cfg.batch_size,
+        "cycle_ends": restart_epochs(cfg.epochs),
         "n_params": model.n_params,
         # a run's bytes hold only at one thread count: every cell's
         # model.ckpt differs between one and two BLAS threads
@@ -238,17 +229,17 @@ def train(
     }
     predictions = [
         {**{k: v for k, v in m.to_dict().items() if k != "split"}, "pred": int(pred)}
-        for m, pred in zip(test_set.meta, best_preds)
+        for m, pred in zip(test_set.meta, test_eval.predictions)
     ]
     run = Run(None if run_dir is None else Path(run_dir), manifest, history, predictions)
     if run.path is not None:
-        write_run_dir(run.path, model, cfg, run)
+        write_run_dir(run.path, model, run)
     return run
 
 
-def write_run_dir(run_dir: Path, model: Model, cfg: TrainConfig, run: Run) -> None:
-    """Persist one training run: config, history, checkpoint, predictions,
-    and last the manifest, whose presence marks a complete run.  An old
+def write_run_dir(run_dir: Path, model: Model, run: Run) -> None:
+    """Persist one training run: history, checkpoint, predictions, and
+    last the manifest, whose presence marks a complete run.  An old
     manifest is removed before anything else is written, so a rewrite that
     fails partway leaves a directory that reads as incomplete.
 
@@ -257,8 +248,6 @@ def write_run_dir(run_dir: Path, model: Model, cfg: TrainConfig, run: Run) -> No
     """
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "manifest.json").unlink(missing_ok=True)
-    config = {"model": model.descriptor(), "train": asdict(cfg)}
-    (run_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
     (run_dir / "history.jsonl").write_text(
         "".join(json.dumps(r, sort_keys=True) + "\n" for r in run.history)
     )

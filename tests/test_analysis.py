@@ -254,7 +254,7 @@ def write_run(root, arch, seed, accs, size="small", subject=None, cycle_ends=Non
     rd.mkdir(parents=True)
     manifest = {
         "arch": arch, "size": size, "seed": seed, "subject": subject,
-        "best_epoch": 1, "cycle_ends": cycle_ends or [len(accs)],
+        "cycle_ends": cycle_ends or [len(accs)],
     }
     (rd / "manifest.json").write_text(json.dumps(manifest))
     rows = [
@@ -393,6 +393,30 @@ class TestCollectRuns:
         lines = analysis.analyze(dirs, tmp_path / "report")
         assert all(re.match(r"\w+: ", line) for line in lines)
         assert not (tmp_path / "report" / "comparison.txt").exists()
+
+    def test_runs_of_mixed_kind_are_not_compared(self, tmp_path):
+        # a cross-subject run scores by max_last5, a one-subject run by mean_last5:
+        # one ranking cannot average the two
+        dirs = [
+            write_run(tmp_path / side, arch, 0, [acc], subject=subject)
+            for side, subject in (("cross", None), ("sub01", 1))
+            for arch, acc in (("eegnet", 0.6), ("lstm", 0.9))
+        ]
+        assert analysis.pair_by_seed(analysis.collect_runs(dirs)) is None
+        lines = analysis.analyze(dirs, tmp_path / "report")
+        assert all(re.match(r"\w+: ", line) for line in lines)
+        assert not (tmp_path / "report" / "comparison.txt").exists()
+
+    def test_a_manifest_with_extra_fields_still_reads(self, tmp_path):
+        # run directories written before predictions.csv came from the final
+        # model carry a best epoch and no batch size
+        rd = write_run(tmp_path, "eegnet", 0, [0.6])
+        manifest = json.loads((rd / "manifest.json").read_text())
+        manifest.update(best_epoch=1, best_windowed_test_acc=0.6)
+        (rd / "manifest.json").write_text(json.dumps(manifest))
+        (run,) = analysis.collect_runs([rd])
+        assert run.manifest["best_epoch"] == 1 and "batch_size" not in run.manifest
+        assert run.peak(run.headline) == 0.6
 
     @pytest.mark.parametrize("damage", [
         lambda rd: (rd / "manifest.json").unlink(),

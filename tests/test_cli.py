@@ -1,6 +1,7 @@
 """Command-line interface, end to end at desk scale."""
 
 import argparse
+import csv
 import json
 import os
 import re
@@ -179,6 +180,27 @@ class TestTrainEvalAnalyze:
         assert run(["analyze", "--runs", str(rd), "--out", str(report)]) == 0
         assert (report / "metrics.csv").exists()
 
+    def test_run_directory_describes_the_final_model(self, tmp_path, capsys):
+        # this run's test accuracy peaks at epoch 2 (0.46) and ends at 0.23 (one
+        # BLAS thread): predictions of any epoch but the last would not match
+        data, rd = tmp_path / "xor.eegb", tmp_path / "run"
+        assert run(["synth", "--mode", "xor", "--n-trials", "64", "--snr", "0.5", "--out", str(data)]) == 0
+        argv = ["train", "--data", str(data), "--arch", "eegnet", "--epochs", "6", "--batch-size", "16"]
+        assert run([*argv, "--run-dir", str(rd)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in rd.iterdir()) == [
+            "history.jsonl", "manifest.json", "model.ckpt", "predictions.csv"
+        ]
+        assert json.loads((rd / "manifest.json").read_text())["batch_size"] == 16
+        last = json.loads((rd / "history.jsonl").read_text().splitlines()[-1])
+        with open(rd / "predictions.csv", newline="") as fh:
+            hits = [row["pred"] == row["label"] for row in csv.DictReader(fh)]
+        assert sum(hits) / len(hits) == last["test_acc"]
+        assert run(["eval", "--run-dir", str(rd), "--data", str(data)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        # shortest-repr floats: equal values are equal bytes in both files
+        assert (result["accuracy"], result["loss"]) == (last["test_acc"], last["test_loss"])
+
     @pytest.mark.parametrize("arch", ["eegnet", "lstm", "dgcnn", "transformer", "conformer"])
     def test_model_sized_from_the_data(self, tmp_path, epochs_200hz, arch):
         data, rd = str(epochs_200hz), str(tmp_path / "run")
@@ -251,7 +273,7 @@ class TestTrainEvalAnalyze:
         rd = tmp_path / "run"
         argv = ["train", "--data", str(epochs_file), "--arch", "eegnet", "--epochs", "1"]
         assert run([*argv, "--batch-size", "16", "--run-dir", str(rd)]) == 0
-        assert json.loads((rd / "config.json").read_text())["train"]["seed"] == 0
+        assert json.loads((rd / "manifest.json").read_text())["seed"] == 0
 
     def test_flag_overrides_env_seed(self, tmp_path, epochs_file, monkeypatch):
         monkeypatch.setenv("NEURODECODE_SEED", "7")
@@ -275,7 +297,7 @@ class TestTrainEvalAnalyze:
                 str(rd),
             ]
         )
-        assert json.loads((rd / "config.json").read_text())["train"]["seed"] == 3
+        assert json.loads((rd / "manifest.json").read_text())["seed"] == 3
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +558,11 @@ class TestBadInputs:
          "data error: {corrupt}/subject0.eegb: subject ids are 1-based, got 0"),
         (["eval", "--run-dir", "{corrupt}/empty", "--data", "{signature}"], 2,
          "data error: {corrupt}/empty/model.ckpt: checkpoint describes no buildable model"),
+        # an operating-system error reading or writing a file is a data error too
+        (["eval", "--run-dir", "{run}", "--data", "{tmp}"], 2,
+         "data error: [Errno 21] Is a directory: '{tmp}'"),
+        (["synth", "--n-trials", "8", "--out", "{tmp}"], 2,
+         "data error: [Errno 21] Is a directory: '{tmp}'"),
     ])
     def test_exit_code_and_message(
         self, tmp_path, capsys, trained_run, signature_file, corrupt_dir, argv, code, prefix
