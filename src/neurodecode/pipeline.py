@@ -11,6 +11,13 @@ The stages after ``downsample`` act on the whole trial stack, one
 n_trials x n_channels x n_samples array, in one call.  All stages
 compute in double precision; ``run_pipeline`` casts to float32.  Every
 stage is a pure function, safe to apply in parallel across recordings.
+
+Memory: a stage returns a new array and its caller drops the old one,
+so each full-rate stage holds one input and one output.  The band-pass
+filters ``CHANNEL_BLOCK`` rows at a time into its output, so its
+temporaries scale with a block, not the recording; ``downsample``
+copies the rows it keeps, so the full-rate array is freed before
+epoching.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ BASELINE_MS = 200.0  # pre-stimulus baseline, ending at onset
 CROP_MS = 500.0  # post-stimulus crop, starting at onset
 TARGET_RATE = 100  # Hz: the rate of the epochs, and of the synthetic ones
 ZSCORE_EPS = 1e-8
+# channel rows per band-pass call, and per pink-noise draw of the raw generator
+CHANNEL_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,12 @@ def rereference(rec: RawRecording, ref: str) -> RawRecording:
 
 
 def bandpass(rec: RawRecording, low: float, high: float) -> RawRecording:
-    """Zero-phase Butterworth band-pass, applied forward-backward per channel."""
+    """Zero-phase Butterworth band-pass, applied forward-backward per channel.
+
+    ``sosfiltfilt`` runs on ``CHANNEL_BLOCK`` rows at a time, writing
+    into one output array.  Every row is filtered on its own, so the
+    bytes equal one whole-array call's.
+    """
     nyq = rec.sample_rate / 2
     if not 0 < low < high < nyq:
         raise DataError(f"band ({low}, {high}) Hz outside (0, {nyq}) Hz at {rec.sample_rate} Hz")
@@ -92,18 +106,25 @@ def bandpass(rec: RawRecording, low: float, high: float) -> RawRecording:
     # second-order sections: the flat polynomial form of an 8-pole
     # bandpass with a 1 Hz corner at 1 kHz amplifies round-off by ~1e10
     sos = butter(BUTTER_ORDER, [low, high], btype="bandpass", output="sos", fs=rec.sample_rate)
-    data = sosfiltfilt(sos, rec.data, axis=1, padtype="odd", padlen=padlen)
+    data = np.empty_like(rec.data)
+    for start in range(0, len(data), CHANNEL_BLOCK):
+        rows = slice(start, start + CHANNEL_BLOCK)
+        data[rows] = sosfiltfilt(sos, rec.data[rows], axis=1, padtype="odd", padlen=padlen)
     return replace(rec, data=data)
 
 
 def downsample(rec: RawRecording, target: int) -> RawRecording:
-    """Keep every k-th sample (k = rate/target); onsets are floor-divided."""
+    """Keep every k-th sample (k = rate/target); onsets are floor-divided.
+
+    The kept samples are copied into a new C-contiguous array, not
+    viewed, so the full-rate input can be freed once its caller drops it.
+    """
     if target <= 0 or rec.sample_rate % target != 0:
         raise DataError(f"sample rate {rec.sample_rate} is not an integer multiple of {target}")
     k = rec.sample_rate // target
     if k == 1:
         return rec
-    data = rec.data[:, ::k]
+    data = rec.data[:, ::k].copy()
     onsets = tuple((s // k, t) for s, t in rec.event_onsets)
     return replace(rec, data=data, sample_rate=target, event_onsets=onsets)
 
@@ -134,8 +155,13 @@ def extract_epochs(rec: RawRecording) -> tuple[list[int], np.ndarray, list[tuple
         else:
             trial_ids.append(trial_id)
             starts.append(start)
-    index = np.array(starts, dtype=np.intp)[:, None] + np.arange(pre + post)
-    windows = np.ascontiguousarray(rec.data[:, index].transpose(1, 0, 2))
+    if starts:
+        # one gather of (n, channels, samples) rows out of a strided view: a
+        # single copy, already C-contiguous unless the data is not
+        view = np.lib.stride_tricks.sliding_window_view(rec.data, pre + post, axis=1)
+        windows = np.ascontiguousarray(view.transpose(1, 0, 2)[np.array(starts, dtype=np.intp)])
+    else:
+        windows = np.empty((0, rec.data.shape[0], pre + post), dtype=rec.data.dtype)
     if not np.isfinite(windows).all():
         raise NumericError("epoch contains non-finite values")
     return trial_ids, windows, skipped

@@ -176,12 +176,17 @@ def train(
     ``model.ckpt``, the last history row and ``eval`` all describe one
     model.  Returns the run record that ``write_run_dir`` writes to
     ``run_dir``.
+
+    Memory: each batch is gathered from ``dataset.tensor`` through the
+    train rows' indices, so the train split is never copied whole, and a
+    step's graph is dropped once its loss is summed, so the next forward
+    and the epoch's evaluation never run beside the last step's graph.
     """
-    train_set = dataset.split_view("train")
+    train_rows = dataset.split_rows("train")
     test_set = dataset.split_view("test")
-    x_train, y_train = train_set.tensor, train_set.labels
+    x_all, y_train = dataset.tensor, dataset.labels[train_rows]
     x_test, y_test = test_set.tensor, test_set.labels
-    n = len(y_train)
+    n = len(train_rows)
     (shuffle_ss,) = np.random.SeedSequence(cfg.seed).spawn(1)
     shuffle_rng = np.random.default_rng(shuffle_ss)
 
@@ -194,10 +199,11 @@ def train(
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             model.zero_grad()
-            loss = model.loss(x_train[idx], y_train[idx], training=True)
+            loss = model.loss(x_all[train_rows[idx]], y_train[idx], training=True)
             loss.backward()
             sgd_step(model.params(), lr)
             loss_sum += float(loss.data) * len(idx)
+            del loss  # the step's whole graph: every op output and what its closure saved
         test_eval = evaluate(model, x_test, y_test)
         history.append(
             {

@@ -134,6 +134,19 @@ class TestSynthetic:
             tracemalloc.stop()
         assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"
 
+    def test_raw_noise_is_shaped_a_channel_block_at_a_time(self):
+        # 600 trials at a 120 ms lead-in: 31.5 MB of recording.  Shaping all
+        # 63 channels of pink noise at once peaks at 5x it, a block of
+        # channel rows at a time at 2x
+        cfg = SynthConfig(mode="linear", n_trials=600, seed=0)
+        tracemalloc.start()
+        try:
+            rec, _ = data.generate_raw(cfg, lead_in_ms=120.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * rec.data.nbytes, f"peak {peak / rec.data.nbytes:.2f}x the recording"
+
     def test_golden_digests(self):
         # any byte change in either generator fails here and has to be declared;
         # 1030 synthetic trials cross one noise-chunk boundary.  Recorded with

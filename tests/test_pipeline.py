@@ -1,6 +1,7 @@
 """Preprocessing pipeline: oracles and invariants."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from neurodecode import data, pipeline
 from neurodecode.errors import DataError, NumericError
 from neurodecode.pipeline import (
+    BAND,
+    BUTTER_ORDER,
+    CHANNEL_BLOCK,
     RawRecording,
     bandpass,
     baseline_correct,
@@ -108,6 +112,18 @@ class TestBandpass:
         assert np.abs(out[2, mid]).max() < 0.01
         assert 0.9 < np.abs(out[3, mid]).max() < 1.1
 
+    @pytest.mark.parametrize("n_channels", [1, CHANNEL_BLOCK, 2 * CHANNEL_BLOCK + 3])
+    def test_equals_one_whole_array_call_bit_for_bit(self, n_channels):
+        from scipy.signal import butter, sosfiltfilt
+
+        arr = np.random.default_rng(n_channels).standard_normal((n_channels, 3000)) * 20.0
+        rec = _rec(arr)
+        sos = butter(BUTTER_ORDER, BAND, btype="bandpass", output="sos", fs=1000)
+        want = sosfiltfilt(sos, arr, axis=1, padtype="odd", padlen=3 * (2 * BUTTER_ORDER))
+        out = bandpass(rec, *BAND).data
+        assert out.shape == arr.shape
+        assert out.tobytes() == want.tobytes()
+
     def test_too_short_signal(self, monkeypatch):
         # rejected before scipy loads: a None entry makes its import raise ImportError
         monkeypatch.setitem(sys.modules, "scipy.signal", None)
@@ -125,6 +141,13 @@ class TestDownsample:
         assert out.sample_rate == 100
         # onsets divide by the factor, flooring
         assert out.event_onsets == ((1, 0), (2, 1))
+
+    def test_returns_an_owned_contiguous_copy(self):
+        # a view would keep the whole full-rate array alive through epoching
+        arr = np.random.default_rng(0).standard_normal((5, 1003))
+        out = downsample(_rec(arr), 100).data
+        assert out.flags["C_CONTIGUOUS"] and out.base is None
+        assert out.tobytes() == arr[:, ::10].tobytes()
 
     def test_non_integer_factor(self):
         rec = _rec(np.zeros((1, 30)), rate=1000, names=("a",))
@@ -241,6 +264,37 @@ class TestFullPipeline:
         # over the stack must sum in the per-trial order
         _, windows, _ = extract_epochs(down)
         assert crop_and_zscore(baseline_correct(windows, 20), 20, 50).tobytes() == ref.tobytes()
+
+    def test_peak_memory_above_the_input(self):
+        # 31.5 MB of recording; one whole-array sosfiltfilt call and a
+        # strided downsampled view peak at 3.9x it above the input, a
+        # block-wise filter and a downsampled copy at 2.3x
+        import scipy.signal  # noqa: F401  the import's own allocations are not the chain's
+
+        cfg = data.SynthConfig(mode="linear", n_trials=600, seed=0)
+        rec, _ = data.generate_raw(cfg, lead_in_ms=120.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_pipeline(rec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * rec.data.nbytes, f"peak {peak / rec.data.nbytes:.2f}x the recording"
+
+    def test_epochs_are_cut_with_one_copy(self):
+        arr = np.random.default_rng(1).standard_normal((63, 20000))
+        rec = _rec(arr, rate=100, onsets=[(s, s) for s in range(20, 19900, 50)])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, windows, _ = extract_epochs(rec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert windows.flags["C_CONTIGUOUS"]
+        # a (channels, n, samples) gather then a transposed copy peaks at 2x
+        assert peak < 1.2 * windows.nbytes, f"peak {peak / windows.nbytes:.2f}x the stack"
 
     def test_recording_shorter_than_a_window(self):
         cfg = data.SynthConfig(mode="linear", n_trials=2, seed=0)

@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -240,6 +242,45 @@ class TestTrainLoop:
         assert analysis.per_object_accuracy(read.predictions) == analysis.per_object_accuracy(
             trained.predictions
         )
+
+
+class TestTrainMemory:
+    def test_holds_at_most_one_step_graph(self):
+        # the output of each training forward lives in its step's graph; the
+        # previous one must be freed before the next forward builds another
+        model = build_model("eegnet", "small", seed=0)
+        forward = model.forward
+        outputs = []
+        alive_at_start = []
+
+        def tracked(x, training):
+            if training:
+                alive_at_start.append(bool(outputs) and outputs[-1]() is not None)
+            out = forward(x, training)
+            if training:
+                outputs.append(weakref.ref(out.data))
+            return out
+
+        model.forward = tracked
+        dataset = split(generate_synthetic(SynthConfig(mode="linear", n_trials=80, seed=0)), 0.25, 0)
+        training.train(model, dataset, TrainConfig(epochs=2, batch_size=16, seed=0))
+        assert len(alive_at_start) == 8
+        assert not any(alive_at_start)
+
+    def test_never_copies_the_train_split(self):
+        # a 1520-trial train split is 19 MB; one step of dgcnn-small at batch
+        # 32, the 80-trial test split and its evaluation peak at 6 MB together
+        dataset = split(generate_synthetic(SynthConfig(mode="xor", n_trials=1600, seed=0)), 0.05, 0)
+        model = build_model("dgcnn", "small", seed=0)
+        train_bytes = sum(m.split == "train" for m in dataset.meta) * dataset.tensor[0].nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            training.train(model, dataset, TrainConfig(epochs=1, batch_size=32, seed=0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < train_bytes, f"peak {peak / 1e6:.1f} MB, train split {train_bytes / 1e6:.1f} MB"
 
 
 # three warm-up steps of dgcnn-small at batch 128 on an epoch file read back
