@@ -348,11 +348,6 @@ def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
     return reshape(matmul(w, reshape(x, (B, C, H * T))), (B, w.data.shape[0], H, T))
 
 
-def separable_conv(x: Tensor, w_depth: Tensor, w_point: Tensor) -> Tensor:
-    """Depthwise temporal convolution followed by a pointwise feature mix."""
-    return pointwise_conv(depthwise_conv_time(x, w_depth), w_point)
-
-
 def avg_pool_time(x: Tensor, k: int) -> Tensor:
     """Non-overlapping average pooling along time; trailing remainder dropped."""
     T = x.data.shape[-1]

@@ -99,7 +99,7 @@ def op_check_cases() -> list[tuple[str, object, list[tuple[str, Parameter]]]]:
     case(
         "separable_conv",
         [q_x, q_wd, q_wp],
-        lambda: _mean_all(ops.separable_conv(q_x, q_wd, q_wp)),
+        lambda: _mean_all(ops.pointwise_conv(ops.depthwise_conv_time(q_x, q_wd), q_wp)),
     )
 
     r_x = _p(rng, 2, 3, 2, 7)

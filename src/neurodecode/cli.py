@@ -42,7 +42,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, baseline, checks, data, models, pipeline, training
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError, check_seed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,6 +101,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    check_seed(args.seed)
     rec, meta = data.load_raw(args.raw)
     tensor, trial_ids, skipped = pipeline.run_pipeline(rec)
     for trial_id, reason in skipped:
@@ -178,8 +179,8 @@ def _gradient_checks(args):
         for name, report in checks.check_op_gradients():
             yield f"op {name:<24}", report
     if args.scope in ("all", "models"):
-        for arch in [args.arch] if args.arch else models.ARCHITECTURES:
-            for size in [args.size] if args.size else models.SIZES:
+        for arch, size in models.CELLS:
+            if args.arch in (None, arch) and args.size in (None, size):
                 yield f"model {arch}-{size:<8}", checks.check_model_gradients(arch, size)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eegb
-from .errors import DataError, UsageError, check_fields
+from .errors import DataError, UsageError, check_fields, check_seed
 from .pipeline import (
     CHANNEL_BLOCK,
     CROP_MS,
@@ -246,8 +246,11 @@ class SynthConfig:
             raise UsageError(f"unknown synthetic mode {self.mode!r}")
         if self.n_trials < 2 or self.n_trials % 2 != 0:
             raise UsageError(f"n_trials must be even and >= 2, got {self.n_trials}")
+        if self.snr is not None and not np.isfinite(self.snr):
+            raise UsageError(f"snr must be finite, got {self.snr}")
         if self.snr is not None and self.snr <= 0:
             raise UsageError(f"snr must be positive, got {self.snr}")
+        check_seed(self.seed)
 
     @property
     def effective_snr(self) -> float:

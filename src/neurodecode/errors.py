@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the package, and the field-type check
-every JSON record the package reads goes through.
+"""Exception taxonomy shared across the package, the field-type check
+every JSON record the package reads goes through, and the seed check.
 
 The CLI maps these onto process exit codes: usage errors exit 1, data
 errors exit 2, numeric failures exit 3.
@@ -79,3 +79,9 @@ def check_fields(record, kinds: dict, where, error=DataError, required=None) -> 
         elif required is None or name in required:
             raise error(f"{where}: missing field {name!r}")
     return record
+
+
+def check_seed(seed: int) -> None:
+    """numpy's seed sequences take only non-negative integers."""
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")

@@ -4,9 +4,10 @@ Five trainable decoders share one small Module convention: parameters
 are registered in construction order under stable dotted names, batch
 norm running statistics live in named buffers, and ``forward`` takes a
 plain float numpy batch.  Each architecture comes in three presets
-(small / medium / large); preset hyperparameters were chosen so every
-(architecture, size) cell lands within the +/-30% budget around its
-target parameter count, checked by :func:`audit_params`.
+(small / medium / large).  :data:`CELLS` is the one place that holds an
+(architecture, size) cell's preset hyperparameters and its target
+parameter count; the presets were chosen so every cell lands within the
++/-30% budget around its target, checked by :func:`audit_params`.
 
 Shapes: convolutional models consume (batch, 1, channels, time) maps,
 sequence models (batch, time, channels), the graph model treats the
@@ -22,7 +23,7 @@ import numpy as np
 from . import eegb
 from .autodiff import Parameter, Tensor, constant, no_grad, ops
 from .data import N_CHANNELS, N_SAMPLES
-from .errors import DataError, MetaMismatchError, UsageError, check_fields
+from .errors import DataError, MetaMismatchError, UsageError, check_fields, check_seed
 
 N_CLASSES = 2
 # trials per forward pass when evaluating; the batching also fixes the
@@ -32,55 +33,30 @@ EVAL_BATCH = 256
 ARCHITECTURES = ("eegnet", "lstm", "dgcnn", "transformer", "conformer")
 SIZES = ("small", "medium", "large")
 
-# Target parameter counts per (architecture, size); the audit enforces
-# actual counts within +/-30% of these.
-PARAM_TARGETS: dict[tuple[str, str], int] = {
-    ("eegnet", "small"): 1888,
-    ("eegnet", "medium"): 11504,
-    ("eegnet", "large"): 132096,
-    ("lstm", "small"): 3902,
-    ("lstm", "medium"): 98402,
-    ("lstm", "large"): 1161002,
-    ("dgcnn", "small"): 12527,
-    ("dgcnn", "medium"): 107563,
-    ("dgcnn", "large"): 1049763,
-    ("transformer", "small"): 3090,
-    ("transformer", "medium"): 141866,
-    ("transformer", "large"): 1144834,
-    ("conformer", "small"): 36026,
-    ("conformer", "medium"): 164906,
-    ("conformer", "large"): 1404946,
+# Every (architecture, size) cell, architecture-major: its preset
+# hyperparameters, which the model takes as attributes, and the parameter
+# count that the audit holds it to, within PARAM_TOLERANCE.
+CELLS: dict[tuple[str, str], tuple[dict, int]] = {
+    ("eegnet", "small"): (dict(f1=8, depth=2, f2=16), 1888),
+    ("eegnet", "medium"): (dict(f1=16, depth=4, f2=64), 11504),
+    ("eegnet", "large"): (dict(f1=32, depth=8, f2=320), 132096),
+    ("lstm", "small"): (dict(hidden=13, layers=1), 3902),
+    ("lstm", "medium"): (dict(hidden=80, layers=2), 98402),
+    ("lstm", "large"): (dict(hidden=224, layers=3), 1161002),
+    ("dgcnn", "small"): (dict(k=2, hidden=32, layers=1, node_dense=64), 12527),
+    ("dgcnn", "medium"): (dict(k=2, hidden=160, layers=2, node_dense=160), 107563),
+    ("dgcnn", "large"): (dict(k=3, hidden=512, layers=2, node_dense=512), 1049763),
+    ("transformer", "small"): (dict(d_model=16, heads=2, layers=1, ffn=32), 3090),
+    ("transformer", "medium"): (dict(d_model=64, heads=4, layers=3, ffn=128), 141866),
+    ("transformer", "large"): (dict(d_model=128, heads=8, layers=5, ffn=512), 1144834),
+    ("conformer", "small"): (dict(f=10, layers=1, heads=2, head_hidden=112), 36026),
+    ("conformer", "medium"): (dict(f=40, layers=2, heads=4, head_hidden=24), 164906),
+    ("conformer", "large"): (dict(f=40, layers=6, heads=4, head_hidden=1024), 1404946),
 }
 
 PARAM_TOLERANCE = 0.30
 
 DROPOUT_BY_SIZE = {"small": 0.25, "medium": 0.5, "large": 0.75}
-
-EEGNET_SIZES = {
-    "small": dict(f1=8, depth=2, f2=16),
-    "medium": dict(f1=16, depth=4, f2=64),
-    "large": dict(f1=32, depth=8, f2=320),
-}
-LSTM_SIZES = {
-    "small": dict(hidden=13, layers=1),
-    "medium": dict(hidden=80, layers=2),
-    "large": dict(hidden=224, layers=3),
-}
-DGCNN_SIZES = {
-    "small": dict(k=2, hidden=32, layers=1, node_dense=64),
-    "medium": dict(k=2, hidden=160, layers=2, node_dense=160),
-    "large": dict(k=3, hidden=512, layers=2, node_dense=512),
-}
-TRANSFORMER_SIZES = {
-    "small": dict(d_model=16, heads=2, layers=1, ffn=32),
-    "medium": dict(d_model=64, heads=4, layers=3, ffn=128),
-    "large": dict(d_model=128, heads=8, layers=5, ffn=512),
-}
-CONFORMER_SIZES = {
-    "small": dict(f=10, layers=1, heads=2, head_hidden=112),
-    "medium": dict(f=40, layers=2, heads=4, head_hidden=24),
-    "large": dict(f=40, layers=6, heads=4, head_hidden=1024),
-}
 
 
 def eval_logits(model, x: np.ndarray) -> np.ndarray:
@@ -117,9 +93,11 @@ class Model:
     ):
         if size not in SIZES:
             raise UsageError(f"unknown size {size!r}; choose from {SIZES}")
+        check_seed(seed)
         self.size = size
         self.seed = seed
         self.dropout = DROPOUT_BY_SIZE[size]
+        vars(self).update(CELLS[(self.arch, size)][0])
         shape = {"n_classes": n_classes, "n_channels": n_channels, "n_samples": n_samples}
         for name, value in shape.items():
             if value < 1:
@@ -145,6 +123,14 @@ class Model:
     def _uniform(self, name: str, shape: tuple[int, ...], fan_in: int) -> Parameter:
         bound = 1.0 / np.sqrt(fan_in)
         return self._register(name, self._init_rng.uniform(-bound, bound, size=shape))
+
+    def _affine(self, name: str, n_in: int, n_out: int, suffix: str = "") -> tuple[Parameter, ...]:
+        """Weight ``{name}.w{suffix}`` (n_in, n_out), then bias ``{name}.b{suffix}``
+        (n_out,), both drawn at the weight's fan-in n_in."""
+        return (
+            self._uniform(f"{name}.w{suffix}", (n_in, n_out), n_in),
+            self._uniform(f"{name}.b{suffix}", (n_out,), n_in),
+        )
 
     def _buffer(self, name: str, array: np.ndarray) -> np.ndarray:
         self._buffers.append((name, array))
@@ -243,34 +229,22 @@ class _EncoderBlock:
     ):
         self.n_heads = n_heads
         self.ffn_act = ffn_act
-        self.w_q = model._uniform(f"{name}.attn.wq", (d_model, d_model), d_model)
-        self.b_q = model._uniform(f"{name}.attn.bq", (d_model,), d_model)
+        self.q = model._affine(f"{name}.attn", d_model, d_model, "q")
         # no key bias: the softmax cancels it, leaving a dead parameter
         self.w_k = model._uniform(f"{name}.attn.wk", (d_model, d_model), d_model)
-        self.w_v = model._uniform(f"{name}.attn.wv", (d_model, d_model), d_model)
-        self.b_v = model._uniform(f"{name}.attn.bv", (d_model,), d_model)
-        self.w_o = model._uniform(f"{name}.attn.wo", (d_model, d_model), d_model)
-        self.b_o = model._uniform(f"{name}.attn.bo", (d_model,), d_model)
+        self.v = model._affine(f"{name}.attn", d_model, d_model, "v")
+        self.o = model._affine(f"{name}.attn", d_model, d_model, "o")
         self.ln1 = _LayerNorm(model, d_model, f"{name}.ln1")
-        self.w_f1 = model._uniform(f"{name}.ffn.w1", (d_model, ffn), d_model)
-        self.b_f1 = model._uniform(f"{name}.ffn.b1", (ffn,), d_model)
-        self.w_f2 = model._uniform(f"{name}.ffn.w2", (ffn, d_model), ffn)
-        self.b_f2 = model._uniform(f"{name}.ffn.b2", (d_model,), ffn)
+        self.ffn1 = model._affine(f"{name}.ffn", d_model, ffn, "1")
+        self.ffn2 = model._affine(f"{name}.ffn", ffn, d_model, "2")
         self.ln2 = _LayerNorm(model, d_model, f"{name}.ln2")
 
     def __call__(self, model: Model, h: Tensor, training: bool) -> Tensor:
-        attn = ops.multi_head_attention(
-            h,
-            self.w_q, self.b_q,
-            self.w_k,
-            self.w_v, self.b_v,
-            self.w_o, self.b_o,
-            self.n_heads,
-        )
+        attn = ops.multi_head_attention(h, *self.q, self.w_k, *self.v, *self.o, self.n_heads)
         h = self.ln1(ops.add(h, model._drop(attn, training)))
-        ff = ops.dense(h, self.w_f1, self.b_f1)
+        ff = ops.dense(h, *self.ffn1)
         ff = model._drop(self.ffn_act(ff), training)
-        ff = ops.dense(ff, self.w_f2, self.b_f2)
+        ff = ops.dense(ff, *self.ffn2)
         return self.ln2(ops.add(h, model._drop(ff, training)))
 
 
@@ -296,9 +270,7 @@ class EEGNet(Model):
 
     def __init__(self, **kw):
         super().__init__(**kw)
-        c = EEGNET_SIZES[self.size]
-        f1, depth, f2 = c["f1"], c["depth"], c["f2"]
-        self.f1, self.depth, self.f2 = f1, depth, f2
+        f1, depth, f2 = self.f1, self.depth, self.f2
         # time steps left after pooling by 4 and then 8; the head reads all of them
         self.n_pooled = self.n_samples // 4 // 8
         if self.n_pooled == 0:
@@ -311,9 +283,7 @@ class EEGNet(Model):
         self.w_sep_depth = self._uniform("separable.depth", (f1 * depth, ks), ks)
         self.w_sep_point = self._uniform("separable.point", (f2, f1 * depth), f1 * depth)
         self.bn3 = _BatchNorm(self, f2, "bn3")
-        flat = f2 * self.n_pooled
-        self.w_head = self._uniform("head.w", (flat, self.n_classes), flat)
-        self.b_head = self._uniform("head.b", (self.n_classes,), flat)
+        self.head = self._affine("head", f2 * self.n_pooled, self.n_classes)
 
     def _front(self, x: np.ndarray) -> Tensor:
         """Temporal conv -> depthwise spatial conv, (B, C, T) ->
@@ -341,13 +311,13 @@ class EEGNet(Model):
         h = ops.elu(h)
         h = ops.avg_pool_time(h, 4)
         h = self._drop(h, training)
-        h = ops.separable_conv(h, self.w_sep_depth, self.w_sep_point)
+        h = ops.pointwise_conv(ops.depthwise_conv_time(h, self.w_sep_depth), self.w_sep_point)
         h = self.bn3(h, training)
         h = ops.elu(h)
         h = ops.avg_pool_time(h, 8)
         h = self._drop(h, training)
         h = ops.reshape(h, (x.shape[0], self.f2 * self.n_pooled))
-        return ops.dense(h, self.w_head, self.b_head)
+        return ops.dense(h, *self.head)
 
 
 class LstmNet(Model):
@@ -358,8 +328,6 @@ class LstmNet(Model):
 
     def __init__(self, **kw):
         super().__init__(**kw)
-        c = LSTM_SIZES[self.size]
-        self.hidden, self.layers = c["hidden"], c["layers"]
         self.cells = []
         for layer in range(self.layers):
             in_dim = self.n_channels if layer == 0 else self.hidden
@@ -370,8 +338,7 @@ class LstmNet(Model):
                     self._uniform(f"lstm{layer}.b", (4 * self.hidden,), self.hidden),
                 )
             )
-        self.w_head = self._uniform("head.w", (self.hidden, self.n_classes), self.hidden)
-        self.b_head = self._uniform("head.b", (self.n_classes,), self.hidden)
+        self.head = self._affine("head", self.hidden, self.n_classes)
 
     def forward(self, x, training):
         x = self._input(x)
@@ -384,7 +351,7 @@ class LstmNet(Model):
             ops.narrow(h, 1, self.n_samples - 1, 1), (x.shape[0], self.hidden)
         )
         last = self._drop(last, training)
-        return ops.dense(last, self.w_head, self.b_head)
+        return ops.dense(last, *self.head)
 
 
 class Dgcnn(Model):
@@ -399,9 +366,6 @@ class Dgcnn(Model):
 
     def __init__(self, **kw):
         super().__init__(**kw)
-        c = DGCNN_SIZES[self.size]
-        self.k, self.hidden, self.layers = c["k"], c["hidden"], c["layers"]
-        self.node_dense = c["node_dense"]
         adj = self._init_rng.uniform(0.01, 0.05, size=(self.n_channels, self.n_channels))
         np.fill_diagonal(adj, 0.0)
         self.adj = self._register("adjacency", adj)
@@ -414,20 +378,18 @@ class Dgcnn(Model):
             ]
             bias = self._uniform(f"cheb{layer}.b", (self.hidden,), in_dim)
             self.cheb.append((thetas, bias))
-        self.w_node = self._uniform("node.w", (self.hidden, self.node_dense), self.hidden)
-        self.b_node = self._uniform("node.b", (self.node_dense,), self.hidden)
-        self.w_head = self._uniform("head.w", (self.node_dense, self.n_classes), self.node_dense)
-        self.b_head = self._uniform("head.b", (self.n_classes,), self.node_dense)
+        self.node = self._affine("node", self.hidden, self.node_dense)
+        self.head = self._affine("head", self.node_dense, self.n_classes)
 
     def forward(self, x, training):
         x = self._input(x)
         h = constant(x)
         for thetas, bias in self.cheb:
             h = ops.relu(ops.chebyshev_graph_conv(h, thetas, self.adj, bias))
-        h = ops.relu(ops.dense(h, self.w_node, self.b_node))
+        h = ops.relu(ops.dense(h, *self.node))
         h = ops.mean_axis(h, axis=1)
         h = self._drop(h, training)
-        return ops.dense(h, self.w_head, self.b_head)
+        return ops.dense(h, *self.head)
 
 
 class TransformerNet(Model):
@@ -437,29 +399,24 @@ class TransformerNet(Model):
 
     def __init__(self, **kw):
         super().__init__(**kw)
-        c = TRANSFORMER_SIZES[self.size]
-        self.d_model, self.heads = c["d_model"], c["heads"]
-        self.layers, self.ffn = c["layers"], c["ffn"]
-        self.w_in = self._uniform("input.w", (self.n_channels, self.d_model), self.n_channels)
-        self.b_in = self._uniform("input.b", (self.d_model,), self.n_channels)
+        self.input = self._affine("input", self.n_channels, self.d_model)
         self.blocks = [
             _EncoderBlock(self, self.d_model, self.heads, self.ffn, f"block{i}")
             for i in range(self.layers)
         ]
-        self.w_head = self._uniform("head.w", (self.d_model, self.n_classes), self.d_model)
-        self.b_head = self._uniform("head.b", (self.n_classes,), self.d_model)
+        self.head = self._affine("head", self.d_model, self.n_classes)
 
     def forward(self, x, training):
         x = self._input(x)
         seq = constant(np.ascontiguousarray(x.transpose(0, 2, 1)))
-        h = ops.dense(seq, self.w_in, self.b_in)
+        h = ops.dense(seq, *self.input)
         pe = ops.sinusoidal_positions(self.n_samples, self.d_model, dtype=self.dtype)
         h = ops.add(h, pe)
         h = self._drop(h, training)
         for block in self.blocks:
             h = block(self, h, training)
         pooled = ops.mean_axis(h, axis=1)
-        return ops.dense(pooled, self.w_head, self.b_head)
+        return ops.dense(pooled, *self.head)
 
 
 class Conformer(Model):
@@ -479,9 +436,6 @@ class Conformer(Model):
         super().__init__(**kw)
         if self.n_samples < self.POOL:
             raise UsageError(f"conformer needs at least {self.POOL} samples, got {self.n_samples}")
-        c = CONFORMER_SIZES[self.size]
-        self.f, self.layers = c["f"], c["layers"]
-        self.heads, self.head_hidden = c["heads"], c["head_hidden"]
         k = self.TEMPORAL_KERNEL
         f = self.f
         # the conv stack feeds batch norm, which subtracts any
@@ -496,11 +450,8 @@ class Conformer(Model):
             for i in range(self.layers)
         ]
         self.n_tokens = self.n_samples // self.POOL
-        flat = self.n_tokens * f
-        self.w_h1 = self._uniform("head.w1", (flat, self.head_hidden), flat)
-        self.b_h1 = self._uniform("head.b1", (self.head_hidden,), flat)
-        self.w_h2 = self._uniform("head.w2", (self.head_hidden, self.n_classes), self.head_hidden)
-        self.b_h2 = self._uniform("head.b2", (self.n_classes,), self.head_hidden)
+        self.head1 = self._affine("head", self.n_tokens * f, self.head_hidden, "1")
+        self.head2 = self._affine("head", self.head_hidden, self.n_classes, "2")
 
     def _front(self, x: np.ndarray) -> Tensor:
         """Temporal conv -> full spatial conv, (B, C, T) -> (B, f, 1, T),
@@ -530,18 +481,12 @@ class Conformer(Model):
         for block in self.blocks:
             tokens = block(self, tokens, training)
         flat = ops.reshape(tokens, (B, self.n_tokens * self.f))
-        head = ops.elu(ops.dense(flat, self.w_h1, self.b_h1))
+        head = ops.elu(ops.dense(flat, *self.head1))
         head = self._drop(head, training)
-        return ops.dense(head, self.w_h2, self.b_h2)
+        return ops.dense(head, *self.head2)
 
 
-_ARCH_CLASSES = {
-    "eegnet": EEGNet,
-    "lstm": LstmNet,
-    "dgcnn": Dgcnn,
-    "transformer": TransformerNet,
-    "conformer": Conformer,
-}
+_ARCH_CLASSES = {cls.arch: cls for cls in (EEGNet, LstmNet, Dgcnn, TransformerNet, Conformer)}
 
 
 def build_model(arch: str, size: str, **kw) -> Model:
@@ -567,20 +512,9 @@ class AuditRow:
 def audit_params() -> list[AuditRow]:
     """Instantiate every (architecture, size) cell and compare budgets."""
     rows = []
-    for arch in ARCHITECTURES:
-        for size in SIZES:
-            model = build_model(arch, size, seed=0)
-            target = PARAM_TARGETS[(arch, size)]
-            count = model.n_params
-            rows.append(
-                AuditRow(
-                    arch=arch,
-                    size=size,
-                    params=count,
-                    target=target,
-                    deviation=(count - target) / target,
-                )
-            )
+    for (arch, size), (_, target) in CELLS.items():
+        count = build_model(arch, size, seed=0).n_params
+        rows.append(AuditRow(arch, size, count, target, (count - target) / target))
     return rows
 
 

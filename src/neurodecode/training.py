@@ -28,7 +28,7 @@ from .analysis import _RUN_FILES, Run, write_csv
 from .autodiff import constant, ops
 from .autodiff.core import Parameter, check_finite
 from .data import EpochSet
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError, check_seed
 from .models import EVAL_BATCH, Model, eval_logits, save_model
 
 
@@ -51,6 +51,7 @@ class TrainConfig:
             raise UsageError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_seed(self.seed)
 
 
 def restart_epochs(total: int) -> list[int]:

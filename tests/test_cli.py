@@ -366,6 +366,8 @@ def corrupt_dir(tmp_path_factory, trained_run, signature_file):
     eegb.save_checkpoint(root / "run" / "model.ckpt", {**desc, "n_classes": "2"}, tensors)
     shutil.copytree(trained_run, root / "empty")
     eegb.save_checkpoint(root / "empty" / "model.ckpt", {**desc, "n_samples": 0}, tensors)
+    shutil.copytree(trained_run, root / "seed")
+    eegb.save_checkpoint(root / "seed" / "model.ckpt", {**desc, "seed": -1}, tensors)
     return root
 
 
@@ -563,6 +565,19 @@ class TestBadInputs:
          "data error: [Errno 21] Is a directory: '{tmp}'"),
         (["synth", "--n-trials", "8", "--out", "{tmp}"], 2,
          "data error: [Errno 21] Is a directory: '{tmp}'"),
+        # a signal scale that is not a number would write an all-NaN file
+        (["synth", "--snr", "nan", "--out", "{tmp}/x.eegb"], 1, "error: snr must be finite, got nan"),
+        (["synth", "--snr", "inf", "--out", "{tmp}/x.eegb"], 1, "error: snr must be finite, got inf"),
+        # numpy's seed sequences take no negative seed
+        (["synth", "--seed", "-1", "--out", "{tmp}/x.eegb"], 1,
+         "error: seed must be non-negative, got -1"),
+        (["preprocess", "--raw", "{corrupt}/raw.eegb", "--out", "{tmp}/o.eegb", "--seed", "-3"], 1,
+         "error: seed must be non-negative, got -3"),
+        (["train", "--data", "{signature}", "--arch", "lstm", "--run-dir", "{tmp}/run",
+          "--seed", "-1"], 1, "error: seed must be non-negative, got -1"),
+        (["eval", "--run-dir", "{corrupt}/seed", "--data", "{signature}"], 2,
+         "data error: {corrupt}/seed/model.ckpt: checkpoint describes no buildable model: "
+         "seed must be non-negative, got -1"),
     ])
     def test_exit_code_and_message(
         self, tmp_path, capsys, trained_run, signature_file, corrupt_dir, argv, code, prefix

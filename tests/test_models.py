@@ -1,6 +1,8 @@
 """Decoder architectures: budgets, shapes, checkpoints."""
 
+import hashlib
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -353,6 +355,17 @@ class TestCheckpoints:
         with pytest.raises(MetaMismatchError, match="describes no buildable model"):
             models.load_model(p)
 
+    def test_descriptor_with_a_negative_seed_rejected(self, tmp_path):
+        # numpy's seed sequences refuse it; the checkpoint is at fault, not the caller
+        from neurodecode import eegb
+
+        p = tmp_path / "m.ckpt"
+        models.save_model(p, build_model("eegnet", "small", seed=0))
+        desc, tensors = eegb.load_checkpoint(p)
+        eegb.save_checkpoint(p, {**desc, "seed": -1}, tensors)
+        with pytest.raises(MetaMismatchError, match="no buildable model: seed must be non-negative, got -1"):
+            models.load_model(p)
+
     @pytest.mark.parametrize("dropout", [0.25, 0.1])
     def test_descriptor_with_the_old_dropout_key_loads(self, tmp_path, dropout):
         # checkpoints written before dropout was fixed by size carry the key;
@@ -409,3 +422,42 @@ class TestRegistry:
         assert all(p.data.dtype == np.float64 for p in m.params())
         out = m.forward(small_batch(2), training=False)
         assert out.data.dtype == np.float64
+
+
+def state_digest(model) -> str:
+    """sha256 over the checkpoint tensor map: every name in order, its dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for name, arr in models._state(model).items():
+        h.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+class TestCells:
+    # every cell's seed-0 initial state; a change to a preset, a parameter
+    # name, the registration order or an init bound shows up here
+    GOLDEN = {
+        ("eegnet", "small"): "eacb907995514c34f605b0b2c5f2f2862832dbf233bc18dc6237cddead92a151",
+        ("eegnet", "medium"): "0b5540b920a7e2c9ed8f6942d48ed1e467a8bd9b1b33bc4740304a6760b72a7e",
+        ("eegnet", "large"): "56d019ffccc2c5d90fef227c35520edcca48df38224d2a4317ade246633791e7",
+        ("lstm", "small"): "858a610c9c8b5c737183176e8f747581ee3ed69fb982faa62cc198fdb6627c5f",
+        ("lstm", "medium"): "d14c7a144b29960df15a873fd0275903538acbbffc3691bb08f2d391153b4e2b",
+        ("lstm", "large"): "5387bb59d9a799c8dbd5b37cc6caf5a303d3f28c246739eedf77c344676cec38",
+        ("dgcnn", "small"): "71d4b7bec2f5468db640c2ad7fd55da3047dcaf505d243cf819abf4a1c232a5f",
+        ("dgcnn", "medium"): "4e4b9736480c3fbf3325fa5d7af77616d663e3bb136d2cdbf0c1e6c172475bbd",
+        ("dgcnn", "large"): "3b6b83683d9fe91c09b1cc8bbb5739ebc8b2fe0f96e591a95477e4cd80000cc3",
+        ("transformer", "small"): "e258176497365373751aa66607ab2f5b9987cc10b33b1491cfd8bc8ef484e152",
+        ("transformer", "medium"): "73acb81ebfe5e59b623e99bbfe4928c9bac4252138da5a7e7b45a71e4b547edc",
+        ("transformer", "large"): "a56e8d7c193ea5df7dd4f2444fa0ebfde98d4e52e3970abfdbf38d3866d6afcb",
+        ("conformer", "small"): "809d9fcd8f9d41d00b3bfe82e4b5bc8a07349b04b0fc563f3db3bdd428a0e09d",
+        ("conformer", "medium"): "a53910f900da2e34975cafd83f128e645421c420789d89714ddff9261bbf4c9a",
+        ("conformer", "large"): "6b9d91c27b29074d1cda6d3d823ba6db5dff9d7f99b8c0f72b141f0071ab61d0",
+    }
+
+    @pytest.mark.parametrize("arch, size", list(GOLDEN))
+    def test_initial_state_is_golden(self, arch, size):
+        assert state_digest(build_model(arch, size, seed=0)) == self.GOLDEN[(arch, size)]
+
+    def test_cells_are_the_grid_in_arch_major_order(self):
+        assert list(models.CELLS) == list(itertools.product(ARCHITECTURES, SIZES))
+        assert list(models._ARCH_CLASSES) == list(ARCHITECTURES)
