@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD = 32 << 20  # glibc's ceiling for this parameter on 64-bit hosts
 _TRIM_THRESHOLD = 1 << 30
 
@@ -24,9 +25,12 @@ def _keep_freed_heap() -> bool:
     dgcnn-small at batch 128 took ~4,600 minor faults.  Both settings are
     needed: a trim threshold alone also switches off glibc's dynamic mmap
     threshold, which makes the faults worse, so it is set only once the
-    mmap threshold took.  Returns False where the C library has no
-    ``mallopt`` (macOS, Windows) or rejects a value.  ``ctypes.CDLL(None)``
-    opens the running process, so there is no library lookup
+    mmap threshold took.  Once both took, every thread allocates from one
+    arena (``M_ARENA_MAX`` 1), so what synthesis threads free is kept in
+    the heap that training then allocates from, not in arenas of their
+    own.  Returns False where the C library has no ``mallopt`` (macOS,
+    Windows) or rejects a threshold.  ``ctypes.CDLL(None)`` opens the
+    running process, so there is no library lookup
     (``ctypes.util.find_library`` spawns a subprocess).
     """
     import ctypes
@@ -37,9 +41,10 @@ def _keep_freed_heap() -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) and bool(
-        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-    )
+    if not (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)):
+        return False
+    mallopt(_M_ARENA_MAX, 1)
+    return True
 
 
 _HEAP_KEPT = _keep_freed_heap()

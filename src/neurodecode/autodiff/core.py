@@ -5,7 +5,11 @@ are enabled; ``backward()`` walks the tape in reverse topological order
 with a deterministic accumulation order, so two identical runs produce
 bitwise-identical gradients.  An op output drops its gradient once its
 closure has passed it on; only leaves keep theirs, and a constant
-(``requires_grad`` False) never gets one.
+(``requires_grad`` False) never gets one.  A closure that builds a fresh
+gradient buffer and passes it to no one else hands it over
+(``accumulate(g, owned=True)``): on a first write that buffer becomes
+``.grad`` instead of being copied, when it has the data's shape, dtype
+and C layout.
 
 Every computing op's output is checked for finiteness at creation, in
 its own dtype, so a large but finite float32 or float64 value never
@@ -67,17 +71,25 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, dtype={self.data.dtype})"
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` to this node's gradient.
+
+        ``owned``: the caller built ``g`` and passes it to no one else, so
+        a first write may keep ``g`` itself as ``.grad`` instead of a copy.
+        """
         if not self.requires_grad:  # nothing reads a constant's gradient
             return
         if g.dtype != self.data.dtype:
             g = g.astype(self.data.dtype)
-        if self.grad is None:
-            # one new array in the data's layout, as zeros_like gives; adding 0
-            # turns -0.0 into +0.0, as adding into zeros does
-            self.grad = np.add(g, 0, out=np.empty_like(self.data))
-        else:
+        if self.grad is not None:
             self.grad += g
+            return
+        # adding 0 turns -0.0 into +0.0, as adding into zeros does
+        layout = g.shape == self.data.shape and g.flags.c_contiguous and self.data.flags.c_contiguous
+        if owned and layout:
+            self.grad = np.add(g, 0, out=g)
+        else:  # one new array in the data's layout, as zeros_like gives
+            self.grad = np.add(g, 0, out=np.empty_like(self.data))
 
     def backward(self) -> None:
         """Reverse sweep from this node, seeded with ones."""

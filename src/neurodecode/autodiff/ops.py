@@ -150,10 +150,11 @@ def elu(x: Tensor) -> Tensor:
     return make(out, (x,), backward, "elu")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) in numpy's vectorized loops, 4x faster than scipy's
-    scalar ``expit`` on an LSTM gate block; exp(-x) = inf gives the limit 0."""
-    out = np.negative(x)
+    scalar ``expit`` on an LSTM gate block; exp(-x) = inf gives the limit 0.
+    ``out`` may be ``x`` itself."""
+    out = np.negative(x, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -274,7 +275,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def backward(g):
         g2 = g.reshape(-1, n_out)
         if x.requires_grad:
-            x.accumulate((g2 @ w.data.T).reshape(x.data.shape))
+            x.accumulate((g2 @ w.data.T).reshape(x.data.shape), owned=True)
         w.accumulate(x2.T @ g2)
         if b is not None:
             b.accumulate(g2.sum(axis=0))
@@ -469,50 +470,61 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor) -> Tensor:
     sum is the same in either order, and dW_hh adds one step at a time
     from the last step down, as the tape did.  One product over all
     steps would sum in another order.
+
+    Each activation the backward reads is held once, the memory that
+    Chen et al. (2016) budget: step t's gates are computed in one reused
+    (B, 4H) row block, whose contiguous rows keep numpy's loops as fast
+    as before, and then overwrite the step's pre-activations in the
+    projection's own buffer, ``xw.data[:, t]``, which nothing else reads.
+    Each h is written into the output, and c and tanh(c) into two arrays
+    made once.  The backward writes each step's gate gradient into the
+    buffer it hands over to ``xw`` and never into what the forward saved,
+    so a second ``backward()`` adds the same gradient again.
     """
     B, T, _ = x.data.shape
     H = w_hh.data.shape[0]
     xw = dense(x, w_ih, b)  # (B, T, 4H)
-    h = c = np.zeros((B, H), dtype=x.data.dtype)
-    hs, cs, gates, tanh_cs = [], [c], [], []
+    gates = xw.data
+    hs = np.empty((B, T, H), dtype=gates.dtype)
+    cs = np.zeros((T + 1, B, H), dtype=gates.dtype)  # cs[t]: c before step t
+    tanh_cs = np.empty((T, B, H), dtype=gates.dtype)
+    h = np.zeros((B, H), dtype=x.data.dtype)
+    a = np.empty_like(gates[:, 0])  # the step's gates, in contiguous rows while computed
     for t in range(T):
-        z = xw.data[:, t] + h @ w_hh.data
-        a = _sigmoid(z)
-        np.tanh(z[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
+        np.add(gates[:, t], h @ w_hh.data, out=a)
+        g = np.tanh(a[:, 2 * H : 3 * H])
+        _sigmoid(a, out=a)  # one call over all four blocks; g's is then replaced
+        a[:, 2 * H : 3 * H] = g
         i, f, g, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        hs.append(h)
-        cs.append(c)
-        gates.append(a)
-        tanh_cs.append(tc)
+        np.add(f * cs[t], i * g, out=cs[t + 1])
+        np.tanh(cs[t + 1], out=tanh_cs[t])
+        h = np.multiply(o, tanh_cs[t], out=hs[:, t])
+        gates[:, t] = a
 
     def backward(grad):
-        dxw = np.empty_like(xw.data)
+        dxw = np.empty_like(gates)
         dw = np.zeros_like(w_hh.data)
         dh_next = dc_next = None  # what step t + 1 passes back to step t
         for t in range(T - 1, -1, -1):
-            a, c_prev, tc = gates[t], cs[t], tanh_cs[t]
+            a, c_prev, tc = gates[:, t], cs[t], tanh_cs[t]
             i, f, g, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
             dh = grad[:, t] if dh_next is None else grad[:, t] + dh_next
             dc = dh * o * (1.0 - tc * tc)
             if dc_next is not None:
                 dc = dc_next + dc
-            dz = np.empty_like(a)
+            dz = dxw[:, t]
             dz[:, :H] = dc * g * i * (1.0 - i)
             dz[:, H : 2 * H] = dc * c_prev * f * (1.0 - f)
             dz[:, 2 * H : 3 * H] = dc * i * (1.0 - g * g)
             dz[:, 3 * H :] = dh * tc * o * (1.0 - o)
-            dxw[:, t] = dz
             dc_next = dc * f
             if t > 0:  # h before step 0 is a constant zero
                 dh_next = dz @ w_hh.data.swapaxes(-1, -2)
-                dw += hs[t - 1].swapaxes(-1, -2) @ dz
+                dw += hs[:, t - 1].swapaxes(-1, -2) @ dz
         w_hh.accumulate(dw)
-        xw.accumulate(dxw)
+        xw.accumulate(dxw, owned=True)
 
-    return make(np.stack(hs, axis=1), (xw, w_hh), backward, "lstm_layer")
+    return make(hs, (xw, w_hh), backward, "lstm_layer")
 
 
 def multi_head_attention(

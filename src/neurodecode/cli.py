@@ -7,9 +7,9 @@ gradients, and audit parameter budgets.
 
 Exit codes: 0 success, 1 usage error (a bad flag or flag value), 2
 data error (missing or malformed files, or any other ``OSError``, such as
-a directory where a file is read or written), 3 numeric failure
-(non-finite values, failed checks).  A closed stdout (``neurodecode
-gradcheck | head -1``) exits 1 without a traceback.
+a directory where a file is read or written) and running out of memory, 3
+numeric failure (non-finite values, failed checks).  A closed stdout
+(``neurodecode gradcheck | head -1``) exits 1 without a traceback.
 
 Each setting has one source.  The train/test split is drawn once, by
 the command that writes the epoch file (``synth``, ``preprocess``, at
@@ -90,6 +90,7 @@ def cmd_synth(args) -> int:
             f"at {rec.sample_rate} Hz, {len(rec.event_onsets)} events -> {args.out}"
         )
         return 0
+    data.n_test_trials(cfg.n_trials, data.TEST_FRAC, UsageError)  # before anything is generated
     epochs = data.split(data.generate_synthetic(cfg), data.TEST_FRAC, cfg.seed)
     data.save_epochs(args.out, epochs)
     n_test = sum(1 for m in epochs.meta if m.split == "test")
@@ -285,6 +286,9 @@ def main(argv=None) -> int:
         return 1
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -219,14 +219,21 @@ def build_task(epochs: EpochSet, subject: int | None = None) -> EpochSet:
     return epochs.subset(idx)
 
 
+def n_test_trials(n: int, test_frac: float, error=DataError) -> int:
+    """The test size of an ``n``-trial split, round(frac * n); raises
+    ``error`` unless both splits are nonempty."""
+    n_test = int(round(test_frac * n))
+    if n_test <= 0 or n_test >= n:
+        raise error(
+            f"test_frac {test_frac} gives {n_test} test trials out of {n}; both splits must be nonempty"
+        )
+    return n_test
+
+
 def split(epochs: EpochSet, test_frac: float, seed: int) -> EpochSet:
     """Assign a seeded random train/test split; test size = round(frac * n)."""
     n = len(epochs)
-    n_test = int(round(test_frac * n))
-    if n_test <= 0 or n_test >= n:
-        raise DataError(
-            f"test_frac {test_frac} gives {n_test} test trials out of {n}; both splits must be nonempty"
-        )
+    n_test = n_test_trials(n, test_frac)
     perm = np.random.default_rng(seed).permutation(n)
     assignment = ["train"] * n
     for i in perm[:n_test]:
@@ -428,9 +435,12 @@ def generate_synthetic(cfg: SynthConfig) -> EpochSet:
     Regenerating with the same config is bitwise reproducible.  The
     calling thread draws all the noise, a ``_CHUNK`` of trials at a
     time and in a fixed order; ``_WORKERS`` threads draw nothing.  They
-    shape, mix, add the signal and z-score ``_BLOCK``-trial slices of a
+    shape, mix, add the signal and z-score ``_BLOCK``-trial blocks of a
     chunk while the next chunk is drawn.  Every step acts per row or per
     element, so the bytes do not depend on the blocks or the threads.
+    A chunk's noise is drawn as one array per block, the same draws as
+    one call per chunk, and only the block's worker holds it, so each
+    block's noise is freed when that worker is done with it.
     """
     from concurrent.futures import ThreadPoolExecutor  # loaded here: only synthesis uses threads
 
@@ -450,15 +460,16 @@ def generate_synthetic(cfg: SynthConfig) -> EpochSet:
     with ThreadPoolExecutor(_WORKERS) as pool:
         running = []
         for start in range(0, n, _CHUNK):
-            m = min(_CHUNK, n - start)
-            own = rng_noise.standard_normal((m, N_CHANNELS, N_SAMPLES))
-            sources = rng_noise.standard_normal((m, mixing.shape[1], N_SAMPLES))
+            end = min(start + _CHUNK, n)
+            offsets = range(start, end, _BLOCK)
+            # the draws of one call per chunk, in that order, one array per block
+            sizes = [min(_BLOCK, end - b) for b in offsets]
+            own = [rng_noise.standard_normal((k, N_CHANNELS, N_SAMPLES)) for k in sizes]
+            sources = [rng_noise.standard_normal((k, mixing.shape[1], N_SAMPLES)) for k in sizes]
             for job in running:  # at most one drawn chunk waits for the workers
                 job.result()
-            running = [
-                pool.submit(fill, own[b : b + _BLOCK], sources[b : b + _BLOCK], start + b)
-                for b in range(0, m, _BLOCK)
-            ]
+            running = [pool.submit(fill, *block) for block in zip(own, sources, offsets)]
+            del own, sources  # a block is freed once its worker is done with it
         for job in running:
             job.result()
     return EpochSet(tensor, meta)

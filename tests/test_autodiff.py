@@ -90,6 +90,30 @@ class TestForwardOracles:
         assert not np.signbit(p.grad).any()
         np.testing.assert_array_equal(p.grad, g)
 
+    def test_owned_first_gradient_is_kept_without_negative_zeros(self):
+        p = param(np.ones((3, 2)))
+        g = np.array([[-0.0, 1.0], [2.0, -0.0], [3.0, 4.0]])
+        p.accumulate(g, owned=True)
+        assert p.grad is g
+        assert not np.signbit(p.grad).any()
+        np.testing.assert_array_equal(p.grad, [[0.0, 1.0], [2.0, 0.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            np.asfortranarray([[-0.0, 1.0], [2.0, -0.0], [3.0, 4.0]]),
+            np.array([-0.0, 5.0]),
+            np.array([[-0.0, 9.0, 1.0, 9.0], [2.0, 9.0, -0.0, 9.0], [3.0, 9.0, 4.0, 9.0]])[:, ::2],
+        ],
+        ids=["fortran order", "broadcast shape", "strided view"],
+    )
+    def test_owned_buffer_of_another_layout_is_copied(self, g):
+        p = param(np.ones((3, 2)))
+        p.accumulate(g, owned=True)
+        assert p.grad is not g and p.grad.flags.c_contiguous
+        assert not np.signbit(p.grad).any()
+        np.testing.assert_array_equal(p.grad, np.broadcast_to(g, (3, 2)))
+
     def test_dense_matches_matmul_plus_bias(self):
         x = param(np.arange(6.0).reshape(2, 3))
         w = param(np.arange(12.0).reshape(3, 4))
@@ -696,6 +720,22 @@ class TestLstmReference:
         for name, want, got in zip(names, *results):
             assert got.dtype == dtype, name
             assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_second_backward_doubles_every_leaf_gradient(self, dtype):
+        # the gates overwrite the projection's buffer in the forward; the
+        # backward must leave them, c and h as the forward saved them
+        rng = np.random.default_rng(3)
+        params = [
+            Parameter(rng.standard_normal(s).astype(dtype)) for s in ((4, 7, 5), (5, 12), (3, 12), (12,))
+        ]
+        out = ops.lstm_layer(*params)
+        g = rng.standard_normal(out.data.shape).astype(dtype)
+        backward_from(out, g)
+        once = [p.grad.copy() for p in params]
+        backward_from(out, g)
+        for want, p in zip(once, params):
+            assert np.array_equal(p.grad, 2 * want)
 
     def test_tape_nodes_do_not_grow_with_time(self):
         rng = np.random.default_rng(0)

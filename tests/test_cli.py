@@ -578,6 +578,9 @@ class TestBadInputs:
         (["eval", "--run-dir", "{corrupt}/seed", "--data", "{signature}"], 2,
          "data error: {corrupt}/seed/model.ckpt: checkpoint describes no buildable model: "
          "seed must be non-negative, got -1"),
+        # too few trials for a test split is a bad flag value, not a bad file
+        (["synth", "--n-trials", "2", "--out", "{tmp}/x.eegb"], 1,
+         "error: test_frac 0.2 gives 0 test trials out of 2"),
     ])
     def test_exit_code_and_message(
         self, tmp_path, capsys, trained_run, signature_file, corrupt_dir, argv, code, prefix
@@ -595,6 +598,26 @@ class TestBadInputs:
         captured = capsys.readouterr()
         assert captured.err.startswith(prefix), captured.err
         assert captured.out == ""
+
+    def test_too_few_trials_fail_before_anything_is_generated(self, tmp_path, monkeypatch):
+        def generate(cfg):
+            raise AssertionError("generated before the flags were checked")
+
+        monkeypatch.setattr(neurodecode.data, "generate_synthetic", generate)
+        assert run(["synth", "--n-trials", "2", "--out", str(tmp_path / "x.eegb")]) == 1
+        # the raw recording is not split, so two trials still make one
+        assert run(["synth", "--raw", "--n-trials", "2", "--out", str(tmp_path / "raw.eegb")]) == 0
+
+    def test_out_of_memory_is_one_line_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def generate(cfg):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(neurodecode.data, "generate_synthetic", generate)
+        assert run(["synth", "--n-trials", "8", "--out", str(tmp_path / "x.eegb")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "out of memory: Unable to allocate 745. GiB for an array\n"
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "x.eegb").exists()
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -357,6 +357,20 @@ def test_synthetic_bytes_do_not_depend_on_blocks_or_threads(monkeypatch):
     assert stressed.tobytes() == serial.tobytes()
 
 
+def test_per_block_noise_draws_equal_one_draw_per_chunk():
+    # generate_synthetic draws a chunk's noise as one array per block, all the
+    # own-noise blocks first; the draws must be those of one call per array
+    cfg = SynthConfig(mode="xor", n_trials=70, seed=4)
+    whole, blocks = data._design(cfg)[0], data._design(cfg)[0]
+    want = [whole.standard_normal((70, data.N_CHANNELS, 50)), whole.standard_normal((70, 16, 50))]
+    sizes = [32, 32, 6]
+    got = [
+        np.concatenate([blocks.standard_normal((k, rows, 50)) for k in sizes])
+        for rows in (data.N_CHANNELS, 16)
+    ]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 def test_generate_synthetic_leaves_no_thread_behind():
     before = threading.active_count()
     generate_synthetic(SynthConfig(mode="xor", n_trials=100, seed=0))

@@ -114,9 +114,9 @@ class TestDtypeContract:
         seen = set()
         accumulate = Tensor.accumulate
 
-        def recording(self, g):
+        def recording(self, g, **kwargs):
             seen.add(g.dtype)
-            accumulate(self, g)
+            accumulate(self, g, **kwargs)
 
         monkeypatch.setattr(Tensor, "accumulate", recording)
         loss = m.loss(small_batch(4), np.array([0, 1, 1, 0]), training=True)
