@@ -6,8 +6,11 @@ Run from the repo root:
 
 For each generator mode this sweeps the SNR over a grid and reports
 what the two sides of the benchmark see: the covariance baseline
-(CSP + LDA) and a small trained decoder.  The defaults in
-``neurodecode.data.DEFAULT_SNR`` were frozen from this sweep:
+(CSP + LDA) and a small trained decoder.  A decoder is scored as every
+run is, by its headline peak metric (``Run.peak(Run.headline)``, read
+from the mean test accuracy of the last five epochs of each restart
+cycle), not by its best single epoch picked on the test split.  The
+defaults in ``neurodecode.data.DEFAULT_SNR`` were frozen from this sweep:
 
     linear            1.2   CSP+LDA 1.000 at every snr >= 0.2 tested
                             (seeds 0..2, n=2000); 1.2 leaves the
@@ -44,7 +47,7 @@ def decoder_accuracy(mode: str, snr: float, n_trials: int, seed: int, epochs_n: 
     model = models.build_model("eegnet", "small", seed=seed, n_classes=n_classes)
     cfg_t = training.TrainConfig(epochs=epochs_n, seed=seed)
     run = training.train(model, epochs, cfg_t)
-    return max(r["test_acc"] for r in run.history)
+    return run.peak(run.headline)
 
 
 def main() -> None:
@@ -75,7 +78,7 @@ def main() -> None:
             t0 = time.time()
             accs = [decoder_accuracy(mode, snr, n, s, train_epochs) for s in seeds[:1]]
             print(
-                f"  {mode:<18} snr {snr:<4} n={n}: best test acc {accs[0]:.4f}"
+                f"  {mode:<18} snr {snr:<4} n={n}: headline peak acc {accs[0]:.4f}"
                 f" [{time.time() - t0:.0f}s]"
             )
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eegb
-from .errors import DataError, UsageError, check_fields, check_seed
+from .errors import DataError, MetaMismatchError, UsageError, check_fields, check_seed
 from .pipeline import (
     CHANNEL_BLOCK,
     CROP_MS,
@@ -551,7 +551,10 @@ def save_epochs(path, epochs: EpochSet) -> None:
 def load_epochs(path) -> EpochSet:
     """An epoch file's trials; each must carry the train/test split its writer drew."""
     tensor, lines = eegb.read_tensor_file(path)
-    eegb.check_meta_length(path, tensor.shape[0], len(lines))
+    if len(lines) != len(tensor):
+        raise MetaMismatchError(
+            f"{path}: tensor header declares {len(tensor)} trials but sidecar has {len(lines)} records"
+        )
     epochs = EpochSet(tensor, [TrialMeta.from_dict(d, path) for d in lines])
     epochs._require_split(f"{path}: ")
     return epochs

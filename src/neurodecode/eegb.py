@@ -1,33 +1,32 @@
-"""Binary container formats for epochs, raw recordings and model checkpoints.
+"""Binary containers for epochs, raw recordings and model checkpoints.
 
-Epoch container ("EEGB")
-------------------------
-Little-endian binary file::
+Both formats share one framing, and one set of rules that holds on write
+and on read.  A file starts with a 4-byte magic and a u32 version (1);
+every integer is a little-endian u32.  Every tensor is native
+little-endian float32 (dtype code 0) or float64 (code 1) in C order: a
+writer given any other dtype raises a ``DataError`` naming the tensor,
+and a reader rejects any other code.  Every byte is accounted for: a file
+that ends before its header's promise is a ``TruncatedPayloadError``, and
+a byte after the last field, a descriptor or name that is not UTF-8 JSON,
+or a repeated tensor name is a ``DataError`` naming the file.  Round
+trips are bitwise exact.
 
-    magic      4 bytes  b"EEGB"
-    version    u32      1
-    n_trials   u32
-    n_channels u32
-    n_samples  u32
-    dtype      u32      0 = 32-bit IEEE float
-    payload    n_trials * n_channels * n_samples floats, trial-major row-major
+Epoch container, after b"EEGB" and the version::
 
-A sidecar JSON-lines file at ``<path>.jsonl`` holds one object per trial
-with the trial-metadata fields.  Raw recordings reuse the same binary layout
+    n_trials, n_channels, n_samples, dtype    u32 each
+    payload    n_trials * n_channels * n_samples floats, trial-major
+
+A sidecar JSON-lines file at ``<path>.jsonl`` holds one object per line:
+one trial-metadata record per trial.  Raw recordings reuse the layout
 with ``n_trials = 1``; their sidecar starts with a header line
-``{"kind": "raw", "sample_rate": ..., "channel_names": [...]}`` followed by
-one line per stimulus event.
+``{"kind": "raw", "sample_rate": ..., "channel_names": [...]}`` followed
+by one line per stimulus event.
 
-Checkpoint container ("EEGC")
------------------------------
-    magic      4 bytes  b"EEGC"
-    version    u32      1
-    json_len   u32      followed by a UTF-8 JSON descriptor
-    n_tensors  u32
-    per tensor: name_len u32, name bytes, dtype u32 (0=f32, 1=f64),
-                ndim u32, dims u32 * ndim, raw data
+Checkpoint container, after b"EEGC" and the version::
 
-Round-trips are bitwise exact.
+    json_len   u32, then a UTF-8 JSON descriptor of json_len bytes
+    n_tensors  u32, then per tensor: name_len u32, name bytes,
+               dtype u32, ndim u32, dims u32 * ndim, raw data
 """
 
 from __future__ import annotations
@@ -41,37 +40,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DataError,
-    MetaMismatchError,
-    TruncatedPayloadError,
-    VersionMismatchError,
-)
+from .errors import BadMagicError, DataError, TruncatedPayloadError, VersionMismatchError
 
 EPOCH_MAGIC = b"EEGB"
 CKPT_MAGIC = b"EEGC"
 FORMAT_VERSION = 1
 
-_DTYPE_CODES = {0: np.float32, 1: np.float64}
-_DTYPE_OF = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))  # indexed by dtype code
+_DTYPE_OF = {dtype: code for code, dtype in enumerate(_DTYPES)}
 
 
 def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".jsonl")
-
-
-def _bytes_left(fh) -> int:
-    return os.fstat(fh.fileno()).st_size - fh.tell()
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    # a size is checked against the file before it is read, so a corrupt
-    # header cannot ask for an allocation larger than the file itself
-    left = _bytes_left(fh)
-    if n > left:
-        raise TruncatedPayloadError(f"file ends inside {what}: wanted {n} bytes, got {left}")
-    return fh.read(n)
 
 
 def _json_object(text: str | bytes, what: str) -> dict:
@@ -79,6 +59,18 @@ def _json_object(text: str | bytes, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{what} is not a JSON object: {obj!r}")
     return obj
+
+
+def _header(magic: bytes, *fields: int) -> bytes:
+    return magic + struct.pack(f"<{1 + len(fields)}I", FORMAT_VERSION, *fields)
+
+
+def _framed(arr: np.ndarray, what: str) -> tuple[np.ndarray, int]:
+    """``arr`` as the C-order bytes a container stores, and its dtype code."""
+    arr = np.ascontiguousarray(arr)
+    if arr.dtype not in _DTYPE_OF:
+        raise DataError(f"{what} must be native float32 or float64, got {arr.dtype}")
+    return arr, _DTYPE_OF[arr.dtype]
 
 
 @contextmanager
@@ -96,22 +88,66 @@ def _replacing(path: Path):
         raise
 
 
+class _Reader:
+    """A container file read front to back.  Each size is checked against
+    the bytes left before it is read, so a corrupt header cannot ask for an
+    allocation larger than the file itself."""
+
+    def __init__(self, fh, path: Path):
+        self.fh, self.path = fh, path
+
+    def take(self, n: int, what: str) -> bytes:
+        left = os.fstat(self.fh.fileno()).st_size - self.fh.tell()
+        if n > left:
+            raise TruncatedPayloadError(
+                f"{self.path}: file ends inside {what}: header promises {n} bytes, {left} left"
+            )
+        return self.fh.read(n)
+
+    def u32(self, n: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{n}I", self.take(4 * n, what))
+
+    def array(self, code: int, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """The ``shape`` tensor of dtype ``code`` stored next, viewing the bytes read."""
+        if code >= len(_DTYPES):
+            raise DataError(f"{self.path}: {what} has unknown dtype code {code}")
+        raw = self.take(math.prod(shape) * _DTYPES[code].itemsize, f"{what} payload")
+        return np.frombuffer(raw, dtype=_DTYPES[code]).reshape(shape)
+
+
+@contextmanager
+def _reading(path: Path, magic: bytes):
+    """A ``_Reader`` past the checked magic and version; the block reads every byte left."""
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    with open(path, "rb") as fh:
+        reader = _Reader(fh, path)
+        found = reader.take(4, "magic")
+        if found != magic:
+            raise BadMagicError(f"{path}: expected magic {magic!r}, found {found!r}")
+        (version,) = reader.u32(1, "version")
+        if version != FORMAT_VERSION:
+            raise VersionMismatchError(f"{path}: format version {version}, supported {FORMAT_VERSION}")
+        try:
+            yield reader
+        except ValueError as exc:  # bad JSON or UTF-8, or more dims than numpy takes
+            raise DataError(f"{path}: {exc}") from exc
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes after the last field")
+
+
 def write_tensor_file(path: str | Path, tensor: np.ndarray, meta_lines: list[dict]) -> None:
     """Write an EEGB tensor plus its JSON-lines sidecar.
 
-    ``tensor`` must be 3-d (trials x channels x samples), float32 or
-    float64; the dtype is recorded in the header and survives the round
+    ``tensor`` must be 3-d (trials x channels x samples), native float32
+    or float64; the dtype is recorded in the header and survives the round
     trip bit for bit.  The old tensor is removed first and the new one
     renamed into place last, after its sidecar, so a write that fails
     partway leaves no tensor whose sidecar belongs to another write.
     """
-    tensor = np.ascontiguousarray(tensor)
+    tensor, code = _framed(tensor, "epoch tensor")
     if tensor.ndim != 3:
         raise DataError(f"epoch tensor must be 3-d, got shape {tensor.shape}")
-    code = _DTYPE_OF.get(np.dtype(tensor.dtype.type))
-    if code is None:
-        raise DataError(f"tensor dtype must be float32 or float64, got {tensor.dtype}")
-    header = EPOCH_MAGIC + struct.pack("<5I", FORMAT_VERSION, *tensor.shape, code)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.unlink(missing_ok=True)
@@ -119,7 +155,7 @@ def write_tensor_file(path: str | Path, tensor: np.ndarray, meta_lines: list[dic
         for line in meta_lines:
             fh.write((json.dumps(line, sort_keys=True) + "\n").encode("utf-8"))
     with _replacing(path) as fh:
-        fh.write(header)
+        fh.write(_header(EPOCH_MAGIC, *tensor.shape, code))
         fh.write(tensor)  # the contiguous buffer itself: the bytes of tobytes(), uncopied
 
 
@@ -127,32 +163,13 @@ def read_tensor_file(path: str | Path) -> tuple[np.ndarray, list[dict]]:
     """Read an EEGB tensor and its sidecar lines.
 
     Raises the distinct :mod:`neurodecode.errors` classes for bad magic,
-    unsupported version, truncated payload and sidecar/tensor mismatch.
+    unsupported version and truncated payload; how many sidecar lines a
+    file needs is its caller's rule.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != EPOCH_MAGIC:
-            raise BadMagicError(f"{path}: expected magic {EPOCH_MAGIC!r}, found {magic!r}")
-        version, n_trials, n_channels, n_samples, dtype_code = struct.unpack(
-            "<5I", _read_exact(fh, 20, "header")
-        )
-        if version != FORMAT_VERSION:
-            raise VersionMismatchError(f"{path}: format version {version}, supported {FORMAT_VERSION}")
-        if dtype_code not in _DTYPE_CODES:
-            raise DataError(f"{path}: unknown dtype code {dtype_code}")
-        dtype = _DTYPE_CODES[dtype_code]
-        nbytes = n_trials * n_channels * n_samples * np.dtype(dtype).itemsize
-        left = _bytes_left(fh)
-        if left < nbytes:
-            raise TruncatedPayloadError(f"{path}: payload holds {left} bytes, header promises {nbytes}")
-        if left > nbytes:
-            raise DataError(f"{path}: trailing bytes after payload")
-        raw = fh.read(nbytes)
-    tensor = np.frombuffer(raw, dtype=dtype).reshape(n_trials, n_channels, n_samples)
-
+    with _reading(path, EPOCH_MAGIC) as reader:
+        *shape, code = reader.u32(4, "header")
+        tensor = reader.array(code, tuple(shape), "tensor")
     side = sidecar_path(path)
     if not side.exists():
         raise DataError(f"missing sidecar metadata file: {side}")
@@ -162,13 +179,6 @@ def read_tensor_file(path: str | Path) -> tuple[np.ndarray, list[dict]]:
     except ValueError as exc:  # also a line that is not UTF-8
         raise DataError(f"{side}: {exc}") from exc
     return tensor, lines
-
-
-def check_meta_length(path: str | Path, n_trials: int, n_meta: int) -> None:
-    if n_meta != n_trials:
-        raise MetaMismatchError(
-            f"{path}: tensor header declares {n_trials} trials but sidecar has {n_meta} records"
-        )
 
 
 def save_checkpoint(path: str | Path, descriptor: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -181,47 +191,30 @@ def save_checkpoint(path: str | Path, descriptor: dict, tensors: dict[str, np.nd
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with _replacing(path) as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<2I", FORMAT_VERSION, len(blob)))
+        fh.write(_header(CKPT_MAGIC, len(blob)))
         fh.write(blob)
         fh.write(struct.pack("<I", len(tensors)))
         for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr)
-            if arr.dtype not in _DTYPE_OF:
-                raise DataError(f"checkpoint tensor {name!r} has unsupported dtype {arr.dtype}")
+            arr, code = _framed(arr, f"checkpoint tensor {name!r}")
             nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<2I", _DTYPE_OF[arr.dtype], arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(struct.pack(f"<I{len(nb)}s", len(nb), nb))
+            fh.write(struct.pack(f"<{2 + arr.ndim}I", code, arr.ndim, *arr.shape))
+            fh.write(arr)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     tensors: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CKPT_MAGIC:
-            raise BadMagicError(f"{path}: expected magic {CKPT_MAGIC!r}, found {magic!r}")
-        version, json_len = struct.unpack("<2I", _read_exact(fh, 8, "header"))
-        if version != FORMAT_VERSION:
-            raise VersionMismatchError(f"{path}: format version {version}, supported {FORMAT_VERSION}")
-        try:
-            descriptor = _json_object(_read_exact(fh, json_len, "descriptor"), "descriptor")
-            (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-            for _ in range(n_tensors):
-                (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "tensor name length"))
-                name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-                dtype_code, ndim = struct.unpack("<2I", _read_exact(fh, 8, "tensor header"))
-                if dtype_code not in _DTYPE_CODES:
-                    raise DataError(f"{path}: tensor {name!r} has unknown dtype code {dtype_code}")
-                shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "tensor dims"))
-                dtype = np.dtype(_DTYPE_CODES[dtype_code])
-                raw = _read_exact(fh, math.prod(shape) * dtype.itemsize, f"tensor {name!r} payload")
-                tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        except ValueError as exc:  # also a descriptor or tensor name that is not UTF-8
-            raise DataError(f"{path}: {exc}") from exc
+    with _reading(path, CKPT_MAGIC) as reader:
+        (json_len,) = reader.u32(1, "descriptor length")
+        descriptor = _json_object(reader.take(json_len, "descriptor"), "descriptor")
+        (n_tensors,) = reader.u32(1, "tensor count")
+        for _ in range(n_tensors):
+            (name_len,) = reader.u32(1, "tensor name length")
+            name = reader.take(name_len, "tensor name").decode("utf-8")
+            if name in tensors:
+                raise DataError(f"{path}: tensor {name!r} appears twice")
+            code, ndim = reader.u32(2, f"tensor {name!r} header")
+            shape = reader.u32(ndim, f"tensor {name!r} dims")
+            tensors[name] = reader.array(code, shape, f"tensor {name!r}").copy()
     return descriptor, tensors

@@ -76,11 +76,11 @@ class RawRecording:
         return self.data.shape[1]
 
 
-def rereference(rec: RawRecording, ref: str) -> RawRecording:
-    """Subtract the reference channel from every other channel and drop it."""
-    if ref not in rec.channel_names:
-        raise DataError(f"unknown reference channel {ref!r}; have {rec.channel_names[:8]}...")
-    idx = rec.channel_names.index(ref)
+def rereference(rec: RawRecording) -> RawRecording:
+    """Subtract ``REF_CHANNEL`` from every other channel and drop it."""
+    if REF_CHANNEL not in rec.channel_names:
+        raise DataError(f"no reference channel {REF_CHANNEL!r} in {rec.channel_names[:8]}...")
+    idx = rec.channel_names.index(REF_CHANNEL)
     # one output array, filled on each side of the reference row
     data = np.empty((len(rec.channel_names) - 1, rec.n_samples), dtype=rec.data.dtype)
     np.subtract(rec.data[:idx], rec.data[idx], out=data[:idx])
@@ -89,23 +89,22 @@ def rereference(rec: RawRecording, ref: str) -> RawRecording:
     return replace(rec, data=data, channel_names=names)
 
 
-def bandpass(rec: RawRecording, low: float, high: float) -> RawRecording:
-    """Zero-phase Butterworth band-pass, applied forward-backward per channel.
+def bandpass(rec: RawRecording) -> RawRecording:
+    """Zero-phase Butterworth band-pass over ``BAND``, applied forward-backward
+    per channel.  ``BAND`` ends below the Nyquist rate of every recording,
+    whose sample rate is at least 100 Hz.
 
     ``sosfiltfilt`` runs on ``CHANNEL_BLOCK`` rows at a time, writing
     into one output array.  Every row is filtered on its own, so the
     bytes equal one whole-array call's.
     """
-    nyq = rec.sample_rate / 2
-    if not 0 < low < high < nyq:
-        raise DataError(f"band ({low}, {high}) Hz outside (0, {nyq}) Hz at {rec.sample_rate} Hz")
     padlen = 3 * (2 * BUTTER_ORDER)
     if rec.n_samples <= padlen:
         raise DataError(f"recording too short to filter: {rec.n_samples} <= pad {padlen}")
     from scipy.signal import butter, sosfiltfilt  # loaded here: only the band-pass needs it
     # second-order sections: the flat polynomial form of an 8-pole
     # bandpass with a 1 Hz corner at 1 kHz amplifies round-off by ~1e10
-    sos = butter(BUTTER_ORDER, [low, high], btype="bandpass", output="sos", fs=rec.sample_rate)
+    sos = butter(BUTTER_ORDER, BAND, btype="bandpass", output="sos", fs=rec.sample_rate)
     data = np.empty_like(rec.data)
     for start in range(0, len(data), CHANNEL_BLOCK):
         rows = slice(start, start + CHANNEL_BLOCK)
@@ -200,8 +199,8 @@ def run_pipeline(rec: RawRecording) -> tuple[np.ndarray, list[int], list[tuple[i
     Returns (tensor, trial_ids, skipped): tensor is float32 of shape
     n_kept x n_channels x n_crop, trial_ids gives the event id per row.
     """
-    rec = rereference(rec, REF_CHANNEL)
-    rec = bandpass(rec, *BAND)
+    rec = rereference(rec)
+    rec = bandpass(rec)
     rec = downsample(rec, TARGET_RATE)
     trial_ids, windows, skipped = extract_epochs(rec)
     t0 = _samples(BASELINE_MS, rec.sample_rate)

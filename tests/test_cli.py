@@ -29,8 +29,6 @@ from neurodecode.data import (
     split,
 )
 from neurodecode.pipeline import (
-    BAND,
-    REF_CHANNEL,
     bandpass,
     baseline_correct,
     crop_and_zscore,
@@ -326,7 +324,7 @@ def xor_96(tmp_path_factory):
 def epochs_200hz(tmp_path_factory):
     """63 x 100 epochs: the preprocessing stages at 200 Hz, where ``preprocess`` gives 50 samples."""
     rec, meta = generate_raw(SynthConfig(n_trials=16))
-    rec = downsample(bandpass(rereference(rec, REF_CHANNEL), *BAND), 200)
+    rec = downsample(bandpass(rereference(rec)), 200)
     trial_ids, windows, _ = extract_epochs(rec)
     t0 = 40  # the 200 ms baseline at 200 Hz
     tensor = crop_and_zscore(baseline_correct(windows, t0), t0, n_keep=100).astype(np.float32)

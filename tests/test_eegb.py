@@ -1,11 +1,12 @@
 """Binary container round-trips and corruption diagnostics."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
-from neurodecode import eegb
+from neurodecode import data, eegb
 from neurodecode.errors import (
     BadMagicError,
     DataError,
@@ -142,16 +143,27 @@ class TestEpochFile:
             eegb.read_tensor_file(path)
 
     def test_meta_count_mismatch(self, tmp_path):
-        # the raw variant stores header+event lines, so the reader stays
-        # generic; the per-trial count contract belongs to the epoch layer
+        # the raw variant stores header+event lines, so the container reader
+        # takes any count; one record per trial is the epoch file's rule
         path = tmp_path / "epochs.eegb"
-        eegb.write_tensor_file(path, _tensor(), _meta(5))
+        cfg = data.SynthConfig(mode="linear", n_trials=6)
+        data.save_epochs(path, data.split(data.generate_synthetic(cfg), data.TEST_FRAC, 0))
         side = eegb.sidecar_path(path)
         lines = side.read_text().splitlines()
         side.write_text("\n".join(lines[:-1]) + "\n")
         _, meta = eegb.read_tensor_file(path)
-        with pytest.raises(MetaMismatchError):
-            eegb.check_meta_length(path, 5, len(meta))
+        assert len(meta) == 5
+        with pytest.raises(MetaMismatchError, match="declares 6 trials but sidecar has 5"):
+            data.load_epochs(path)
+
+    @pytest.mark.parametrize("dtype", [">f4", ">f8", np.float16, np.int32])
+    def test_dtype_other_than_native_float_is_rejected_before_writing(self, tmp_path, dtype):
+        # a big-endian float32 under the little-endian header read back
+        # [0, 1, 2] as [0, 4.6e-41, 9.0e-44]
+        path = tmp_path / "epochs.eegb"
+        with pytest.raises(DataError, match="epoch tensor must be native float32 or float64"):
+            eegb.write_tensor_file(path, np.arange(3, dtype=dtype).reshape(1, 1, 3), _meta(1))
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "epochs.eegb"
@@ -232,6 +244,39 @@ class TestCheckpoint:
             + struct.pack("<I", 0)
         )
         with pytest.raises(DataError, match=str(path)):
+            eegb.load_checkpoint(path)
+
+    @pytest.mark.parametrize("tensors", [
+        {},
+        {"param:w": _tensor(1, (4, 3), np.float64).T, "buffer:b": _tensor(2, (7,))},
+    ], ids=["empty", "float64-and-float32"])
+    def test_file_is_the_documented_layout(self, tmp_path, tensors):
+        path = tmp_path / "model.ckpt"
+        desc = {"size": "small", "arch": "eegnet", "seed": 3}
+        eegb.save_checkpoint(path, desc, tensors)
+        blob = json.dumps(desc, sort_keys=True).encode("utf-8")
+        want = eegb.CKPT_MAGIC + struct.pack("<2I", eegb.FORMAT_VERSION, len(blob)) + blob
+        want += struct.pack("<I", len(tensors))
+        for name, arr in tensors.items():
+            code = {np.float32: 0, np.float64: 1}[arr.dtype.type]
+            want += struct.pack("<I", len(name)) + name.encode("utf-8")
+            want += struct.pack(f"<{2 + arr.ndim}I", code, arr.ndim, *arr.shape) + arr.tobytes()
+        assert path.read_bytes() == want
+
+    def test_trailing_byte_is_data_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        eegb.save_checkpoint(path, {}, {"param:w": _tensor()})
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(DataError, match="trailing bytes"):
+            eegb.load_checkpoint(path)
+
+    def test_repeated_tensor_name_is_data_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        eegb.save_checkpoint(path, {}, {"param:a": _tensor(1, (2,)), "param:b": _tensor(2, (2,))})
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"param:b", b"param:a"))
+        with pytest.raises(DataError, match="tensor 'param:a' appears twice"):
             eegb.load_checkpoint(path)
 
     def test_preserves_insertion_order(self, tmp_path):
