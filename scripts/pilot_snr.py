@@ -31,22 +31,18 @@ from __future__ import annotations
 import argparse
 import time
 
-from neurodecode import baseline, data, models, training
+from neurodecode import baseline, data, training
 
 
 def csp_accuracy(mode: str, snr: float, n_trials: int, seed: int) -> float:
     cfg = data.SynthConfig(mode=mode, n_trials=n_trials, snr=snr, seed=seed)
-    epochs = data.split(data.generate_synthetic(cfg), data.TEST_FRAC, seed)
-    return baseline.baseline(epochs)["test_acc"]
+    return baseline.baseline(data.synthesize(cfg))["test_acc"]
 
 
 def decoder_accuracy(mode: str, snr: float, n_trials: int, seed: int, epochs_n: int) -> float:
     cfg = data.SynthConfig(mode=mode, n_trials=n_trials, snr=snr, seed=seed)
-    epochs = data.split(data.generate_synthetic(cfg), data.TEST_FRAC, seed)
-    n_classes = int(epochs.labels.max()) + 1
-    model = models.build_model("eegnet", "small", seed=seed, n_classes=n_classes)
     cfg_t = training.TrainConfig(epochs=epochs_n, seed=seed)
-    run = training.train(model, epochs, cfg_t)
+    run = training.fit("eegnet", "small", data.synthesize(cfg), cfg_t)
     return run.peak(run.headline)
 
 

@@ -34,10 +34,10 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    datasets = {}
-    for mode in ("linear", "xor"):
-        cfg = data.SynthConfig(mode=mode, n_trials=args.n_trials, seed=0)
-        datasets[mode] = data.split(data.generate_synthetic(cfg), data.TEST_FRAC, 0)
+    datasets = {
+        mode: data.synthesize(data.SynthConfig(mode=mode, n_trials=args.n_trials, seed=0))
+        for mode in ("linear", "xor")
+    }
 
     print("== CSP + LDA baseline ==")
     base_report = {}
@@ -52,9 +52,8 @@ def main() -> None:
     for arch in args.archs:
         for seed in range(args.seeds):
             run_dir = out / f"{arch}-s{seed}"
-            model = models.build_model(arch, "small", seed=seed)
             cfg_t = training.TrainConfig(epochs=args.epochs, seed=seed)
-            run = training.train(model, datasets["xor"], cfg_t, run_dir=run_dir)
+            run = training.fit(arch, "small", datasets["xor"], cfg_t, run_dir=run_dir)
             print(f"  {arch}-small seed {seed}: peak {run.peak(run.headline):.4f} -> {run_dir}")
             run_dirs.append(str(run_dir))
 

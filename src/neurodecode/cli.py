@@ -11,18 +11,21 @@ a directory where a file is read or written) and running out of memory, 3
 numeric failure (non-finite values, failed checks).  A closed stdout
 (``neurodecode gradcheck | head -1``) exits 1 without a traceback.
 
-Each setting has one source.  The train/test split is drawn once, by
-the command that writes the epoch file (``synth``, ``preprocess``, at
-``data.TEST_FRAC`` from ``--seed``); ``train``, ``baseline`` and
-``eval`` read it, and ``eval`` scores the file's test split.  An epoch
-file with a trial that has no split is a data error.  The seed is
-``--seed``, else 0.  What a run directory records is read from it, not
-asked for: ``eval`` scores the subject in the run's manifest, and
-``analyze`` ranks runs by the peak metric that their subjects pick.  A run
-directory describes one model: ``train`` writes ``history.jsonl``, the
-final ``model.ckpt``, that model's test ``predictions.csv`` and
-``manifest.json``, which records the run's ``epochs``, ``batch_size`` and
-``seed``.
+Each setting has one source, and each rule one library function that
+the commands and scripts call.  The train/test split is drawn once, from
+``--seed``, by the command that writes the epoch file: ``synth`` through
+``data.synthesize`` and ``preprocess`` through ``data.preprocess``.
+``train``, ``baseline`` and ``eval`` read it, and ``eval`` scores the
+file's test split.  An epoch file with a trial that has no split is a
+data error.  ``train`` fits each model through ``training.fit``, which
+shapes it by the task's tensor and labels.  The seed is ``--seed``,
+else 0.  What a run directory records is read from it, not asked for:
+``eval`` scores the subject in the run's manifest, and ``analyze`` ranks
+runs by the peak metric that their subjects pick.  A run directory
+describes one model: ``train`` writes ``history.jsonl``, the final
+``model.ckpt``, that model's test ``predictions.csv`` and
+``manifest.json``, which records the run's ``epochs``, ``batch_size``
+and ``seed``.
 
 The training flags are the fields of ``TrainConfig``, one each, with
 ``_`` written ``-``; a field comes from its flag, else from the
@@ -41,8 +44,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, baseline, checks, data, models, pipeline, training
-from .errors import DataError, NumericError, UsageError, check_seed
+from . import analysis, baseline, checks, data, models, training
+from .errors import DataError, NumericError, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,12 +79,7 @@ def _config(cls, args):
 
 
 def cmd_synth(args) -> int:
-    cfg = data.SynthConfig(
-        mode=args.mode,
-        n_trials=args.n_trials,
-        snr=args.snr,
-        seed=args.seed,
-    )
+    cfg = _config(data.SynthConfig, args)
     if args.raw:
         rec, meta = data.generate_raw(cfg)
         data.save_raw(args.out, rec, meta)
@@ -90,8 +88,7 @@ def cmd_synth(args) -> int:
             f"at {rec.sample_rate} Hz, {len(rec.event_onsets)} events -> {args.out}"
         )
         return 0
-    data.n_test_trials(cfg.n_trials, data.TEST_FRAC, UsageError)  # before anything is generated
-    epochs = data.split(data.generate_synthetic(cfg), data.TEST_FRAC, cfg.seed)
+    epochs = data.synthesize(cfg)
     data.save_epochs(args.out, epochs)
     n_test = sum(1 for m in epochs.meta if m.split == "test")
     print(
@@ -102,21 +99,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    check_seed(args.seed)
     rec, meta = data.load_raw(args.raw)
-    tensor, trial_ids, skipped = pipeline.run_pipeline(rec)
+    epochs, skipped = data.preprocess(rec, meta, args.seed)
     for trial_id, reason in skipped:
         print(f"skipped trial {trial_id}: {reason}", file=sys.stderr)
     if skipped:
         print(f"skipped {len(skipped)} of {len(rec.event_onsets)} trials", file=sys.stderr)
-    by_id = {m.trial_id: m for m in meta}
-    epochs = data.EpochSet(tensor, [by_id[t] for t in trial_ids])
-    epochs = data.split(epochs, data.TEST_FRAC, args.seed)
     data.save_epochs(args.out, epochs)
-    print(
-        f"preprocessed {len(epochs)} epochs "
-        f"({tensor.shape[1]} channels x {tensor.shape[2]} samples) -> {args.out}"
-    )
+    _, n_channels, n_samples = epochs.tensor.shape
+    print(f"preprocessed {len(epochs)} epochs ({n_channels} channels x {n_samples} samples) -> {args.out}")
     return 0
 
 
@@ -130,18 +121,7 @@ def cmd_train(args) -> int:
     run_root = Path(args.run_dir)
     for subject in subjects:
         run_dir = run_root / f"sub{subject:02d}" if len(subjects) > 1 else run_root
-        task = data.build_task(epochs, subject)
-        n_classes = int(task.labels.max()) + 1
-        _, n_channels, n_samples = task.tensor.shape
-        model = models.build_model(
-            args.arch,
-            args.size,
-            seed=cfg.seed,
-            n_classes=max(n_classes, 2),
-            n_channels=n_channels,
-            n_samples=n_samples,
-        )
-        run = training.train(model, task, cfg, run_dir=str(run_dir))
+        run = training.fit(args.arch, args.size, data.build_task(epochs, subject), cfg, run_dir)
         where = "" if subject is None else f" subject {subject}"
         print(
             f"{args.arch}-{args.size}{where}: {run.headline} = {run.peak(run.headline):.4f} "

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import eegb
+from . import eegb, pipeline
 from .errors import DataError, MetaMismatchError, UsageError, check_fields, check_seed
 from .pipeline import (
     CHANNEL_BLOCK,
@@ -74,7 +74,7 @@ N_SUBJECTS = 4  # trial i goes to subject i % 4 + 1
 # the raw recording: a 1 kHz stream with one stimulus every 100 ms
 RAW_RATE = 1000
 RAW_INTERVAL_MS = 100.0
-TEST_FRAC = 0.2  # the share of test trials in the split that synth and preprocess draw
+TEST_FRAC = 0.2  # the share of test trials in the split that synthesize and preprocess draw
 
 # Per-mode signal-to-noise defaults, fixed by the pilot sweep in
 # scripts/pilot_snr.py (see its header for the recorded accuracies).
@@ -232,6 +232,7 @@ def n_test_trials(n: int, test_frac: float, error=DataError) -> int:
 
 def split(epochs: EpochSet, test_frac: float, seed: int) -> EpochSet:
     """Assign a seeded random train/test split; test size = round(frac * n)."""
+    check_seed(seed)
     n = len(epochs)
     n_test = n_test_trials(n, test_frac)
     perm = np.random.default_rng(seed).permutation(n)
@@ -542,6 +543,21 @@ def generate_raw(
         data=data, channel_names=names, sample_rate=sample_rate, event_onsets=onsets
     )
     return rec, meta
+
+
+def synthesize(cfg: SynthConfig) -> EpochSet:
+    """``cfg``'s synthetic epochs, split at ``TEST_FRAC`` from ``cfg.seed``; too
+    few trials for that split is a ``UsageError``, raised before anything is generated."""
+    n_test_trials(cfg.n_trials, TEST_FRAC, UsageError)
+    return split(generate_synthetic(cfg), TEST_FRAC, cfg.seed)
+
+
+def preprocess(rec: RawRecording, meta: list[TrialMeta], seed: int) -> tuple[EpochSet, list[tuple[int, str]]]:
+    """The epochs ``pipeline.run_pipeline`` cuts from ``rec``, each with its record
+    from ``meta``, split at ``TEST_FRAC`` from ``seed``; and the pipeline's skip report."""
+    tensor, trial_ids, skipped = pipeline.run_pipeline(rec)
+    by_id = {m.trial_id: m for m in meta}
+    return split(EpochSet(tensor, [by_id[t] for t in trial_ids]), TEST_FRAC, seed), skipped
 
 
 def save_epochs(path, epochs: EpochSet) -> None:

@@ -67,7 +67,7 @@ def _header(magic: bytes, *fields: int) -> bytes:
 
 def _framed(arr: np.ndarray, what: str) -> tuple[np.ndarray, int]:
     """``arr`` as the C-order bytes a container stores, and its dtype code."""
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr, order="C")  # not ascontiguousarray, which makes a 0-d array 1-d
     if arr.dtype not in _DTYPE_OF:
         raise DataError(f"{what} must be native float32 or float64, got {arr.dtype}")
     return arr, _DTYPE_OF[arr.dtype]

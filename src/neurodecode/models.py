@@ -220,13 +220,12 @@ class _LayerNorm:
 class _EncoderBlock:
     """Post-norm transformer block: attention + position-wise FFN.
 
-    ``ffn_act`` selects the feed-forward nonlinearity, so each model
-    can keep its own activation convention across layers.
+    ``ffn_act`` is the feed-forward nonlinearity, so each model keeps its
+    own activation convention.  It is passed at construction, not bound as
+    a default at import, so a wrapper put on the op later sees the call.
     """
 
-    def __init__(
-        self, model: Model, d_model: int, n_heads: int, ffn: int, name: str, ffn_act=ops.relu
-    ):
+    def __init__(self, model: Model, d_model: int, n_heads: int, ffn: int, name: str, ffn_act):
         self.n_heads = n_heads
         self.ffn_act = ffn_act
         self.q = model._affine(f"{name}.attn", d_model, d_model, "q")
@@ -401,7 +400,7 @@ class TransformerNet(Model):
         super().__init__(**kw)
         self.input = self._affine("input", self.n_channels, self.d_model)
         self.blocks = [
-            _EncoderBlock(self, self.d_model, self.heads, self.ffn, f"block{i}")
+            _EncoderBlock(self, self.d_model, self.heads, self.ffn, f"block{i}", ffn_act=ops.relu)
             for i in range(self.layers)
         ]
         self.head = self._affine("head", self.d_model, self.n_classes)

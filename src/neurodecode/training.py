@@ -29,7 +29,7 @@ from .autodiff import constant, ops
 from .autodiff.core import Parameter, check_finite
 from .data import EpochSet
 from .errors import DataError, NumericError, UsageError, check_seed
-from .models import EVAL_BATCH, Model, eval_logits, save_model
+from .models import EVAL_BATCH, Model, build_model, eval_logits, save_model
 
 
 LR_MAX = 0.05
@@ -242,6 +242,16 @@ def train(
     if run.path is not None:
         write_run_dir(run.path, model, run)
     return run
+
+
+def fit(arch: str, size: str, task: EpochSet, cfg: TrainConfig, run_dir: str | Path | None = None) -> Run:
+    """``train`` a new ``arch``-``size`` model on ``task``, drawn from ``cfg.seed``
+    and shaped by the task: its channels, samples and labels (two classes at least)."""
+    _, n_channels, n_samples = task.tensor.shape
+    n_classes = max(int(task.labels.max()) + 1, 2)
+    model = build_model(arch, size, seed=cfg.seed, n_classes=n_classes,
+                        n_channels=n_channels, n_samples=n_samples)
+    return train(model, task, cfg, run_dir=run_dir)
 
 
 def write_run_dir(run_dir: Path, model: Model, run: Run) -> None:

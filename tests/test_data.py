@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurodecode import data
+from neurodecode import data, pipeline
 from neurodecode.data import (
     SynthConfig,
     TrialMeta,
@@ -96,6 +96,31 @@ class TestSplit:
         es = self._epochs(10)
         with pytest.raises(DataError):
             split(es, 0.0, 0)
+
+    def test_negative_seed_is_usage_error(self):
+        with pytest.raises(UsageError, match="seed must be non-negative, got -1"):
+            split(self._epochs(10), 0.2, -1)
+
+
+def _epoch_bytes(es):
+    return es.tensor.tobytes(), [m.to_dict() for m in es.meta]
+
+
+@pytest.mark.parametrize("mode", ["linear", "xor", "subject_signature"])
+def test_synthesize_is_the_split_synthetic_epochs(mode):
+    cfg = SynthConfig(mode=mode, n_trials=40, seed=3)
+    want = split(generate_synthetic(cfg), data.TEST_FRAC, cfg.seed)
+    assert _epoch_bytes(data.synthesize(cfg)) == _epoch_bytes(want)
+
+
+def test_preprocess_is_the_split_pipeline_epochs():
+    rec, meta = data.generate_raw(SynthConfig(mode="xor", n_trials=30, seed=2), lead_in_ms=120.0)
+    tensor, trial_ids, skipped = pipeline.run_pipeline(rec)
+    by_id = {m.trial_id: m for m in meta}
+    want = split(data.EpochSet(tensor, [by_id[t] for t in trial_ids]), data.TEST_FRAC, 5)
+    epochs, got_skipped = data.preprocess(rec, meta, 5)
+    assert skipped and got_skipped == skipped
+    assert _epoch_bytes(epochs) == _epoch_bytes(want)
 
 
 class TestSynthetic:

@@ -189,6 +189,7 @@ class TestCheckpoint:
             "param:w": _tensor(1, (4, 7), np.float64),
             "param:b": _tensor(2, (7,), np.float32),
             "buffer:running": _tensor(3, (7,), np.float64),
+            "buffer:step": np.array(1.5),  # 0-d: read back 0-d, not as shape (1,)
         }
         desc = {"arch": "eegnet", "size": "small", "seed": 3}
         eegb.save_checkpoint(path, desc, tensors)
@@ -197,6 +198,7 @@ class TestCheckpoint:
         assert set(back) == set(tensors)
         for k in tensors:
             assert back[k].dtype == tensors[k].dtype
+            assert back[k].shape == tensors[k].shape
             assert np.array_equal(back[k], tensors[k])
 
     def test_bad_magic(self, tmp_path):

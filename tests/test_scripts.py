@@ -7,10 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import neurodecode
 import neurodecode.checks
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+BENCH = str(SCRIPTS.parent / "bench")
 
 
 def test_run_benchmark_writes_report(tmp_path):
@@ -36,7 +40,7 @@ def test_pilot_snr_helpers():
 
 def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
     # the tracer patches library attributes by name; a renamed or deleted one fails install
-    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "bench"))
+    monkeypatch.syspath_prepend(BENCH)
     import tracer
 
     original = neurodecode.training.train
@@ -47,3 +51,39 @@ def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
     finally:
         t.restore()
     assert neurodecode.training.train is original
+
+
+def test_traced_transformer_step_records_its_ffn_relu(monkeypatch):
+    # the tracer wraps ops.relu after models.py was imported; a model built now must call the wrapper
+    monkeypatch.syspath_prepend(BENCH)
+    import tracer
+
+    t = tracer.Tracer("t")
+    try:
+        t.install(neurodecode)
+        model = neurodecode.models.build_model("transformer", "small", seed=0)
+        x = np.random.default_rng(0).standard_normal((4, model.n_channels, model.n_samples))
+        model.loss(x.astype(np.float32), np.array([0, 1, 0, 1]), training=True).backward()
+    finally:
+        t.restore()
+    spans = t.table()
+    assert spans.ids("ops.relu.fwd").any() and spans.ids("ops.relu.bwd").any()
+
+
+@pytest.mark.parametrize("name, passes", [
+    ("raw-to-csp", 1), ("gradcheck", 1), ("xor-tape", 2), ("xor-conv", 2),
+])
+def test_bench_workloads_run_without_a_failure(tmp_path, monkeypatch, name, passes):
+    # the benchmark's own calls into the library, checked as the benchmark checks
+    # them; the parity tasks are cut to 200 trials for speed only
+    monkeypatch.syspath_prepend(BENCH)
+    import verify
+    import workloads
+
+    monkeypatch.setattr(workloads, "XOR_TRIALS", 200)
+    workload = workloads.WORKLOADS[name](0, tmp_path)
+    workload.setup()
+    ledger = verify.Ledger()
+    for _ in range(passes):
+        workload.run_pass(workloads.Pass(ledger))
+    assert ledger.failed == 0, ledger.failures

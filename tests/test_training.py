@@ -244,6 +244,18 @@ class TestTrainLoop:
         )
 
 
+@pytest.mark.parametrize("mode, n_classes", [("linear", 2), ("subject_signature", 4)])
+def test_fit_is_build_model_then_train(tmp_path, mode, n_classes):
+    task = split(generate_synthetic(SynthConfig(mode=mode, n_trials=48, seed=1)), 0.25, 1)
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=2)
+    model = build_model("eegnet", "small", seed=2, n_classes=n_classes)
+    training.train(model, task, cfg, run_dir=tmp_path / "train")
+    run = training.fit("eegnet", "small", task, cfg, run_dir=tmp_path / "fit")
+    assert run.path == tmp_path / "fit"
+    for name in ("model.ckpt", "history.jsonl", "predictions.csv"):
+        assert (tmp_path / "fit" / name).read_bytes() == (tmp_path / "train" / name).read_bytes(), name
+
+
 class TestTrainMemory:
     def test_holds_at_most_one_step_graph(self):
         # the output of each training forward lives in its step's graph; the
