@@ -2,10 +2,9 @@
 
 from . import ops
 from .core import Parameter, Tensor, constant, no_grad
-from .gradcheck import FD_STEP, GradCheckReport, grad_check, relative_error
+from .gradcheck import GradCheckReport, grad_check
 
 __all__ = [
-    "FD_STEP",
     "GradCheckReport",
     "Parameter",
     "Tensor",
@@ -13,5 +12,4 @@ __all__ = [
     "grad_check",
     "no_grad",
     "ops",
-    "relative_error",
 ]

@@ -234,7 +234,7 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     n = x.data.shape[axis]
 
     def backward(g):
-        x.accumulate(np.broadcast_to(np.expand_dims(g, axis) / n, x.data.shape).copy())
+        x.accumulate(np.broadcast_to(np.expand_dims(g, axis) / n, x.data.shape))
 
     return make(out, (x,), backward, "mean")
 
@@ -243,7 +243,7 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
     out = x.data.sum(axis=axis)
 
     def backward(g):
-        x.accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+        x.accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
 
     return make(out, (x,), backward, "sum")
 
@@ -284,13 +284,14 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return make(out, parents, backward, "dense")
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         x.accumulate(out * (g - inner))
 
     return make(out, (x,), backward, "softmax")
@@ -557,7 +558,7 @@ def multi_head_attention(
     k = split_heads(dense(x, w_k, None))
     v = split_heads(dense(x, w_v, b_v))
     scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d_k))
-    attn = softmax(scores, axis=-1)
+    attn = softmax(scores)
     ctx = transpose(matmul(attn, v), (0, 2, 1, 3))
     return dense(reshape(ctx, (B, T, d_model)), w_o, b_o)
 
@@ -622,10 +623,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     picked = z[np.arange(B), labels]
     out = np.asarray(np.mean(lse - picked, dtype=np.float64), dtype=z.dtype)
-    probs = np.exp(z - lse[:, None])
 
     def backward(g):
-        gl = probs.copy()
+        gl = np.exp(z - lse[:, None])  # the softmax probabilities
         gl[np.arange(B), labels] -= 1.0
         logits.accumulate(gl * (g / B))
 

@@ -168,10 +168,6 @@ class EpochSet:
         indices = np.asarray(indices)
         return EpochSet(self.tensor[indices], [self.meta[i] for i in indices])
 
-    def with_split(self, assignment: list[str]) -> "EpochSet":
-        meta = [replace(m, split=s) for m, s in zip(self.meta, assignment)]
-        return EpochSet(self.tensor, meta)
-
     def _require_split(self, where: str = "") -> None:
         unsplit = sum(m.split is None for m in self.meta)
         if unsplit:
@@ -239,7 +235,8 @@ def split(epochs: EpochSet, test_frac: float, seed: int) -> EpochSet:
     assignment = ["train"] * n
     for i in perm[:n_test]:
         assignment[i] = "test"
-    return epochs.with_split(assignment)
+    meta = [replace(m, split=s) for m, s in zip(epochs.meta, assignment)]
+    return EpochSet(epochs.tensor, meta)
 
 
 @dataclass(frozen=True)
@@ -425,8 +422,7 @@ def _design(cfg: SynthConfig):
 
 
 _CHUNK = 1024  # trials of white noise drawn at a time
-# trials a worker shapes, mixes and z-scores at a time, and generate_raw's signal batch
-_BLOCK = 32
+_BLOCK = 32  # trials a worker shapes, mixes and z-scores at a time
 _WORKERS = 2
 
 
@@ -504,8 +500,9 @@ def generate_raw(
     the recording, ``CHANNEL_BLOCK`` rows at a time, and the mixed
     sources are added and scaled block by block.  ``standard_normal``
     fills row-major and every shaping step acts per row, so the bytes
-    equal those of one whole-array draw; the peak stays near twice the
-    recording, most of it the 16 shared sources being shaped.
+    equal those of one whole-array draw.  Each trial's signal is made
+    and added on its own, so the peak stays near twice the recording,
+    most of it the 16 shared sources being shaped.
     """
     if not 0 <= lead_in_ms < np.inf:
         raise UsageError(f"lead_in_ms must be finite and not negative, got {lead_in_ms}")
@@ -533,10 +530,9 @@ def generate_raw(
 
     # trials overlap in time, so they are added one at a time, in trial order
     onsets = tuple((lead_in + i * interval, i) for i in range(n))
-    for start in range(0, n, _BLOCK):
-        block = signal(slice(start, start + _BLOCK), w1, w2, sample_rate)
-        for (onset, _), seg in zip(onsets[start : start + _BLOCK], block):
-            data[1:, onset : onset + trial_len] += cfg.effective_snr * seg
+    for onset, i in onsets:
+        seg = signal(slice(i, i + 1), w1, w2, sample_rate)[0]
+        data[1:, onset : onset + trial_len] += cfg.effective_snr * seg
 
     names = (REF_CHANNEL,) + tuple(f"E{i:02d}" for i in range(1, N_CHANNELS + 1))
     rec = RawRecording(

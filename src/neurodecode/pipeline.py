@@ -155,10 +155,7 @@ def extract_epochs(rec: RawRecording) -> tuple[list[int], np.ndarray, list[tuple
             trial_ids.append(trial_id)
             starts.append(start)
     if starts:
-        # one gather of (n, channels, samples) rows out of a strided view: a
-        # single copy, already C-contiguous unless the data is not
-        view = np.lib.stride_tricks.sliding_window_view(rec.data, pre + post, axis=1)
-        windows = np.ascontiguousarray(view.transpose(1, 0, 2)[np.array(starts, dtype=np.intp)])
+        windows = np.stack([rec.data[:, s : s + pre + post] for s in starts])
     else:
         windows = np.empty((0, rec.data.shape[0], pre + post), dtype=rec.data.dtype)
     if not np.isfinite(windows).all():

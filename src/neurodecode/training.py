@@ -54,6 +54,15 @@ class TrainConfig:
         check_seed(self.seed)
 
 
+def _cycles():
+    """The (first epoch, length) of each cosine cycle, without end."""
+    start, period = 1, RESTART_T0
+    while True:
+        yield start, period
+        start += period
+        period *= RESTART_MULT
+
+
 def restart_epochs(total: int) -> list[int]:
     """1-based epochs at which each cosine cycle ends.
 
@@ -61,28 +70,20 @@ def restart_epochs(total: int) -> list[int]:
     mid-cycle, and that truncated end is included.
     """
     ends = []
-    start, period = 1, RESTART_T0
-    while start <= total:
-        end = start + period - 1
-        if end >= total:
-            ends.append(total)
-            break
-        ends.append(end)
-        start = end + 1
-        period *= RESTART_MULT
-    return ends
+    for start, period in _cycles():
+        if start > total:
+            return ends
+        ends.append(min(start + period - 1, total))
 
 
 def lr_at(epoch: int) -> float:
     """Cosine-annealed learning rate for a 1-based epoch index."""
     if epoch < 1:
         raise UsageError(f"epochs are 1-based, got {epoch}")
-    start, period = 1, RESTART_T0
-    while epoch > start + period - 1:
-        start += period
-        period *= RESTART_MULT
-    t_cur = epoch - start
-    return LR_MIN + 0.5 * (LR_MAX - LR_MIN) * (1.0 + np.cos(np.pi * t_cur / period))
+    for start, period in _cycles():
+        if epoch < start + period:
+            t_cur = epoch - start
+            return LR_MIN + 0.5 * (LR_MAX - LR_MIN) * (1.0 + np.cos(np.pi * t_cur / period))
 
 
 def sgd_step(params: list[Parameter], lr: float) -> None:
@@ -248,7 +249,7 @@ def fit(arch: str, size: str, task: EpochSet, cfg: TrainConfig, run_dir: str | P
     """``train`` a new ``arch``-``size`` model on ``task``, drawn from ``cfg.seed``
     and shaped by the task: its channels, samples and labels (two classes at least)."""
     _, n_channels, n_samples = task.tensor.shape
-    n_classes = max(int(task.labels.max()) + 1, 2)
+    n_classes = max(int(task.labels.max(initial=0)) + 1, 2)  # no trials: train's DataError
     model = build_model(arch, size, seed=cfg.seed, n_classes=n_classes,
                         n_channels=n_channels, n_samples=n_samples)
     return train(model, task, cfg, run_dir=run_dir)

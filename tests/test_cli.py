@@ -366,6 +366,7 @@ def corrupt_dir(tmp_path_factory, trained_run, signature_file):
     eegb.save_checkpoint(root / "empty" / "model.ckpt", {**desc, "n_samples": 0}, tensors)
     shutil.copytree(trained_run, root / "seed")
     eegb.save_checkpoint(root / "seed" / "model.ckpt", {**desc, "seed": -1}, tensors)
+    save_epochs(root / "none.eegb", EpochSet(np.zeros((0, 63, 50), np.float32), []))
     return root
 
 
@@ -579,6 +580,9 @@ class TestBadInputs:
         # too few trials for a test split is a bad flag value, not a bad file
         (["synth", "--n-trials", "2", "--out", "{tmp}/x.eegb"], 1,
          "error: test_frac 0.2 gives 0 test trials out of 2"),
+        # a file with no trials has no train split, for train as for baseline
+        (["train", "--data", "{corrupt}/none.eegb", "--arch", "lstm", "--run-dir", "{tmp}/run"], 2,
+         "data error: no trials assigned to split 'train'"),
     ])
     def test_exit_code_and_message(
         self, tmp_path, capsys, trained_run, signature_file, corrupt_dir, argv, code, prefix

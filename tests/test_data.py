@@ -172,6 +172,19 @@ class TestSynthetic:
             tracemalloc.stop()
         assert peak < 2.5 * rec.data.nbytes, f"peak {peak / rec.data.nbytes:.2f}x the recording"
 
+    def test_small_raw_adds_the_signal_one_trial_at_a_time(self):
+        # 100 trials: 6.4 MB of recording.  A 32-trial float64 signal batch
+        # and the temporaries of its expression peak at 5.2x it, one trial
+        # at a time at 2.1x
+        cfg = SynthConfig(mode="linear", n_trials=100, seed=3)
+        tracemalloc.start()
+        try:
+            rec, _ = data.generate_raw(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * rec.data.nbytes, f"peak {peak / rec.data.nbytes:.2f}x the recording"
+
     def test_golden_digests(self):
         # any byte change in either generator fails here and has to be declared;
         # 1030 synthetic trials cross one noise-chunk boundary.  Recorded with
