@@ -346,6 +346,18 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * i / (N_TICKS - 1) for i in range(N_TICKS)]
 
 
+def _svg(width: int, height: int, title: str, parts: list[str]) -> str:
+    """A white ``width`` x ``height`` SVG document: ``title`` centred on top, then ``parts``."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>',
+        *parts,
+        "</svg>",
+    ])
+
+
 def svg_line_chart(
     series: dict[str, tuple[list[float], list[float]]],
     title: str,
@@ -371,12 +383,7 @@ def svg_line_chart(
     def sy(v):
         return mt + ih * (1.0 - (v - y_lo) / (y_hi - y_lo))
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>',
-    ]
+    parts = []
     for tv in _ticks(x_lo, x_hi):
         x = sx(tv)
         parts.append(f'<line x1="{x:.1f}" y1="{mt + ih}" x2="{x:.1f}" y2="{mt + ih + 5}" stroke="black"/>')
@@ -410,8 +417,7 @@ def svg_line_chart(
         lx = ml + iw + 10
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 23}" y="{ly}">{escape(name)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _svg(width, height, title, parts)
 
 
 def svg_bar_chart(names: list[str], values: list[float], title: str, xlabel: str) -> str:
@@ -422,12 +428,7 @@ def svg_bar_chart(names: list[str], values: list[float], title: str, xlabel: str
     ih = len(names) * (bar_h + gap)
     height = mt + ih + mb
     iw = width - ml - mr
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>',
-    ]
+    parts = []
     for i, (name, value) in enumerate(zip(names, values)):
         y = mt + i * (bar_h + gap)
         w = iw * max(min(value, 1.0), 0.0)
@@ -441,8 +442,7 @@ def svg_bar_chart(names: list[str], values: list[float], title: str, xlabel: str
     parts.append(
         f'<text x="{ml + iw / 2:.1f}" y="{height - 12}" text-anchor="middle">{escape(xlabel)}</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _svg(width, height, title, parts)
 
 
 def emit_report(runs: list[Run], out_dir: str | Path) -> dict:

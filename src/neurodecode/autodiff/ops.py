@@ -150,19 +150,9 @@ def elu(x: Tensor) -> Tensor:
     return make(out, (x,), backward, "elu")
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-x)) in numpy's vectorized loops, 4x faster than scipy's
-    scalar ``expit`` on an LSTM gate block; exp(-x) = inf gives the limit 0.
-    ``out`` may be ``x`` itself."""
-    out = np.negative(x, out=out)
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
-
-
 def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid(x.data)
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives the limit 0
+        out = 1.0 / (1.0 + np.exp(-x.data))
 
     def backward(g):
         x.accumulate(g * out * (1.0 - out))
@@ -371,6 +361,32 @@ def _mean_square(centered: np.ndarray, axes) -> np.ndarray:
     return total
 
 
+def _normalized(x: Tensor, gamma: Tensor, beta: Tensor, centered: np.ndarray,
+                inv: np.ndarray, axis: int, stat_axes, name: str) -> Tensor:
+    """The affine pair along ``axis`` applied to ``centered * inv``, and its
+    backward.  ``centered`` (the caller's own deviations) is overwritten by
+    ``xhat``.  ``stat_axes`` are the axes the mean and variance were taken
+    over, or None when they are constants, which the backward skips."""
+    others = tuple(i for i in range(x.data.ndim) if i != axis)
+    shape = tuple(-1 if i == axis else 1 for i in range(x.data.ndim))
+    xhat = np.multiply(centered, inv, out=centered)
+    gb = gamma.data.reshape(shape)
+    out = gb * xhat + beta.data.reshape(shape)
+
+    def backward(g):
+        gamma.accumulate(np.sum(g * xhat, axis=others))
+        beta.accumulate(np.sum(g, axis=others))
+        dxhat = g * gb
+        if stat_axes is None:
+            x.accumulate(dxhat * inv)
+        else:
+            m1 = dxhat.mean(axis=stat_axes, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=stat_axes, keepdims=True)
+            x.accumulate((dxhat - m1 - xhat * m2) * inv)
+
+    return make(out, (x, gamma, beta), backward, name)
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -388,7 +404,6 @@ def batch_norm(
     nothing.
     """
     axes = tuple(i for i in range(x.data.ndim) if i != 1)
-    bshape = tuple(1 if i != 1 else -1 for i in range(x.data.ndim))
     if training:
         mean = x.data.mean(axis=axes, keepdims=True)
         centered = x.data - mean
@@ -398,44 +413,17 @@ def batch_norm(
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var.reshape(-1)
     else:
-        centered = x.data - running_mean.reshape(bshape).astype(x.data.dtype)
-        var = running_var.reshape(bshape).astype(x.data.dtype)
+        centered = x.data - np.expand_dims(running_mean, axes).astype(x.data.dtype)
+        var = np.expand_dims(running_var, axes).astype(x.data.dtype)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = np.multiply(centered, inv, out=centered)
-    gb = gamma.data.reshape(bshape)
-    out = gb * xhat + beta.data.reshape(bshape)
-
-    def backward(g):
-        gamma.accumulate(np.sum(g * xhat, axis=axes))
-        beta.accumulate(np.sum(g, axis=axes))
-        dxhat = g * gb
-        if training:
-            m1 = dxhat.mean(axis=axes, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
-            x.accumulate((dxhat - m1 - xhat * m2) * inv)
-        else:
-            x.accumulate(dxhat * inv)
-
-    return make(out, (x, gamma, beta), backward, "batch_norm")
+    return _normalized(x, gamma, beta, centered, inv, 1, axes if training else None, "batch_norm")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then affine."""
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(_mean_square(centered, -1) + NORM_EPS)
-    xhat = np.multiply(centered, inv, out=centered)
-    out = gamma.data * xhat + beta.data
-    reduce_axes = tuple(range(x.data.ndim - 1))
-
-    def backward(g):
-        gamma.accumulate(np.sum(g * xhat, axis=reduce_axes))
-        beta.accumulate(np.sum(g, axis=reduce_axes))
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        x.accumulate((dxhat - m1 - xhat * m2) * inv)
-
-    return make(out, (x, gamma, beta), backward, "layer_norm")
+    return _normalized(x, gamma, beta, centered, inv, x.data.ndim - 1, -1, "layer_norm")
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -473,9 +461,8 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor) -> Tensor:
     steps would sum in another order.
 
     Each activation the backward reads is held once, the memory that
-    Chen et al. (2016) budget: step t's gates are computed in one reused
-    (B, 4H) row block, whose contiguous rows keep numpy's loops as fast
-    as before, and then overwrite the step's pre-activations in the
+    Chen et al. (2016) budget: step t's gates are computed in a new
+    (B, 4H) array and then copied over the step's pre-activations in the
     projection's own buffer, ``xw.data[:, t]``, which nothing else reads.
     Each h is written into the output, and c and tanh(c) into two arrays
     made once.  The backward writes each step's gate gradient into the
@@ -490,11 +477,11 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor) -> Tensor:
     cs = np.zeros((T + 1, B, H), dtype=gates.dtype)  # cs[t]: c before step t
     tanh_cs = np.empty((T, B, H), dtype=gates.dtype)
     h = np.zeros((B, H), dtype=x.data.dtype)
-    a = np.empty_like(gates[:, 0])  # the step's gates, in contiguous rows while computed
     for t in range(T):
-        np.add(gates[:, t], h @ w_hh.data, out=a)
+        a = gates[:, t] + h @ w_hh.data
         g = np.tanh(a[:, 2 * H : 3 * H])
-        _sigmoid(a, out=a)  # one call over all four blocks; g's is then replaced
+        with np.errstate(over="ignore"):  # sigmoid of all four blocks; g's is then replaced
+            a = 1.0 / (1.0 + np.exp(-a))
         a[:, 2 * H : 3 * H] = g
         i, f, g, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
         np.add(f * cs[t], i * g, out=cs[t + 1])

@@ -24,15 +24,14 @@ else 0.  What a run directory records is read from it, not asked for:
 runs by the peak metric that their subjects pick.  A run directory
 describes one model: ``train`` writes ``history.jsonl``, the final
 ``model.ckpt``, that model's test ``predictions.csv`` and
-``manifest.json``, which records the run's ``epochs``, ``batch_size``
-and ``seed``.
+``manifest.json``, which records the run's ``TrainConfig``.
 
-The training flags are the fields of ``TrainConfig``, one each, with
-``_`` written ``-``; a field comes from its flag, else from the
-dataclass default.  The optimizer and schedule are constants of
-``training.py``, a model's dropout is that of its size, and the
-preprocessing chain's reference, band and rate are constants of
-``pipeline.py``.
+The training flags are the fields of ``TrainConfig``, and ``synth``'s
+data flags those of ``SynthConfig``, one each, with ``_`` written
+``-``; a field comes from its flag, else from the dataclass default.
+The optimizer and schedule are constants of ``training.py``, a model's
+dropout is that of its size, and the preprocessing chain's reference,
+band and rate are constants of ``pipeline.py``.
 """
 
 from __future__ import annotations
@@ -65,9 +64,11 @@ def _subject(value: str) -> int | str:
 
 
 def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
-    """One flag per field of ``cls``, defaulting to the field's default."""
+    """One flag per field of ``cls``, defaulting to the field's default; a
+    field whose default is None takes a float."""
     for f in dataclasses.fields(cls):
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+        kind = float if f.default is None else type(f.default)
+        p.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
 
 
 def _config(cls, args):
@@ -199,10 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic epochs or a raw recording")
-    p.add_argument("--mode", choices=list(data.DEFAULT_SNR), default="linear")
-    p.add_argument("--n-trials", type=int, default=2000)
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, data.SynthConfig)
     p.add_argument("--raw", action="store_true", help="write a continuous 1 kHz recording")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)

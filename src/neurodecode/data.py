@@ -248,7 +248,7 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.mode not in DEFAULT_SNR:
-            raise UsageError(f"unknown synthetic mode {self.mode!r}")
+            raise UsageError(f"unknown synthetic mode {self.mode!r}; choose from {tuple(DEFAULT_SNR)}")
         if self.n_trials < 2 or self.n_trials % 2 != 0:
             raise UsageError(f"n_trials must be even and >= 2, got {self.n_trials}")
         if self.snr is not None and not np.isfinite(self.snr):
@@ -604,6 +604,11 @@ def load_raw(path) -> tuple[RawRecording, list[TrialMeta]]:
     check_fields(header, _RAW_HEADER_KINDS, path)
     onsets = [check_fields(d, _EVENT_KINDS, path)["onset"] for d in events]
     meta = [TrialMeta.from_dict(d, path) for d in events]
+    seen = set()
+    for m in meta:  # preprocess joins epochs to records by id
+        if m.trial_id in seen:
+            raise DataError(f"{path}: trial_id {m.trial_id} names more than one event")
+        seen.add(m.trial_id)
     rec = RawRecording(
         data=np.ascontiguousarray(tensor[0], dtype=np.float64),
         channel_names=tuple(header["channel_names"]),

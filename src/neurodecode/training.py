@@ -223,11 +223,9 @@ def train(
         "completed_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "arch": model.arch,
         "size": model.size,
-        "seed": cfg.seed,
+        **asdict(cfg),
         # the one subject every trial shares; None for a cross-subject run
         "subject": next(iter(subjects)) if len(subjects) == 1 else None,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
         "cycle_ends": restart_epochs(cfg.epochs),
         "n_params": model.n_params,
         # a run's bytes hold only at one thread count: every cell's

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import neurodecode
-from neurodecode import eegb, models
+from neurodecode import checks, eegb, models
+from neurodecode.autodiff.gradcheck import GradCheckReport
 from neurodecode.cli import build_parser, main
 from neurodecode.data import (
     TEST_FRAC,
@@ -26,6 +27,7 @@ from neurodecode.data import (
     generate_synthetic,
     load_epochs,
     save_epochs,
+    save_raw,
     split,
 )
 from neurodecode.pipeline import (
@@ -119,6 +121,13 @@ class TestPreprocess:
 
         want = generate_synthetic(SynthConfig(mode="xor", n_trials=12, seed=3)).labels
         assert load_epochs(out).labels.tolist() == want.tolist()
+
+    def test_recording_already_at_100_hz_is_not_resampled(self, tmp_path):
+        raw, out = tmp_path / "raw100.eegb", tmp_path / "prep.eegb"
+        rec, meta = generate_raw(SynthConfig(n_trials=40))
+        save_raw(raw, downsample(rec, 100), meta)
+        assert run(["preprocess", "--raw", str(raw), "--out", str(out)]) == 0
+        assert load_epochs(out).tensor.shape == (40, 63, 50)
 
     def test_epoch_input_rejected(self, tmp_path, epochs_file):
         code = run(["preprocess", "--raw", str(epochs_file), "--out", str(tmp_path / "o.eegb")])
@@ -359,6 +368,7 @@ def corrupt_dir(tmp_path_factory, trained_run, signature_file):
     assert run(["synth", "--raw", "--n-trials", "8", "--out", str(raw)]) == 0
     retype(raw, root / "onset.eegb", 1, "onset", "soon")  # line 0 is the header
     retype(raw, root / "names.eegb", 0, "channel_names", 5)
+    retype(raw, root / "repeat.eegb", 2, "trial_id", 0)  # trial 1's event relabelled as trial 0
     shutil.copytree(trained_run, root / "run")
     desc, tensors = eegb.load_checkpoint(root / "run" / "model.ckpt")
     eegb.save_checkpoint(root / "run" / "model.ckpt", {**desc, "n_classes": "2"}, tensors)
@@ -487,6 +497,14 @@ class TestChecks:
         out = capsys.readouterr().out
         assert "eegnet" in out
 
+    def test_gradcheck_failure_exits_3(self, capsys, monkeypatch):
+        report = GradCheckReport(["x"], np.array([1.0]))
+        monkeypatch.setattr(checks, "check_op_gradients", lambda: [("add", report)])
+        assert run(["gradcheck", "--scope", "ops"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.rstrip().endswith("FAIL")
+        assert captured.err == "numeric error: gradient checks failed: op add\n"
+
     def test_audit_params(self, capsys):
         assert run(["audit-params"]) == 0
         out = capsys.readouterr().out
@@ -583,6 +601,11 @@ class TestBadInputs:
         # a file with no trials has no train split, for train as for baseline
         (["train", "--data", "{corrupt}/none.eegb", "--arch", "lstm", "--run-dir", "{tmp}/run"], 2,
          "data error: no trials assigned to split 'train'"),
+        # two events with one trial id would both take the last one's record
+        (["preprocess", "--raw", "{corrupt}/repeat.eegb", "--out", "{tmp}/o.eegb"], 2,
+         "data error: {corrupt}/repeat.eegb: trial_id 0 names more than one event"),
+        (["synth", "--mode", "foo", "--out", "{tmp}/x.eegb"], 1,
+         "error: unknown synthetic mode 'foo'; choose from ('linear', 'xor', 'subject_signature')"),
     ])
     def test_exit_code_and_message(
         self, tmp_path, capsys, trained_run, signature_file, corrupt_dir, argv, code, prefix
