@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -340,6 +339,15 @@ LINE_CHART_HEIGHT = 420
 N_TICKS = 5
 
 
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, then ``>``, then ``<`` as entities.
+
+    Written here because ``xml.sax.saxutils`` imports ``urllib.request``,
+    and with it ``http.client``, ``email`` and ``ssl``, at every cold start.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -352,7 +360,7 @@ def _svg(width: int, height: int, title: str, parts: list[str]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>',
+        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{_escape(title)}</text>',
         *parts,
         "</svg>",
     ])
@@ -403,11 +411,11 @@ def svg_line_chart(
         f'<rect x="{ml}" y="{mt}" width="{iw}" height="{ih}" fill="none" stroke="black"/>'
     )
     parts.append(
-        f'<text x="{ml + iw / 2:.1f}" y="{height - 10}" text-anchor="middle">{escape(xlabel)}</text>'
+        f'<text x="{ml + iw / 2:.1f}" y="{height - 10}" text-anchor="middle">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="18" y="{mt + ih / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {mt + ih / 2:.1f})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 18 {mt + ih / 2:.1f})">{_escape(ylabel)}</text>'
     )
     for i, (name, (xs, ys)) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
@@ -416,7 +424,7 @@ def svg_line_chart(
         ly = mt + 14 + 16 * i
         lx = ml + iw + 10
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 23}" y="{ly}">{escape(name)}</text>')
+        parts.append(f'<text x="{lx + 23}" y="{ly}">{_escape(name)}</text>')
     return _svg(width, height, title, parts)
 
 
@@ -436,11 +444,11 @@ def svg_bar_chart(names: list[str], values: list[float], title: str, xlabel: str
             f'<rect x="{ml}" y="{y}" width="{w:.1f}" height="{bar_h}" fill="{_PALETTE[0]}"/>'
         )
         parts.append(
-            f'<text x="{ml - 6}" y="{y + bar_h - 4}" text-anchor="end">{escape(name)}</text>'
+            f'<text x="{ml - 6}" y="{y + bar_h - 4}" text-anchor="end">{_escape(name)}</text>'
         )
         parts.append(f'<text x="{ml + w + 5:.1f}" y="{y + bar_h - 4}">{value:.3f}</text>')
     parts.append(
-        f'<text x="{ml + iw / 2:.1f}" y="{height - 12}" text-anchor="middle">{escape(xlabel)}</text>'
+        f'<text x="{ml + iw / 2:.1f}" y="{height - 12}" text-anchor="middle">{_escape(xlabel)}</text>'
     )
     return _svg(width, height, title, parts)
 

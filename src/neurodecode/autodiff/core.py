@@ -50,8 +50,9 @@ VIEW_OPS = frozenset({"reshape", "transpose", "narrow"})
 
 
 def check_finite(data: np.ndarray, op: str) -> None:
-    # elementwise in the data's own dtype: a sum could overflow on finite values
-    if not np.isfinite(data).all():
+    # elementwise in the data's own dtype: a sum could overflow on finite values;
+    # the ufunc's reduce, not ``.all()``, which goes through numpy's Python wrapper
+    if not np.logical_and.reduce(np.isfinite(data), axis=None):
         raise NumericError(f"non-finite values produced by op {op!r}")
 
 

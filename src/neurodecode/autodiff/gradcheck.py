@@ -15,16 +15,27 @@ The checker also guards against nondeterministic forward passes (a
 live dropout mask, an unseeded generator): it evaluates the loss twice
 before differencing and refuses to certify gradients whose reference
 point is not reproducible.
+
+A loss given as a ``Chain`` of stages is differenced from the stage
+where a parameter first enters.  The centre evaluation keeps every
+stage's output; each parameter restarts at the first stage whose part
+of the centre tape (walked back from the stage's output to the output
+of the stage before) reads it, on a constant holding the centre output
+of the stage before.  The stages before it see no change, and the same
+ops on the same inputs give the same bits, so the report equals that of
+the full evaluation.  Any other callable, a ``Chain`` wrapped in a plain
+function among them, is one stage and re-runs whole.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import NumericError, UsageError
-from .core import Parameter, no_grad
+from .core import Parameter, Tensor, constant, no_grad
 
 FD_STEP = 1e-5
 KINK_STEP = FD_STEP / 100
@@ -74,6 +85,54 @@ class GradCheckReport:
         )
 
 
+class Chain:
+    """A loss computed in stages: the first stage reads ``x``, each later
+    one the output of the stage before.  Called with no argument, it
+    returns the output of the last stage, so it serves as a ``loss_fn``."""
+
+    def __init__(self, stages, x=None):
+        self.stages = list(stages)
+        self.x = x
+
+    def __call__(self) -> Tensor:
+        return self.run(0, self.x)
+
+    def run(self, start: int, h) -> Tensor:
+        """The stages from ``start`` on, the first of them reading ``h``."""
+        for stage in self.stages[start:]:
+            h = stage(h)
+        return h
+
+    def outputs(self) -> list[Tensor]:
+        """Every stage's output, in order; the last is the loss."""
+        h, out = self.x, []
+        for stage in self.stages:
+            h = stage(h)
+            out.append(h)
+        return out
+
+
+def _first_readers(outputs: list[Tensor]) -> dict[int, int]:
+    """The id of every parameter on the tape -> the first stage that reads it.
+
+    Stage k's part of the tape is what its output reaches before the
+    output of stage k - 1.
+    """
+    first: dict[int, int] = {}
+    for k, out in enumerate(outputs):
+        stop = outputs[k - 1] if k else None
+        seen, stack = set(), [out]
+        while stack:
+            node = stack.pop()
+            if node is stop or id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, Parameter):
+                first.setdefault(id(node), k)
+            stack.extend(node.parents)
+    return first
+
+
 def _entry_indices(p: Parameter, sample: int | None, rng: np.random.Generator) -> np.ndarray:
     size = p.data.size
     if sample is None or size <= sample:
@@ -106,10 +165,11 @@ def grad_check(
 
     Parameters
     ----------
-    loss_fn : callable
+    loss_fn : Chain or callable
         Builds a fresh graph and returns the scalar loss Tensor.  Must
         be deterministic; randomness (dropout masks, data order) has to
-        be frozen by the caller.
+        be frozen by the caller.  A ``Chain`` is differenced from the
+        first stage that reads each parameter.
     params : list of (name, Parameter)
         Float64 parameters reached by ``loss_fn``.
     sample : int or None
@@ -131,8 +191,10 @@ def grad_check(
             raise NumericError(
                 f"gradient check requires float64 parameters; {name!r} is {p.data.dtype}"
             )
-    first = float(loss_fn().data)
-    centre = loss_fn()
+    chain = loss_fn if isinstance(loss_fn, Chain) else Chain([lambda _: loss_fn()])
+    first = float(chain().data)
+    outputs = chain.outputs()
+    centre = outputs[-1]
     f0 = float(centre.data)
     if first != f0:
         raise NumericError(
@@ -147,24 +209,30 @@ def grad_check(
     for name, p in params:
         if p.grad is None:
             raise NumericError(f"parameter {name!r} received no gradient from loss_fn")
+    first_reader = _first_readers(outputs)
+    # what each stage reads: the input for the first, a centre output for the others
+    inputs = [chain.x, *(constant(out.data) for out in outputs[:-1])]
+    del outputs, centre
 
     rng = np.random.default_rng(seed)
     all_rel = []
     kinks = 0
     for name, p in params:
+        start = first_reader.get(id(p), 0)
+        loss_from = functools.partial(chain.run, start, inputs[start])
         idx = _entry_indices(p, sample, rng)
         flat = p.data.reshape(-1)
         a_flat = analytic[name].reshape(-1)
         for i in idx:
             a = float(a_flat[i])
-            f_plus, f_minus = _losses_at(loss_fn, flat, i, FD_STEP)
+            f_plus, f_minus = _losses_at(loss_from, flat, i, FD_STEP)
             numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             rel = relative_error(a, numeric)
             # a kink inside the step: the one-sided slopes (f_plus - f0)/h and
             # (f0 - f_minus)/h differ by more than the central slope misses
             if rel > P99_TOL and abs((f_plus - f0) - (f0 - f_minus)) / FD_STEP > abs(numeric - a):
                 kinks += 1
-                f_plus, f_minus = _losses_at(loss_fn, flat, i, KINK_STEP)
+                f_plus, f_minus = _losses_at(loss_from, flat, i, KINK_STEP)
                 fine = (f_plus - f_minus) / (2.0 * KINK_STEP)
                 # not the new error outright: round-off swamps tiny entries at KINK_STEP
                 rel = min(rel, relative_error(a, fine))

@@ -184,7 +184,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = [0] * len(axes)
+    for i, a in enumerate(axes):
+        inverse[a] = i
     out = np.ascontiguousarray(x.data.transpose(axes))
 
     def backward(g):

@@ -12,6 +12,13 @@ set to 0, and batch norm normalizes with batch statistics and never
 reads the running buffers it updates.  dgcnn needs no pin: its Laplacian
 bound is the constant lambda_max = 2 (Kipf & Welling, ICLR 2017, section
 2.2).  ``grad_check`` re-checks ReLU kinks inside the step.
+
+The loss is handed over as a ``Chain`` of the model's stages and the
+cross-entropy, so each differenced entry re-runs only the stages from
+the first one that reads its parameter, on the centre evaluation's
+output of the stage before; the report keeps the bits of full
+evaluations.  A wrapper that hands ``grad_check`` a plain function
+calling the chain gets the same report from full evaluations.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Parameter, Tensor, constant, grad_check, ops
-from .autodiff.gradcheck import GradCheckReport
-from .models import ARCHITECTURES, SIZES, build_model  # callers read checks.ARCHITECTURES, SIZES
+from .autodiff.gradcheck import Chain, GradCheckReport
+from .models import ARCHITECTURES, SIZES, Model, build_model  # callers read checks.ARCHITECTURES, SIZES
 
 MODEL_CHECK_SAMPLE = 4
 MODEL_CHECK_BATCH = 4
@@ -179,17 +186,21 @@ def check_op_gradients() -> list[tuple[str, GradCheckReport]]:
     return results
 
 
-def check_model_gradients(arch: str, size: str, seed: int = 0) -> GradCheckReport:
-    """Gradient check of one architecture at one size, ``MODEL_CHECK_SAMPLE``
-    entries per parameter tensor."""
+def model_check_case(arch: str, size: str, seed: int = 0) -> tuple[Model, Chain]:
+    """One cell's float64 model without dropout, and its training-mode loss
+    on a seeded batch: a chain of the model's stages and the cross-entropy."""
     model = build_model(arch, size, seed=seed)
     model.dropout = 0.0
     model.to_float64()
     rng = np.random.default_rng(seed + 17)
     x = rng.standard_normal((MODEL_CHECK_BATCH, model.n_channels, model.n_samples))
     y = rng.integers(0, model.n_classes, size=MODEL_CHECK_BATCH)
+    loss = Chain([*model.stages(training=True), lambda logits: ops.cross_entropy(logits, y)], x)
+    return model, loss
 
-    def loss_fn():
-        return model.loss(x, y, training=True)
 
-    return grad_check(loss_fn, model.named_params(), sample=MODEL_CHECK_SAMPLE, seed=seed)
+def check_model_gradients(arch: str, size: str, seed: int = 0) -> GradCheckReport:
+    """Gradient check of one architecture at one size, ``MODEL_CHECK_SAMPLE``
+    entries per parameter tensor."""
+    model, loss = model_check_case(arch, size, seed)
+    return grad_check(loss, model.named_params(), sample=MODEL_CHECK_SAMPLE, seed=seed)

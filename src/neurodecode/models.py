@@ -3,7 +3,11 @@
 Five trainable decoders share one small Module convention: parameters
 are registered in construction order under stable dotted names, batch
 norm running statistics live in named buffers, and ``forward`` takes a
-plain float numpy batch.  Each architecture comes in three presets
+plain float numpy batch.  Each model writes its forward once, as a list
+of stages (``Model.stages``): the first maps the input batch to a
+Tensor, each later one maps the output of the one before.  ``forward``
+runs them in order; the gradient check restarts them at the first stage
+that reads a perturbed parameter.  Each architecture comes in three presets
 (small / medium / large).  :data:`CELLS` is the one place that holds an
 (architecture, size) cell's preset hyperparameters and its target
 parameter count; the presets were chosen so every cell lands within the
@@ -178,8 +182,16 @@ class Model:
             )
         return x.astype(self.dtype, copy=False)
 
-    def forward(self, x: np.ndarray, training: bool) -> Tensor:
+    def stages(self, training: bool) -> list:
+        """The forward as a chain of callables: the first maps the input
+        array to a Tensor, each later one the output of the one before."""
         raise NotImplementedError
+
+    def forward(self, x: np.ndarray, training: bool) -> Tensor:
+        h = x
+        for stage in self.stages(training):
+            h = stage(h)
+        return h
 
     def loss(self, x: np.ndarray, y: np.ndarray, training: bool) -> Tensor:
         """Mean cross-entropy of the batch."""
@@ -238,13 +250,20 @@ class _EncoderBlock:
         self.ffn2 = model._affine(f"{name}.ffn", ffn, d_model, "2")
         self.ln2 = _LayerNorm(model, d_model, f"{name}.ln2")
 
-    def __call__(self, model: Model, h: Tensor, training: bool) -> Tensor:
-        attn = ops.multi_head_attention(h, *self.q, self.w_k, *self.v, *self.o, self.n_heads)
-        h = self.ln1(ops.add(h, model._drop(attn, training)))
-        ff = ops.dense(h, *self.ffn1)
-        ff = model._drop(self.ffn_act(ff), training)
-        ff = ops.dense(ff, *self.ffn2)
-        return self.ln2(ops.add(h, model._drop(ff, training)))
+    def halves(self, model: Model, training: bool) -> list:
+        """The attention half, then the feed-forward half, as two stages."""
+
+        def attention(h: Tensor) -> Tensor:
+            attn = ops.multi_head_attention(h, *self.q, self.w_k, *self.v, *self.o, self.n_heads)
+            return self.ln1(ops.add(h, model._drop(attn, training)))
+
+        def feed_forward(h: Tensor) -> Tensor:
+            ff = ops.dense(h, *self.ffn1)
+            ff = model._drop(self.ffn_act(ff), training)
+            ff = ops.dense(ff, *self.ffn2)
+            return self.ln2(ops.add(h, model._drop(ff, training)))
+
+        return [attention, feed_forward]
 
 
 class EEGNet(Model):
@@ -304,19 +323,25 @@ class EEGNet(Model):
         h = ops.transpose(ops.reshape(h, (f1 * depth, B, T)), (1, 0, 2))
         return ops.reshape(h, (B, f1 * depth, 1, T))
 
-    def forward(self, x, training):
-        x = self._input(x)
-        h = self.bn2(self._front(x), training)
-        h = ops.elu(h)
-        h = ops.avg_pool_time(h, 4)
-        h = self._drop(h, training)
-        h = ops.pointwise_conv(ops.depthwise_conv_time(h, self.w_sep_depth), self.w_sep_point)
-        h = self.bn3(h, training)
-        h = ops.elu(h)
-        h = ops.avg_pool_time(h, 8)
-        h = self._drop(h, training)
-        h = ops.reshape(h, (x.shape[0], self.f2 * self.n_pooled))
-        return ops.dense(h, *self.head)
+    def stages(self, training):
+        def front(x):
+            h = self.bn2(self._front(self._input(x)), training)
+            h = ops.elu(h)
+            h = ops.avg_pool_time(h, 4)
+            return self._drop(h, training)
+
+        def separable(h):
+            h = ops.pointwise_conv(ops.depthwise_conv_time(h, self.w_sep_depth), self.w_sep_point)
+            h = self.bn3(h, training)
+            h = ops.elu(h)
+            h = ops.avg_pool_time(h, 8)
+            return self._drop(h, training)
+
+        def head(h):
+            h = ops.reshape(h, (h.data.shape[0], self.f2 * self.n_pooled))
+            return ops.dense(h, *self.head)
+
+        return [front, separable, head]
 
 
 class LstmNet(Model):
@@ -339,18 +364,24 @@ class LstmNet(Model):
             )
         self.head = self._affine("head", self.hidden, self.n_classes)
 
-    def forward(self, x, training):
-        x = self._input(x)
-        h = constant(np.ascontiguousarray(x.transpose(0, 2, 1)))
-        for layer, (w_ih, w_hh, b) in enumerate(self.cells):
-            h = ops.lstm_layer(h, w_ih, w_hh, b)
-            if layer + 1 < self.layers:
-                h = self._drop(h, training)
-        last = ops.reshape(
-            ops.narrow(h, 1, self.n_samples - 1, 1), (x.shape[0], self.hidden)
-        )
-        last = self._drop(last, training)
-        return ops.dense(last, *self.head)
+    def stages(self, training):
+        def layer(i):
+            def run(h):
+                if i == 0:
+                    h = constant(np.ascontiguousarray(self._input(h).transpose(0, 2, 1)))
+                h = ops.lstm_layer(h, *self.cells[i])
+                return self._drop(h, training) if i + 1 < self.layers else h
+
+            return run
+
+        def head(h):
+            last = ops.reshape(
+                ops.narrow(h, 1, self.n_samples - 1, 1), (h.data.shape[0], self.hidden)
+            )
+            last = self._drop(last, training)
+            return ops.dense(last, *self.head)
+
+        return [*map(layer, range(self.layers)), head]
 
 
 class Dgcnn(Model):
@@ -380,15 +411,23 @@ class Dgcnn(Model):
         self.node = self._affine("node", self.hidden, self.node_dense)
         self.head = self._affine("head", self.node_dense, self.n_classes)
 
-    def forward(self, x, training):
-        x = self._input(x)
-        h = constant(x)
-        for thetas, bias in self.cheb:
-            h = ops.relu(ops.chebyshev_graph_conv(h, thetas, self.adj, bias))
-        h = ops.relu(ops.dense(h, *self.node))
-        h = ops.mean_axis(h, axis=1)
-        h = self._drop(h, training)
-        return ops.dense(h, *self.head)
+    def stages(self, training):
+        def layer(i):
+            def run(h):
+                if i == 0:
+                    h = constant(self._input(h))
+                thetas, bias = self.cheb[i]
+                return ops.relu(ops.chebyshev_graph_conv(h, thetas, self.adj, bias))
+
+            return run
+
+        def head(h):
+            h = ops.relu(ops.dense(h, *self.node))
+            h = ops.mean_axis(h, axis=1)
+            h = self._drop(h, training)
+            return ops.dense(h, *self.head)
+
+        return [*map(layer, range(self.layers)), head]
 
 
 class TransformerNet(Model):
@@ -405,17 +444,20 @@ class TransformerNet(Model):
         ]
         self.head = self._affine("head", self.d_model, self.n_classes)
 
-    def forward(self, x, training):
-        x = self._input(x)
-        seq = constant(np.ascontiguousarray(x.transpose(0, 2, 1)))
-        h = ops.dense(seq, *self.input)
-        pe = ops.sinusoidal_positions(self.n_samples, self.d_model, dtype=self.dtype)
-        h = ops.add(h, pe)
-        h = self._drop(h, training)
-        for block in self.blocks:
-            h = block(self, h, training)
-        pooled = ops.mean_axis(h, axis=1)
-        return ops.dense(pooled, *self.head)
+    def stages(self, training):
+        def embed(x):
+            seq = constant(np.ascontiguousarray(self._input(x).transpose(0, 2, 1)))
+            h = ops.dense(seq, *self.input)
+            pe = ops.sinusoidal_positions(self.n_samples, self.d_model, dtype=self.dtype)
+            h = ops.add(h, pe)
+            return self._drop(h, training)
+
+        def head(h):
+            pooled = ops.mean_axis(h, axis=1)
+            return ops.dense(pooled, *self.head)
+
+        halves = [half for block in self.blocks for half in block.halves(self, training)]
+        return [embed, *halves, head]
 
 
 class Conformer(Model):
@@ -467,22 +509,25 @@ class Conformer(Model):
         h = ops.matmul(ops.reshape(mixed, (B * f, f * T)), ops.reshape(bands, (f * T, T)))
         return ops.reshape(h, (B, f, 1, T))
 
-    def forward(self, x, training):
-        x = self._input(x)
-        B = x.shape[0]
-        h = self.bn(self._front(x), training)
-        h = ops.elu(h)
-        h = ops.avg_pool_time(h, self.POOL)
-        h = self._drop(h, training)
-        tokens = ops.transpose(ops.reshape(h, (B, self.f, self.n_tokens)), (0, 2, 1))
-        pe = ops.sinusoidal_positions(self.n_tokens, self.f, dtype=self.dtype)
-        tokens = ops.add(tokens, pe)
-        for block in self.blocks:
-            tokens = block(self, tokens, training)
-        flat = ops.reshape(tokens, (B, self.n_tokens * self.f))
-        head = ops.elu(ops.dense(flat, *self.head1))
-        head = self._drop(head, training)
-        return ops.dense(head, *self.head2)
+    def stages(self, training):
+        def front(x):
+            x = self._input(x)
+            h = self.bn(self._front(x), training)
+            h = ops.elu(h)
+            h = ops.avg_pool_time(h, self.POOL)
+            h = self._drop(h, training)
+            tokens = ops.transpose(ops.reshape(h, (x.shape[0], self.f, self.n_tokens)), (0, 2, 1))
+            pe = ops.sinusoidal_positions(self.n_tokens, self.f, dtype=self.dtype)
+            return ops.add(tokens, pe)
+
+        def head(tokens):
+            flat = ops.reshape(tokens, (tokens.data.shape[0], self.n_tokens * self.f))
+            h = ops.elu(ops.dense(flat, *self.head1))
+            h = self._drop(h, training)
+            return ops.dense(h, *self.head2)
+
+        halves = [half for block in self.blocks for half in block.halves(self, training)]
+        return [front, *halves, head]
 
 
 _ARCH_CLASSES = {cls.arch: cls for cls in (EEGNet, LstmNet, Dgcnn, TransformerNet, Conformer)}

@@ -211,6 +211,12 @@ class TestSvg:
         )
         ET.fromstring(svg)  # would blow up on raw < or &
 
+    @given(st.text(alphabet="&<>;amplgt x", max_size=12))
+    def test_escape_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape
+
+        assert analysis._escape(text) == escape(text)
+
 
 class TestEmitReport:
     def test_report_files(self, tmp_path):

@@ -12,7 +12,7 @@ from scipy.special import expit
 from neurodecode import checks
 from neurodecode.autodiff import core, ops
 from neurodecode.autodiff.core import NumericError, Parameter, check_finite, make, no_grad
-from neurodecode.autodiff.gradcheck import MAX_TOL
+from neurodecode.autodiff.gradcheck import MAX_TOL, Chain
 from neurodecode.autodiff.ops import constant
 from neurodecode.errors import UsageError
 
@@ -371,6 +371,56 @@ class TestModelGradients:
     def test_small_cell_check_passes(self, arch, seed):
         rep = checks.check_model_gradients(arch, "small", seed=seed)
         assert rep.passed is True, rep.summary()
+
+
+class TestStagedCheck:
+    @staticmethod
+    def _same(a, b):
+        return (a.rel_errors.tobytes(), a.kinks, a.checks) == (b.rel_errors.tobytes(), b.kinks, b.checks)
+
+    # every small cell, two LSTM layers, and two Chebyshev layers sharing ``adjacency``
+    @pytest.mark.parametrize("arch, size", [
+        *((arch, "small") for arch in checks.ARCHITECTURES), ("lstm", "medium"), ("dgcnn", "medium"),
+    ])
+    def test_model_report_has_the_bits_of_full_evaluations(self, arch, size):
+        staged = checks.check_model_gradients(arch, size)
+        model, chain = checks.model_check_case(arch, size)
+        # a plain function calling the chain runs it whole, as a wrapping tracer does
+        full = checks.grad_check(lambda: chain(), model.named_params(), sample=checks.MODEL_CHECK_SAMPLE)
+        assert self._same(staged, full)
+
+    @staticmethod
+    def _three_stages():
+        shared, last = param([0.4, -1.3, 0.8], "shared"), param([1.5, 0.7, -0.2], "last")
+        calls = [0, 0, 0]
+
+        def counted(k, fn):
+            def stage(h):
+                calls[k] += 1
+                return fn(h)
+
+            return stage
+
+        stages = [
+            counted(0, lambda x: ops.tanh(ops.mul(constant(x), shared))),
+            counted(1, lambda h: ops.sigmoid(ops.add(h, shared))),
+            counted(2, lambda h: ops.mean_axis(ops.mul(ops.mul(h, h), last), 0)),
+        ]
+        return Chain(stages, np.array([0.3, 1.1, -0.6])), shared, last, calls
+
+    def test_last_stage_parameter_reruns_only_the_last_stage(self):
+        chain, _, last, calls = self._three_stages()
+        rep = checks.grad_check(chain, [("last", last)])
+        assert rep.passed, rep.summary()
+        # the first evaluation and the centre run every stage; each entry's two run the last
+        assert calls == [2, 2, 2 + 2 * last.data.size]
+
+    def test_parameter_of_two_stages_restarts_at_the_first(self):
+        chain, shared, _, calls = self._three_stages()
+        staged = checks.grad_check(chain, [("shared", shared)])
+        assert calls == [2 + 2 * shared.data.size] * 3
+        assert staged.passed, staged.summary()
+        assert self._same(staged, checks.grad_check(lambda: chain(), [("shared", shared)]))
 
 
 def unit_affine(n, dtype=np.float64):
